@@ -63,15 +63,9 @@ def _emit(args, payload: dict, human: str):
         print(human)
 
 
-def _report_of(model):
-    if isinstance(model, KripkeModel):
-        return model_properties(model)
-    return graph_metrics(model)
-
-
 def cmd_validate(args) -> int:
     model = load_model(args.model)
-    report = _report_of(model)
+    report = model_properties(model) if isinstance(model, KripkeModel) else graph_metrics(model)
     data = report.to_json()
     lines = [f"{key}: {json.dumps(value)}" for key, value in data.items()]
     _emit(args, data, "\n".join(lines))
@@ -275,10 +269,7 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         _error(args, exc, violations=exc.violations)
         return 2
-    except HyperdoxError as exc:
-        _error(args, exc)
-        return 2
-    except FileNotFoundError as exc:
+    except (HyperdoxError, OSError) as exc:
         _error(args, exc)
         return 2
 

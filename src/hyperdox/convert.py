@@ -25,9 +25,10 @@ from .hypergraph import (
     Vertex,
     accessibility,
     edge_atoms,
+    frame_h,
     graph_metrics,
-    sat_mask_h,
 )
+from .kernel import compile_formulas, evaluate
 from .kripke import (
     KripkeModel,
     equivalence_classes,
@@ -146,7 +147,6 @@ class EquivalenceRow:
 @dataclass
 class EquivalenceReport:
     checked: int = 0
-    rows: list = field(default_factory=list)
     disagreements: list = field(default_factory=list)
 
     @property
@@ -159,7 +159,6 @@ def check_modal_equivalence(
     mh: HypergraphModel,
     mapping: dict,
     formulas: Sequence[Formula],
-    collect_all: bool = False,
 ) -> EquivalenceReport:
     """Compare satisfaction on both sides across all (world, formula) pairs.
 
@@ -183,16 +182,12 @@ def check_modal_equivalence(
             )
     report = EquivalenceReport()
     edge_idx = {w: mh.edge_index(mapping[w]) for w in mk.worlds}
-    for f in formulas:
-        mask_k = mk.sat_mask(f)
-        mask_h = sat_mask_h(mh, f)
+    prog = compile_formulas(formulas)
+    masks = zip(formulas, evaluate(prog, mk.frame()), evaluate(prog, frame_h([mh])))
+    for f, mask_k, mask_h in masks:
         for i, w in enumerate(mk.worlds):
-            vk = bool(mask_k >> i & 1)
-            vh = bool(mask_h >> edge_idx[w] & 1)
+            row = EquivalenceRow(w, f, bool(mask_k >> i & 1), bool(mask_h >> edge_idx[w] & 1))
             report.checked += 1
-            row = EquivalenceRow(w, f, vk, vh)
-            if collect_all:
-                report.rows.append(row)
             if not row.agree:
                 report.disagreements.append(row)
     return report

@@ -97,48 +97,39 @@ class And(Formula):
         return f"And({self.left!r},{self.right!r})"
 
 
-class Believes(Formula):
+class _Modal(Formula):
+    """Agent-indexed box; subclasses set the hash tag and the letter."""
+
     __slots__ = ("agent", "sub")
+    _tag, _letter = 0, ""
 
     def __init__(self, agent: int, sub: Formula):
         self.agent = agent
         self.sub = sub
-        self._hash = hash((4, agent, sub._hash))
+        self._hash = hash((self._tag, agent, sub._hash))
 
     __hash__ = Formula.__hash__
 
     def __eq__(self, other):
         return self is other or (
-            type(other) is Believes
+            type(other) is type(self)
             and self._hash == other._hash
             and self.agent == other.agent
             and self.sub == other.sub
         )
 
     def __repr__(self):
-        return f"B{self.agent}({self.sub!r})"
+        return f"{self._letter}{self.agent}({self.sub!r})"
 
 
-class Knows(Formula):
-    __slots__ = ("agent", "sub")
+class Believes(_Modal):
+    __slots__ = ()
+    _tag, _letter = 4, "B"
 
-    def __init__(self, agent: int, sub: Formula):
-        self.agent = agent
-        self.sub = sub
-        self._hash = hash((5, agent, sub._hash))
 
-    __hash__ = Formula.__hash__
-
-    def __eq__(self, other):
-        return self is other or (
-            type(other) is Knows
-            and self._hash == other._hash
-            and self.agent == other.agent
-            and self.sub == other.sub
-        )
-
-    def __repr__(self):
-        return f"K{self.agent}({self.sub!r})"
+class Knows(_Modal):
+    __slots__ = ()
+    _tag, _letter = 5, "K"
 
 
 def f_or(left: Formula, right: Formula) -> Formula:
@@ -285,7 +276,10 @@ class _Parser:
 def parse_formula(text: str, ws: Workspace) -> Formula:
     """Parse and fully desugar a formula over the given workspace."""
     p = _Parser(text, ws)
-    out = p.form()
+    try:
+        out = p.form()
+    except RecursionError:
+        raise ParseError("formula nested too deeply", p.pos()) from None
     if p.peek() != "":
         raise ParseError(f"unexpected token {p.peek()!r}", p.pos())
     return out
@@ -368,16 +362,4 @@ def modal_depth(f: Formula) -> int:
         return max(modal_depth(f.left), modal_depth(f.right))
     if isinstance(f, (Believes, Knows)):
         return 1 + modal_depth(f.sub)
-    raise TypeError(f"not a formula: {f!r}")
-
-
-def node_count(f: Formula) -> int:
-    if isinstance(f, Atom):
-        return 1
-    if isinstance(f, Not):
-        return 1 + node_count(f.sub)
-    if isinstance(f, And):
-        return 1 + node_count(f.left) + node_count(f.right)
-    if isinstance(f, (Believes, Knows)):
-        return 1 + node_count(f.sub)
     raise TypeError(f"not a formula: {f!r}")

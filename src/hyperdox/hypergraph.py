@@ -16,7 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import PreconditionError, ValidationError
-from .formula import And, Atom, Believes, Formula, Knows, Not
+from .formula import Formula
+from .kernel import BELIEF, KNOWLEDGE, Frame, sat_mask
 from .kripke import Relation
 from .workspace import PropVar, Workspace
 
@@ -45,8 +46,7 @@ class HypergraphModel:
     Construction checks only that identifiers are unique; run
     validate_model for the semantic invariants (chromatic coloring,
     per-color valuations, tail/head disjointness, no dangling ids).
-    Instances are immutable after construction; accessibility relations
-    and satisfaction masks are cached per instance.
+    Instances are immutable after construction.
     """
 
     def __init__(self, workspace: Workspace, vertices, edges):
@@ -66,9 +66,6 @@ class HypergraphModel:
         if violations:
             raise ValidationError(violations)
         self._edge_index = {e.name: i for i, e in enumerate(self.edges)}
-        self._acc: dict[tuple, Relation] = {}
-        self._sat: dict[Formula, int] = {}
-        self._full = (1 << len(self.edges)) - 1
 
     @property
     def n_edges(self) -> int:
@@ -152,46 +149,30 @@ def graph_metrics(m: HypergraphModel) -> HypergraphClassReport:
     spans = [e.span for e in m.edges]
     rank = max((len(s) for s in spans), default=0)
     n_uniform = all(len(s) == n for s in spans)
-    simple = True
-    for i, si in enumerate(spans):
-        for j, sj in enumerate(spans):
-            if i != j and si <= sj:
-                simple = False
-                break
-        if not simple:
-            break
-    in_tails = set()
-    for e in m.edges:
-        in_tails |= e.tail
-    tail_complete = set(m.vertices) <= in_tails
+    simple = not any(
+        i != j and si <= sj for i, si in enumerate(spans) for j, sj in enumerate(spans)
+    )
+    tail_complete = set(m.vertices) <= set().union(*(e.tail for e in m.edges))
     in_h_su = simple and n_uniform
     in_h_sut = in_h_su and tail_complete
     return HypergraphClassReport(rank, n_uniform, simple, tail_complete, in_h_su, in_h_sut)
 
 
 def accessibility(m: HypergraphModel, agent: int, kind: str) -> Relation:
-    """Doxastic or epistemic accessibility over edge indices; cached."""
+    """Doxastic or epistemic accessibility over edge indices, read off the
+    frame's vertex blocks: e1 -> e2 iff some block has e1 in its span
+    and e2 in its reach."""
     if kind not in ("doxastic", "epistemic"):
         raise PreconditionError(f"unknown accessibility kind {kind!r}")
-    key = (agent, kind)
-    cached = m._acc.get(key)
-    if cached is not None:
-        return cached
-    n_edges = m.n_edges
-    pairs = set()
-    spans = [e.span for e in m.edges]
-    targets = [e.tail for e in m.edges] if kind == "doxastic" else spans
-    colored = [m.color_vertex(i, agent) for i in range(n_edges)]
-    for i in range(n_edges):
-        vid = colored[i]
-        if vid is None:
-            continue
-        for j in range(n_edges):
-            if vid in targets[j]:
-                pairs.add((i, j))
-    rel = Relation(n_edges, frozenset(pairs))
-    m._acc[key] = rel
-    return rel
+    key = (agent, BELIEF if kind == "doxastic" else KNOWLEDGE)
+    edges = range(m.n_edges)
+    pairs = frozenset(
+        (i, j)
+        for span, reach in frame_h([m]).blocks.get(key, ())
+        for i in edges if span >> i & 1
+        for j in edges if reach >> j & 1
+    )
+    return Relation(m.n_edges, pairs)
 
 
 def edge_atoms(m: HypergraphModel, edge) -> frozenset:
@@ -203,35 +184,42 @@ def edge_atoms(m: HypergraphModel, edge) -> frozenset:
     return frozenset(atoms)
 
 
+def frame_h(models) -> Frame:
+    """The kernel frame of the disjoint union of the models, their edges
+    laid side by side in order.
+
+    Accessibility factors through vertices: e1 -B_a-> e2 iff e1 lies in
+    the span of an a-vertex v and e2 in its tail, so each vertex gives
+    the block (span(v), tail(v)) for B and (span(v), span(v)) for K.
+    """
+    frame = Frame(0)
+    atoms, blocks = frame.atoms, frame.blocks
+    for m in models:
+        offset = frame.size
+        span_of: dict[str, int] = {}
+        tail_of: dict[str, int] = {}
+        for i, e in enumerate(m.edges):
+            bit = 1 << (offset + i)
+            for vid in e.tail:
+                tail_of[vid] = tail_of.get(vid, 0) | bit
+            for vid in e.tail | e.head:
+                span_of[vid] = span_of.get(vid, 0) | bit
+        for vid, span in span_of.items():
+            v = m.vertices[vid]
+            for p in v.atoms:
+                atoms[p] = atoms.get(p, 0) | span
+            blocks.setdefault((v.color, KNOWLEDGE), []).append((span, span))
+            tail = tail_of.get(vid)
+            if tail:
+                blocks.setdefault((v.color, BELIEF), []).append((span, tail))
+        frame.parts.append((offset, m.n_edges))
+        frame.size += m.n_edges
+    return frame
+
+
 def sat_mask_h(m: HypergraphModel, f: Formula) -> int:
     """Bitmask of edges satisfying f (bit i = edge i)."""
-    cached = m._sat.get(f)
-    if cached is not None:
-        return cached
-    if isinstance(f, Atom):
-        out = 0
-        for i in range(m.n_edges):
-            if f.var in edge_atoms(m, i):
-                out |= 1 << i
-    elif isinstance(f, Not):
-        out = ~sat_mask_h(m, f.sub) & m._full
-    elif isinstance(f, And):
-        out = sat_mask_h(m, f.left) & sat_mask_h(m, f.right)
-    elif isinstance(f, (Believes, Knows)):
-        kind = "doxastic" if isinstance(f, Believes) else "epistemic"
-        rel = accessibility(m, f.agent, kind)
-        succ = [0] * m.n_edges
-        for u, v in rel.pairs:
-            succ[u] |= 1 << v
-        sub = sat_mask_h(m, f.sub)
-        out = 0
-        for i in range(m.n_edges):
-            if succ[i] & ~sub == 0:
-                out |= 1 << i
-    else:
-        raise TypeError(f"not a formula: {f!r}")
-    m._sat[f] = out
-    return out
+    return sat_mask(frame_h([m]), f)
 
 
 def satisfies_h(m: HypergraphModel, edge, f: Formula) -> bool:
@@ -240,10 +228,6 @@ def satisfies_h(m: HypergraphModel, edge, f: Formula) -> bool:
     if not 0 <= i < m.n_edges:
         raise PreconditionError(f"edge index {i} out of bounds")
     return bool(sat_mask_h(m, f) >> i & 1)
-
-
-def valid_in_h(m: HypergraphModel, f: Formula) -> bool:
-    return sat_mask_h(m, f) == m._full
 
 
 def induced_complex(m: HypergraphModel) -> list:

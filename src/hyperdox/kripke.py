@@ -11,17 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import FragmentError, PreconditionError, ValidationError
-from .formula import (
-    And,
-    Atom,
-    Believes,
-    Formula,
-    Knows,
-    Not,
-    f_iff,
-    f_imp,
-    fragment_check,
-)
+from .formula import Believes, Formula, f_iff, f_imp, fragment_check
+from .kernel import BELIEF, KNOWLEDGE, Frame, sat_mask
 from .workspace import Workspace
 
 
@@ -39,9 +30,6 @@ class Relation:
             if not (0 <= u < size and 0 <= v < size):
                 raise ValidationError([f"relation pair ({u},{v}) out of bounds for size {size}"])
         return cls(size, ps)
-
-    def successors(self, u: int) -> set:
-        return {v for (x, v) in self.pairs if x == u}
 
     def adjacency(self) -> list:
         adj = [set() for _ in range(self.size)]
@@ -86,8 +74,9 @@ def reflexive_transitive_closure(r: Relation) -> Relation:
     return Relation(r.size, frozenset(pairs))
 
 
-def generated_equivalence(r: Relation) -> Relation:
-    """Smallest equivalence containing r, via union-find."""
+def equivalence_classes(r: Relation) -> list:
+    """Classes of the smallest equivalence containing r, via union-find;
+    each a sorted list of indices, ordered by least member."""
     parent = list(range(r.size))
 
     def find(x: int) -> int:
@@ -100,30 +89,18 @@ def generated_equivalence(r: Relation) -> Relation:
         ru, rv = find(u), find(v)
         if ru != rv:
             parent[rv] = ru
-    roots = [find(u) for u in range(r.size)]
     members: dict[int, list[int]] = {}
-    for u, root in enumerate(roots):
-        members.setdefault(root, []).append(u)
-    pairs = set()
-    for group in members.values():
-        for u in group:
-            for v in group:
-                pairs.add((u, v))
-    return Relation(r.size, frozenset(pairs))
-
-
-def equivalence_classes(r: Relation) -> list:
-    """Classes of generated_equivalence(r), each a sorted list of indices."""
-    eq = generated_equivalence(r)
-    adj = eq.adjacency()
-    seen: set[int] = set()
-    classes = []
     for u in range(r.size):
-        if u not in seen:
-            group = sorted(adj[u] | {u})
-            seen.update(group)
-            classes.append(group)
-    return classes
+        members.setdefault(find(u), []).append(u)
+    return list(members.values())
+
+
+def generated_equivalence(r: Relation) -> Relation:
+    """Smallest equivalence containing r."""
+    return Relation(
+        r.size,
+        frozenset((u, v) for group in equivalence_classes(r) for u in group for v in group),
+    )
 
 
 @dataclass(frozen=True)
@@ -160,8 +137,7 @@ def relation_properties(r: Relation) -> RelationProperties:
 class KripkeModel:
     """Finite doxastic Kripke model over a workspace.
 
-    Treat instances as immutable after construction; satisfaction results,
-    generated equivalences and successor masks are cached on the instance.
+    Treat instances as immutable after construction.
     """
 
     def __init__(self, workspace: Workspace, worlds, belief, valuation):
@@ -195,11 +171,6 @@ class KripkeModel:
         if violations:
             raise ValidationError(violations)
         self._world_index = {w: i for i, w in enumerate(self.worlds)}
-        self._equiv: dict[int, Relation] = {}
-        self._succ_b: dict[int, list] = {}
-        self._succ_k: dict[int, list] = {}
-        self._sat: dict[Formula, int] = {}
-        self._full = (1 << size) - 1
 
     @property
     def n_worlds(self) -> int:
@@ -211,59 +182,28 @@ class KripkeModel:
         except KeyError:
             raise ValidationError([f"unknown world {name!r}"]) from None
 
-    def equivalence(self, agent: int) -> Relation:
-        if agent not in self._equiv:
-            self._equiv[agent] = generated_equivalence(self.belief[agent])
-        return self._equiv[agent]
-
-    def _belief_masks(self, agent: int) -> list:
-        if agent not in self._succ_b:
-            masks = [0] * self.n_worlds
-            for u, v in self.belief[agent].pairs:
-                masks[u] |= 1 << v
-            self._succ_b[agent] = masks
-        return self._succ_b[agent]
-
-    def _knowledge_masks(self, agent: int) -> list:
-        if agent not in self._succ_k:
-            masks = [0] * self.n_worlds
-            for u, v in self.equivalence(agent).pairs:
-                masks[u] |= 1 << v
-            self._succ_k[agent] = masks
-        return self._succ_k[agent]
+    def frame(self) -> Frame:
+        """The model as a kernel frame: per agent, one belief block
+        (world, successors) per world with successors and one knowledge
+        block (class, class) per equivalence class."""
+        n = self.n_worlds
+        frame = Frame(n, parts=[(0, n)])
+        atoms = frame.atoms
+        for u, vals in enumerate(self.valuation):
+            for p in vals:
+                atoms[p] = atoms.get(p, 0) | 1 << u
+        for a, rel in enumerate(self.belief):
+            succ = [0] * n
+            for u, v in rel.pairs:
+                succ[u] |= 1 << v
+            frame.blocks[(a, BELIEF)] = [(1 << u, s) for u, s in enumerate(succ) if s]
+            classes = (sum(1 << u for u in group) for group in equivalence_classes(rel))
+            frame.blocks[(a, KNOWLEDGE)] = [(c, c) for c in classes]
+        return frame
 
     def sat_mask(self, f: Formula) -> int:
         """Bitmask of worlds satisfying f (bit i = world i)."""
-        cached = self._sat.get(f)
-        if cached is not None:
-            return cached
-        if isinstance(f, Atom):
-            out = 0
-            for i, atoms in enumerate(self.valuation):
-                if f.var in atoms:
-                    out |= 1 << i
-        elif isinstance(f, Not):
-            out = ~self.sat_mask(f.sub) & self._full
-        elif isinstance(f, And):
-            out = self.sat_mask(f.left) & self.sat_mask(f.right)
-        elif isinstance(f, Believes):
-            sub = self.sat_mask(f.sub)
-            masks = self._belief_masks(f.agent)
-            out = 0
-            for i in range(self.n_worlds):
-                if masks[i] & ~sub == 0:
-                    out |= 1 << i
-        elif isinstance(f, Knows):
-            sub = self.sat_mask(f.sub)
-            masks = self._knowledge_masks(f.agent)
-            out = 0
-            for i in range(self.n_worlds):
-                if masks[i] & ~sub == 0:
-                    out |= 1 << i
-        else:
-            raise TypeError(f"not a formula: {f!r}")
-        self._sat[f] = out
-        return out
+        return sat_mask(self.frame(), f)
 
 
 def satisfies_k(m: KripkeModel, world, f: Formula) -> bool:
@@ -272,10 +212,6 @@ def satisfies_k(m: KripkeModel, world, f: Formula) -> bool:
     if not 0 <= w < m.n_worlds:
         raise PreconditionError(f"world index {w} out of bounds")
     return bool(m.sat_mask(f) >> w & 1)
-
-
-def valid_in(m: KripkeModel, f: Formula) -> bool:
-    return m.sat_mask(f) == m._full
 
 
 @dataclass
@@ -309,34 +245,29 @@ def model_properties(m: KripkeModel) -> KripkeClassReport:
     ws = m.workspace
     witnesses: dict[str, str] = {}
 
-    local = True
-    for a in range(ws.n_agents):
-        var_set = frozenset(ws.vars_of(a))
-        for u, v in symmetric_closure(m.belief[a]).pairs:
-            if m.valuation[u] & var_set != m.valuation[v] & var_set:
-                local = False
-                witnesses.setdefault(
-                    "local",
-                    f"agent {ws.agents[a]} relates {m.worlds[u]} and {m.worlds[v]} "
-                    f"but they disagree on {ws.agents[a]}'s variables",
-                )
-                break
-        if not local:
-            break
+    own = [frozenset(ws.vars_of(a)) for a in range(ws.n_agents)]
+    clashes = (
+        (a, u, v)
+        for a in range(ws.n_agents)
+        for u, v in symmetric_closure(m.belief[a]).pairs
+        if m.valuation[u] & own[a] != m.valuation[v] & own[a]
+    )
+    clash = next(clashes, None)
+    local = clash is None
+    if clash is not None:
+        a, u, v = clash
+        witnesses["local"] = (
+            f"agent {ws.agents[a]} relates {m.worlds[u]} and {m.worlds[v]} "
+            f"but they disagree on {ws.agents[a]}'s variables"
+        )
 
-    proper = True
-    equivs = [m.equivalence(a) for a in range(ws.n_agents)]
-    for u in range(m.n_worlds):
-        for v in range(u + 1, m.n_worlds):
-            if all((u, v) in eq.pairs for eq in equivs):
-                proper = False
-                witnesses.setdefault(
-                    "proper",
-                    f"no agent distinguishes {m.worlds[u]} from {m.worlds[v]}",
-                )
-                break
-        if not proper:
-            break
+    equivs = [generated_equivalence(r) for r in m.belief]
+    pairs = ((u, v) for u in range(m.n_worlds) for v in range(u + 1, m.n_worlds))
+    twin = next((p for p in pairs if all(p in eq.pairs for eq in equivs)), None)
+    proper = twin is None
+    if twin is not None:
+        u, v = twin
+        witnesses["proper"] = f"no agent distinguishes {m.worlds[u]} from {m.worlds[v]}"
 
     per_agent = {}
     for a in range(ws.n_agents):
@@ -369,4 +300,4 @@ def check_local_veracity(m: KripkeModel, agent: int, f: Formula) -> bool:
         goal = f_iff(f, Believes(agent, f))
     else:
         goal = f_imp(f, Believes(agent, f))
-    return valid_in(m, goal)
+    return m.sat_mask(goal) == (1 << m.n_worlds) - 1

@@ -12,14 +12,14 @@ from __future__ import annotations
 import itertools
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .convert import enumerate_formulas
 from .errors import FragmentError, PreconditionError
 from .formula import Formula, fragment_check, render_formula
-from .hypergraph import DirectedEdge, HypergraphModel, Vertex, sat_mask_h
+from .hypergraph import DirectedEdge, HypergraphModel, Vertex, frame_h
+from .kernel import compile_formulas, evaluate
 from .proofcheck import ADMITTED, SCHEME_ARITY, SchemeId, System, instantiate_scheme
 from .workspace import Workspace, synthetic_workspace
 
@@ -223,16 +223,6 @@ def _require_fragment(cls: str, f: Formula):
         )
 
 
-def _first_failing_edge(model: HypergraphModel, f: Formula) -> Optional[str]:
-    mask = sat_mask_h(model, f)
-    if mask == model._full:
-        return None
-    for i in range(model.n_edges):
-        if not mask >> i & 1:
-            return model.edges[i].name
-    return None
-
-
 def countermodel(
     cls: str,
     f: Formula,
@@ -242,45 +232,31 @@ def countermodel(
 ) -> SearchResult:
     """First enumerated (model, edge) falsifying f, or exhaustion.
 
-    The witness is minimal in the canonical enumeration order regardless
-    of worker count, and models_visited counts the stream consumed up to
-    and including the witness.
+    The witness is minimal in the canonical enumeration order, and
+    models_visited counts the stream consumed up to and including the
+    witness. Models are evaluated one at a time, since a witness usually
+    comes within the first few. `workers` is accepted for compatibility;
+    the stream is evaluated serially whatever its value.
     """
     _require_fragment(cls, f)
     start = time.perf_counter()
-    stream = enumerate_models(cls, bounds, seed)
-    if workers <= 1:
-        visited = 0
-        for model in stream:
-            visited += 1
-            edge = _first_failing_edge(model, f)
-            if edge is not None:
-                return SearchResult(
-                    "countermodel", visited, time.perf_counter() - start, model, edge
-                )
-        return SearchResult("exhausted", visited, time.perf_counter() - start)
-
+    prog = compile_formulas([f])
     visited = 0
-    batch_size = workers * 8
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        while True:
-            batch = list(itertools.islice(stream, batch_size))
-            if not batch:
-                return SearchResult("exhausted", visited, time.perf_counter() - start)
-            hits = [
-                (visited + i + 1, model, edge)
-                for i, (model, edge) in enumerate(
-                    zip(batch, pool.map(lambda m: _first_failing_edge(m, f), batch))
-                )
-                if edge is not None
-            ]
-            if hits:
-                index, model, edge = min(hits, key=lambda h: h[0])
-                return SearchResult(
-                    "countermodel", index, time.perf_counter() - start, model, edge
-                )
-            visited += len(batch)
+    for model in enumerate_models(cls, bounds, seed):
+        visited += 1
+        frame = frame_h([model])
+        failure = next(frame.failures(evaluate(prog, frame)[0]), None)
+        if failure is not None:
+            edge = model.edges[failure[1]].name
+            return SearchResult(
+                "countermodel", visited, time.perf_counter() - start, model, edge
+            )
+    return SearchResult("exhausted", visited, time.perf_counter() - start)
 
+
+# Models per union frame in soundness_suite: one program run covers a
+# whole chunk (modal truth is invariant under disjoint union).
+_CHUNK = 32
 
 SYSTEM_CLASS = {
     System.EDL: "H_sut",
@@ -361,26 +337,28 @@ def soundness_suite(
     start = time.perf_counter()
     ws = bounds.workspace()
     instances = scheme_instances(system, ws, instantiation_depth, instantiation_size)
+    prog = compile_formulas(inst for _, inst in instances)
     violations = []
     visited = 0
-    for model in enumerate_models(cls, bounds, seed):
-        visited += 1
-        for scheme, inst in instances:
-            edge = _first_failing_edge(model, inst)
-            if edge is not None:
-                violations.append(
-                    {
-                        "scheme": scheme.value,
-                        "instance": render_formula(inst, ws),
-                        "model_index": visited,
-                        "edge": edge,
-                    }
-                )
-    return SoundnessReport(
-        system,
-        cls,
-        violations,
-        visited,
-        len(instances),
-        time.perf_counter() - start,
-    )
+    stream = enumerate_models(cls, bounds, seed)
+    while True:
+        chunk = list(itertools.islice(stream, _CHUNK))
+        if not chunk:
+            break
+        frame = frame_h(chunk)
+        masks = evaluate(prog, frame)
+        # (model k, instance j, first failing edge i), in (model, instance) order
+        failures = sorted((k, j, i) for j, m in enumerate(masks) for k, i in frame.failures(m))
+        for k, j, i in failures:
+            scheme, inst = instances[j]
+            violations.append(
+                {
+                    "scheme": scheme.value,
+                    "instance": render_formula(inst, ws),
+                    "model_index": visited + k + 1,
+                    "edge": chunk[k].edges[i].name,
+                }
+            )
+        visited += len(chunk)
+    elapsed = time.perf_counter() - start
+    return SoundnessReport(system, cls, violations, visited, len(instances), elapsed)

@@ -284,3 +284,19 @@ def test_deterministic_output_bytes(tmp_path, capsys):
         run(capsys, "convert", "k2h", fixture_path("five_worlds_k.json"), str(out_path))
         paths.append(out_path)
     assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def test_deeply_nested_formula_is_a_parse_error(capsys):
+    formula = "~" * 3000 + "p_a_1"
+    code, out, _ = run(capsys, "--json", "eval", fixture_path("chain4_h.json"), "e1", formula)
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["type"] == "ParseError"
+    assert "nested too deeply" in error["message"]
+
+
+def test_directory_as_model_file_exit_two(tmp_path, capsys):
+    code, out, _ = run(capsys, "--json", "validate", str(tmp_path))
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["type"] == "IsADirectoryError"

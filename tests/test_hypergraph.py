@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperdox import (
     DirectedEdge,
@@ -17,6 +19,9 @@ from hyperdox import (
     satisfies_h,
     validate_model,
 )
+from hyperdox.formula import Believes, Knows
+from hyperdox.hypergraph import frame_h
+from hyperdox.kernel import compile_formulas, evaluate
 from hyperdox.randgen import random_formula, random_uniform_model
 from oracles import naive_satisfies_h
 
@@ -310,3 +315,46 @@ def test_empty_edge_allowed(ws3):
     assert validate_model(m) == []
     assert not satisfies_h(m, "e1", parse_formula("p_a_1", ws3))
     assert satisfies_h(m, "e2", parse_formula("p_a_1", ws3))
+
+
+WS3 = Workspace(("a", "b", "c"), (("p_a_1",), ("p_b_1",), ("p_c_1",)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_models=st.integers(1, 6))
+def test_union_frame_agrees_with_oracle_per_model(seed, n_models):
+    # every member of a disjoint-union frame keeps its own truth values,
+    # although the members reuse the same vertex ids
+    rng = random.Random(seed)
+    models = []
+    while len(models) < n_models:
+        if rng.random() < 0.5:
+            models.append(random_uniform_model(WS3, rng, max_edges=4, atom_density=0.4))
+        else:
+            m = _random_ragged_model(WS3, rng)
+            if m is not None:
+                models.append(m)
+    vars_ = WS3.all_vars()
+    formulas = []
+    for _ in range(4):
+        f = random_formula(rng, vars_, range(3), 2, 7)
+        formulas += [f, Believes(rng.randrange(3), f), Knows(rng.randrange(3), f)]
+    frame = frame_h(models)
+    assert frame.size == sum(m.n_edges for m in models)
+    masks = evaluate(compile_formulas(formulas), frame)
+    for m, (offset, size) in zip(models, frame.parts):
+        assert size == m.n_edges
+        for f, mask in zip(formulas, masks):
+            for i in range(size):
+                assert bool(mask >> (offset + i) & 1) == naive_satisfies_h(m, i, f)
+
+
+def test_deep_formula_evaluates_without_recursion(chain4):
+    from hyperdox.formula import Atom, Not
+
+    p = Atom(chain4.workspace.var_by_name("p_c_1"))
+    f = p
+    for _ in range(5001):
+        f = Not(f)
+    for i in range(chain4.n_edges):
+        assert satisfies_h(chain4, i, f) == (not satisfies_h(chain4, i, p))

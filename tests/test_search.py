@@ -12,6 +12,10 @@ from hyperdox import (
     soundness_suite,
     validate_model,
 )
+from hyperdox import search
+from hyperdox.formula import render_formula
+from hyperdox.hypergraph import frame_h
+from hyperdox.kernel import compile_formulas, evaluate
 from hyperdox.modelio import hypergraph_to_json
 from oracles import count_structures_naive, naive_satisfies_h
 
@@ -169,3 +173,40 @@ def test_own_variable_belief_is_factive_within_bounds():
     ws = bounds.workspace()
     f = parse_formula("B{a} p_a_1 -> p_a_1", ws)
     assert countermodel("H_sut", f, bounds).outcome == "exhausted"
+
+
+def test_chunked_suite_matches_per_model_evaluation(monkeypatch):
+    # LocKD45 over H_su is unsound (D_B fails where a vertex lies in no
+    # tail), so the suite reports violations from many union frames;
+    # they must be exactly those of evaluating one model at a time
+    monkeypatch.setitem(search.SYSTEM_CLASS, System.LOC_KD45, "H_su")
+    bounds = SearchBounds(2, 2, 1)
+    ws = bounds.workspace()
+    report = soundness_suite(System.LOC_KD45, "H_su", bounds, 1)
+    instances = search.scheme_instances(System.LOC_KD45, ws, 1)
+    prog = compile_formulas(inst for _, inst in instances)
+    expected = []
+    models = list(enumerate_models("H_su", bounds))
+    for index, model in enumerate(models, 1):
+        frame = frame_h([model])
+        for (scheme, inst), mask in zip(instances, evaluate(prog, frame)):
+            for _, i in frame.failures(mask):
+                expected.append(
+                    {
+                        "scheme": scheme.value,
+                        "instance": render_formula(inst, ws),
+                        "model_index": index,
+                        "edge": model.edges[i].name,
+                    }
+                )
+    assert report.models_visited == len(models) > search._CHUNK
+    assert len(report.violations) == 13600
+    assert report.violations == expected
+    # spot-check the reported first failing edges on the oracle
+    by_text = {render_formula(inst, ws): inst for _, inst in instances}
+    for v in report.violations[::997]:
+        model = models[v["model_index"] - 1]
+        inst = by_text[v["instance"]]
+        edge = model.edge_index(v["edge"])
+        assert not naive_satisfies_h(model, edge, inst)
+        assert all(naive_satisfies_h(model, i, inst) for i in range(edge))
