@@ -198,8 +198,13 @@ def cmd_search_soundness(args) -> int:
     return 0 if not report.violations else 1
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    def error(self, message):  # usage errors also end in the JSON error object
+        raise InputError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="hyperdox",
         description="Doxastic logic workbench over directed hypergraph and Kripke models",
     )
@@ -262,23 +267,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = argparse.Namespace(json="--json" in (sys.argv[1:] if argv is None else argv))
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
-    except ValidationError as exc:
-        _error(args, exc, violations=exc.violations)
-        return 2
     except (HyperdoxError, OSError) as exc:
         _error(args, exc)
         return 2
 
 
-def _error(args, exc, violations=None):
-    if getattr(args, "json", False):
+def _error(args, exc):
+    if args.json:
         payload = {"error": {"type": type(exc).__name__, "message": str(exc)}}
-        if violations is not None:
-            payload["error"]["violations"] = violations
+        if isinstance(exc, ValidationError):
+            payload["error"]["violations"] = exc.violations
         print(json.dumps(payload, indent=2))
     else:
         print(f"error: {exc}", file=sys.stderr)

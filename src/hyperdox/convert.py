@@ -139,10 +139,6 @@ class EquivalenceRow:
     kripke_value: bool
     hypergraph_value: bool
 
-    @property
-    def agree(self) -> bool:
-        return self.kripke_value == self.hypergraph_value
-
 
 @dataclass
 class EquivalenceReport:
@@ -180,15 +176,15 @@ def check_modal_equivalence(
             raise FragmentError(
                 "knowledge formulas require the serial classes on both sides"
             )
-    report = EquivalenceReport()
-    edge_idx = {w: mh.edge_index(mapping[w]) for w in mk.worlds}
+    report = EquivalenceReport(checked=len(formulas) * mk.n_worlds)
+    edge_of = [mh.edge_index(mapping[w]) for w in mk.worlds]
     prog = compile_formulas(formulas)
     masks = zip(formulas, evaluate(prog, mk.frame()), evaluate(prog, frame_h([mh])))
     for f, mask_k, mask_h in masks:
-        for i, w in enumerate(mk.worlds):
-            row = EquivalenceRow(w, f, bool(mask_k >> i & 1), bool(mask_h >> edge_idx[w] & 1))
-            report.checked += 1
-            if not row.agree:
+        for i, e in enumerate(edge_of):
+            k_value, h_value = mask_k >> i & 1, mask_h >> e & 1
+            if k_value != h_value:
+                row = EquivalenceRow(mk.worlds[i], f, k_value == 1, h_value == 1)
                 report.disagreements.append(row)
     return report
 

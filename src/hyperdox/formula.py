@@ -40,6 +40,38 @@ class Formula:
     def __hash__(self):
         return self._hash
 
+    def __eq__(self, other):
+        """Equality by value, walked with an explicit stack so that deep
+        formulas compare without recursion. Below the root, unequal
+        values are rare (the hashes matched), so the walk skips hashes."""
+        if self is other:
+            return True
+        if type(other) is not type(self) or self._hash != other._hash:
+            return False
+        x, y, stack = self, other, []
+        while True:
+            if x is not y:
+                cls = type(x)
+                if cls is not type(y):
+                    return False
+                if cls is Not:
+                    x, y = x.sub, y.sub
+                    continue
+                if cls is And:
+                    stack.append((x.right, y.right))
+                    x, y = x.left, y.left
+                    continue
+                if cls is not Atom:  # a modality
+                    if x.agent != y.agent:
+                        return False
+                    x, y = x.sub, y.sub
+                    continue
+                if x.var != y.var:
+                    return False
+            if not stack:
+                return True
+            x, y = stack.pop()
+
 
 class Atom(Formula):
     __slots__ = ("var",)
@@ -47,11 +79,6 @@ class Atom(Formula):
     def __init__(self, var: PropVar):
         self.var = var
         self._hash = hash((1, var))
-
-    __hash__ = Formula.__hash__
-
-    def __eq__(self, other):
-        return self is other or (type(other) is Atom and self.var == other.var)
 
     def __repr__(self):
         return f"Atom({self.var.owner},{self.var.index})"
@@ -64,13 +91,6 @@ class Not(Formula):
         self.sub = sub
         self._hash = hash((2, sub._hash))
 
-    __hash__ = Formula.__hash__
-
-    def __eq__(self, other):
-        return self is other or (
-            type(other) is Not and self._hash == other._hash and self.sub == other.sub
-        )
-
     def __repr__(self):
         return f"Not({self.sub!r})"
 
@@ -82,16 +102,6 @@ class And(Formula):
         self.left = left
         self.right = right
         self._hash = hash((3, left._hash, right._hash))
-
-    __hash__ = Formula.__hash__
-
-    def __eq__(self, other):
-        return self is other or (
-            type(other) is And
-            and self._hash == other._hash
-            and self.left == other.left
-            and self.right == other.right
-        )
 
     def __repr__(self):
         return f"And({self.left!r},{self.right!r})"
@@ -107,16 +117,6 @@ class _Modal(Formula):
         self.agent = agent
         self.sub = sub
         self._hash = hash((self._tag, agent, sub._hash))
-
-    __hash__ = Formula.__hash__
-
-    def __eq__(self, other):
-        return self is other or (
-            type(other) is type(self)
-            and self._hash == other._hash
-            and self.agent == other.agent
-            and self.sub == other.sub
-        )
 
     def __repr__(self):
         return f"{self._letter}{self.agent}({self.sub!r})"

@@ -30,9 +30,25 @@ Model = Union[KripkeModel, HypergraphModel]
 
 
 def _check_keys(obj: dict, allowed, what: str):
+    if not isinstance(obj, dict):
+        raise InputError(f"{what} must be an object")
     unknown = set(obj) - set(allowed)
     if unknown:
         raise InputError(f"{what}: unknown keys {sorted(unknown)}")
+
+
+def _names(value, what: str) -> list:
+    if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
+        raise InputError(f"{what} must be a list of names")
+    return value
+
+
+def _read_json(path: str):
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except (ValueError, RecursionError) as exc:  # bad JSON, bad UTF-8, deep nesting
+            raise InputError(f"{path}: malformed JSON: {exc}") from None
 
 
 def _workspace_from(data: dict) -> Workspace:
@@ -45,9 +61,7 @@ def _workspace_from(data: dict) -> Workspace:
 def kripke_from_json(data: dict) -> KripkeModel:
     _check_keys(data, {"kind", "agents", "vars", "worlds", "belief", "valuation"}, "kripke model")
     ws = _workspace_from(data)
-    worlds = data.get("worlds")
-    if not isinstance(worlds, list) or not all(isinstance(w, str) for w in worlds):
-        raise InputError("'worlds' must be a list of world names")
+    worlds = _names(data.get("worlds"), "'worlds'")
     index = {w: i for i, w in enumerate(worlds)}
     belief_block = data.get("belief", {})
     if not isinstance(belief_block, dict):
@@ -58,9 +72,11 @@ def kripke_from_json(data: dict) -> KripkeModel:
     belief = {}
     for a_name, pairs in belief_block.items():
         a = ws.agent_index(a_name)
+        if not isinstance(pairs, list):
+            raise InputError(f"belief for {a_name} must be a list of pairs")
         rel_pairs = []
         for pair in pairs:
-            if not (isinstance(pair, list) and len(pair) == 2):
+            if len(_names(pair, f"belief for {a_name}: each pair")) != 2:
                 raise InputError(f"belief for {a_name}: pairs must be [from, to] lists")
             u, v = pair
             if u not in index or v not in index:
@@ -75,7 +91,7 @@ def kripke_from_json(data: dict) -> KripkeModel:
         raise InputError(f"valuation for unknown worlds: {sorted(unknown_worlds)}")
     valuation = [set() for _ in worlds]
     for w, atoms in valuation_block.items():
-        for name in atoms:
+        for name in _names(atoms, f"valuation for {w}"):
             try:
                 valuation[index[w]].add(ws.var_by_name(name))
             except WorkspaceError as exc:
@@ -114,7 +130,7 @@ def hypergraph_from_json(data: dict) -> HypergraphModel:
         raise InputError("'vertices' must be a list")
     vertices = []
     for entry in raw_vertices:
-        _check_keys(entry, {"id", "color", "atoms"}, f"vertex {entry.get('id')}")
+        _check_keys(entry, {"id", "color", "atoms"}, f"vertex {len(vertices) + 1}")
         vid = entry.get("id")
         color_name = entry.get("color")
         if not isinstance(vid, str) or not isinstance(color_name, str):
@@ -124,7 +140,7 @@ def hypergraph_from_json(data: dict) -> HypergraphModel:
         except WorkspaceError as exc:
             raise InputError(f"vertex {vid}: {exc}") from None
         atoms = set()
-        for name in entry.get("atoms", []):
+        for name in _names(entry.get("atoms", []), f"vertex {vid}: 'atoms'"):
             try:
                 atoms.add(ws.var_by_name(name))
             except WorkspaceError as exc:
@@ -137,10 +153,10 @@ def hypergraph_from_json(data: dict) -> HypergraphModel:
     for i, entry in enumerate(raw_edges):
         _check_keys(entry, {"tail", "head", "name"}, f"edge {i + 1}")
         name = entry.get("name", f"e{i + 1}")
-        tail = entry.get("tail", [])
-        head = entry.get("head", [])
-        if not isinstance(tail, list) or not isinstance(head, list):
-            raise InputError(f"edge {name}: 'tail' and 'head' must be lists")
+        if not isinstance(name, str):
+            raise InputError(f"edge {i + 1}: 'name' must be a string")
+        tail = _names(entry.get("tail", []), f"edge {name}: 'tail'")
+        head = _names(entry.get("head", []), f"edge {name}: 'head'")
         edges.append(DirectedEdge(name, frozenset(tail), frozenset(head)))
     try:
         model = HypergraphModel(ws, vertices, edges)
@@ -191,12 +207,7 @@ def model_to_json(m: Model) -> dict:
 
 
 def load_model(path: str) -> Model:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"{path}: malformed JSON: {exc}") from None
-    return model_from_json(data)
+    return model_from_json(_read_json(path))
 
 
 def save_model(m: Model, path: str):
@@ -269,23 +280,15 @@ def proof_from_json(data: dict):
 
 
 def load_proof(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"{path}: malformed JSON: {exc}") from None
-    return proof_from_json(data)
+    return proof_from_json(_read_json(path))
 
 
 def load_certificate(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"{path}: malformed JSON: {exc}") from None
-    if not isinstance(data, dict) or "map" not in data or not isinstance(data["map"], dict):
-        raise InputError("certificate must be an object with a 'map' key")
-    return data["map"]
+    data = _read_json(path)
+    mapping = data.get("map") if isinstance(data, dict) else None
+    if not isinstance(mapping, dict) or not all(isinstance(v, str) for v in mapping.values()):
+        raise InputError("certificate must be an object whose 'map' maps worlds to edges")
+    return mapping
 
 
 def save_certificate(cert, path: str):

@@ -8,9 +8,11 @@ Systems:
            belief fragment.
   LocK45   LocKD45 without D_B (merely introspective belief).
 
-Axiom steps are validated by structural scheme matching over the
-desugared core language; tautology steps by abstracting maximal modal
-subformulas into fresh letters and running a truth table.
+The schemes are formulas of the language itself, parsed once. Axiom
+steps are validated by structural scheme matching over the desugared
+core language; tautology steps by abstracting maximal modal subformulas
+into fresh letters and evaluating the whole truth table in one run of
+the satisfaction kernel.
 """
 
 from __future__ import annotations
@@ -20,8 +22,9 @@ from enum import Enum
 from typing import Optional, Union
 
 from .errors import HyperdoxError
-from .formula import And, Atom, Believes, Formula, Knows, Not, f_imp, fragment_check
-from .workspace import PropVar
+from .formula import And, Atom, Believes, Formula, Knows, Not, f_imp, fragment_check, parse_formula
+from .kernel import Frame, compile_formulas, sat_mask
+from .workspace import PropVar, Workspace
 
 
 class System(str, Enum):
@@ -56,87 +59,37 @@ ADMITTED = {
 }
 
 
-# Scheme patterns. MetaF stands for an arbitrary formula, MetaAtom for an
-# atom (whose owner must equal the scheme's agent), PB/PK for modalities
-# indexed by the scheme's single agent metavariable.
-
-
-@dataclass(frozen=True)
-class MetaF:
-    name: str
-
-
-@dataclass(frozen=True)
-class MetaAtom:
-    name: str
-
-
-@dataclass(frozen=True)
-class PNot:
-    sub: object
-
-
-@dataclass(frozen=True)
-class PAnd:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class PB:
-    sub: object
-
-
-@dataclass(frozen=True)
-class PK:
-    sub: object
-
-
-def _por(x, y):
-    return PNot(PAnd(PNot(x), PNot(y)))
-
-
-def _pimp(x, y):
-    return _por(PNot(x), y)
-
-
-_PHI = MetaF("phi")
-_PSI = MetaF("psi")
-_P = MetaAtom("p")
+# Schemes in the formula language, over a meta-workspace whose one agent
+# `a` stands for the scheme's agent and whose atoms stand for the
+# metavariables: phi and psi for arbitrary formulas, p for an atom (whose
+# owner must equal the scheme's agent).
+_META = Workspace(("a",), (("phi", "psi", "p"),))
 
 SCHEMES = {
-    SchemeId.K_B: _pimp(PB(_pimp(_PHI, _PSI)), _pimp(PB(_PHI), PB(_PSI))),
-    SchemeId.K_K: _pimp(PK(_pimp(_PHI, _PSI)), _pimp(PK(_PHI), PK(_PSI))),
-    SchemeId.D_B: PNot(PB(PAnd(_PHI, PNot(_PHI)))),
-    SchemeId.FOUR_B: _pimp(PB(_PHI), PB(PB(_PHI))),
-    SchemeId.FIVE_B: _pimp(PNot(PB(_PHI)), PB(PNot(PB(_PHI)))),
-    SchemeId.T_K: _pimp(PK(_PHI), _PHI),
-    SchemeId.FOUR_K: _pimp(PK(_PHI), PK(PK(_PHI))),
-    SchemeId.FIVE_K: _pimp(PNot(PK(_PHI)), PK(PNot(PK(_PHI)))),
-    SchemeId.SPI: _pimp(PB(_PHI), PK(PB(_PHI))),
-    SchemeId.SNI: _pimp(PNot(PB(_PHI)), PK(PNot(PB(_PHI)))),
-    SchemeId.K_IB: _pimp(PK(_PHI), PB(_PHI)),
-    SchemeId.LOC: PAnd(
-        _pimp(_P, PB(_P)),
-        _pimp(PNot(_P), PB(PNot(_P))),
-    ),
+    scheme: parse_formula(text, _META)
+    for scheme, text in {
+        SchemeId.K_B: "B{a}(phi -> psi) -> B{a}phi -> B{a}psi",
+        SchemeId.K_K: "K{a}(phi -> psi) -> K{a}phi -> K{a}psi",
+        SchemeId.D_B: "~B{a}(phi & ~phi)",
+        SchemeId.FOUR_B: "B{a}phi -> B{a}B{a}phi",
+        SchemeId.FIVE_B: "~B{a}phi -> B{a}~B{a}phi",
+        SchemeId.T_K: "K{a}phi -> phi",
+        SchemeId.FOUR_K: "K{a}phi -> K{a}K{a}phi",
+        SchemeId.FIVE_K: "~K{a}phi -> K{a}~K{a}phi",
+        SchemeId.SPI: "B{a}phi -> K{a}B{a}phi",
+        SchemeId.SNI: "~B{a}phi -> K{a}~B{a}phi",
+        SchemeId.K_IB: "K{a}phi -> B{a}phi",
+        SchemeId.LOC: "(p -> B{a}p) & (~p -> B{a}~p)",
+    }.items()
 }
 
 
-SCHEME_ARITY = {
-    SchemeId.K_B: "two",
-    SchemeId.K_K: "two",
-    SchemeId.D_B: "one",
-    SchemeId.FOUR_B: "one",
-    SchemeId.FIVE_B: "one",
-    SchemeId.T_K: "one",
-    SchemeId.FOUR_K: "one",
-    SchemeId.FIVE_K: "one",
-    SchemeId.SPI: "one",
-    SchemeId.SNI: "one",
-    SchemeId.K_IB: "one",
-    SchemeId.LOC: "atom",
-}
+def _arity(pattern: Formula) -> str:
+    names = {_META.var_name(v) for v in compile_formulas([pattern]).atoms}
+    return "atom" if "p" in names else "two" if "psi" in names else "one"
+
+
+SCHEME_ARITY = {scheme: _arity(pattern) for scheme, pattern in SCHEMES.items()}
 
 
 def instantiate_scheme(
@@ -151,62 +104,40 @@ def instantiate_scheme(
     return _substitute(SCHEMES[scheme], binding)
 
 
-def _substitute(pattern, binding: dict) -> Formula:
-    if isinstance(pattern, MetaF):
-        value = binding[pattern.name]
+# Both walks recurse over the pattern only, whose depth is fixed and small.
+
+
+def _substitute(pattern: Formula, binding: dict) -> Formula:
+    cls = type(pattern)
+    if cls is Atom:
+        name = _META.var_name(pattern.var)
+        value = binding[name]
         if value is None:
-            raise ValueError(f"metavariable {pattern.name} not supplied")
-        return value
-    if isinstance(pattern, MetaAtom):
-        value = binding[pattern.name]
-        if value is None:
-            raise ValueError(f"metavariable {pattern.name} not supplied")
-        return Atom(value)
-    if isinstance(pattern, PNot):
+            raise ValueError(f"metavariable {name} not supplied")
+        return Atom(value) if name == "p" else value
+    if cls is Not:
         return Not(_substitute(pattern.sub, binding))
-    if isinstance(pattern, PAnd):
+    if cls is And:
         return And(_substitute(pattern.left, binding), _substitute(pattern.right, binding))
-    if isinstance(pattern, PB):
-        return Believes(binding["a"], _substitute(pattern.sub, binding))
-    if isinstance(pattern, PK):
-        return Knows(binding["a"], _substitute(pattern.sub, binding))
-    raise TypeError(f"bad pattern node: {pattern!r}")
+    return cls(binding["a"], _substitute(pattern.sub, binding))
 
 
-def _match(pattern, f: Formula, binding: dict) -> bool:
-    if isinstance(pattern, MetaF):
-        bound = binding.get(pattern.name)
-        if bound is None:
-            binding[pattern.name] = f
-            return True
-        return bound == f
-    if isinstance(pattern, MetaAtom):
-        if not isinstance(f, Atom):
-            return False
-        bound = binding.get(pattern.name)
-        if bound is None:
-            binding[pattern.name] = f.var
-            return True
-        return bound == f.var
-    if isinstance(pattern, PNot):
-        return isinstance(f, Not) and _match(pattern.sub, f.sub, binding)
-    if isinstance(pattern, PAnd):
-        return (
-            isinstance(f, And)
-            and _match(pattern.left, f.left, binding)
-            and _match(pattern.right, f.right, binding)
-        )
-    if isinstance(pattern, (PB, PK)):
-        want = Believes if isinstance(pattern, PB) else Knows
-        if type(f) is not want:
-            return False
-        bound = binding.get("a")
-        if bound is None:
-            binding["a"] = f.agent
-        elif bound != f.agent:
-            return False
+def _match(pattern: Formula, f: Formula, binding: dict) -> bool:
+    cls = type(pattern)
+    if cls is Atom:
+        name = _META.var_name(pattern.var)
+        if name == "p":
+            if type(f) is not Atom:
+                return False
+            f = f.var
+        return binding.setdefault(name, f) == f
+    if type(f) is not cls:
+        return False
+    if cls is Not:
         return _match(pattern.sub, f.sub, binding)
-    raise TypeError(f"bad pattern node: {pattern!r}")
+    if cls is And:
+        return _match(pattern.left, f.left, binding) and _match(pattern.right, f.right, binding)
+    return binding.setdefault("a", f.agent) == f.agent and _match(pattern.sub, f.sub, binding)
 
 
 def match_scheme(f: Formula, scheme: SchemeId) -> Optional[dict]:
@@ -232,35 +163,48 @@ class TautologyTooLarge(HyperdoxError):
 _MAX_LETTERS = 20
 
 
-def _abstract(f: Formula, letters: dict):
-    if isinstance(f, Atom):
-        key = ("atom", f.var)
-    elif isinstance(f, (Believes, Knows)):
-        key = ("modal", f)
-    elif isinstance(f, Not):
-        return ("not", _abstract(f.sub, letters))
-    elif isinstance(f, And):
-        return ("and", _abstract(f.left, letters), _abstract(f.right, letters))
-    else:
-        raise TypeError(f"not a formula: {f!r}")
-    idx = letters.get(key)
-    if idx is None:
-        idx = len(letters)
-        letters[key] = idx
-    return ("lit", idx)
-
-
-def _eval_skeleton(expr, bits: int) -> bool:
-    tag = expr[0]
-    if tag == "lit":
-        return bool(bits >> expr[1] & 1)
-    if tag == "not":
-        return not _eval_skeleton(expr[1], bits)
-    return _eval_skeleton(expr[1], bits) and _eval_skeleton(expr[2], bits)
+def _abstract(f: Formula, letters: dict) -> Formula:
+    """f with each atom and maximal modal subformula replaced by a letter
+    atom; letters maps each replaced subformula (by value) to its letter."""
+    done: dict = {}
+    stack = [f]
+    while stack:
+        node = stack[-1]
+        if node in done:
+            stack.pop()
+            continue
+        cls = type(node)
+        if cls is Not:
+            sub = done.get(node.sub)
+            if sub is None:
+                stack.append(node.sub)
+                continue
+            out = Not(sub)
+        elif cls is And:
+            left, right = done.get(node.left), done.get(node.right)
+            if left is None or right is None:
+                if right is None:
+                    stack.append(node.right)
+                if left is None:
+                    stack.append(node.left)
+                continue
+            out = And(left, right)
+        elif cls is Atom or cls is Believes or cls is Knows:
+            out = letters.get(node)
+            if out is None:
+                out = letters[node] = Atom(PropVar(0, len(letters)))
+        else:
+            raise TypeError(f"not a formula: {node!r}")
+        stack.pop()
+        done[node] = out
+    return done[f]
 
 
 def is_tautology_instance(f: Formula) -> bool:
-    """Truth-table validity after abstracting maximal modal subformulas."""
+    """Truth-table validity after abstracting maximal modal subformulas.
+
+    The whole table is one kernel run: state s of a frame with 2^k states
+    is the row that gives letter i the value of bit i of s."""
     letters: dict = {}
     skeleton = _abstract(f, letters)
     k = len(letters)
@@ -268,10 +212,14 @@ def is_tautology_instance(f: Formula) -> bool:
         raise TautologyTooLarge(
             f"tautology check abstracts {k} letters, more than the supported {_MAX_LETTERS}"
         )
-    for bits in range(1 << k):
-        if not _eval_skeleton(skeleton, bits):
-            return False
-    return True
+    frame = Frame(1 << k)
+    for i in range(k):
+        column, width = ((1 << (1 << i)) - 1) << (1 << i), 2 << i
+        while width < frame.size:
+            column |= column << width
+            width <<= 1
+        frame.atoms[PropVar(0, i)] = column
+    return sat_mask(frame, skeleton) == frame.full
 
 
 @dataclass(frozen=True)
@@ -362,29 +310,19 @@ def check_proof(system: System, steps) -> ProofResult:
                     idx,
                     f"step {by.implication} is not (step {by.antecedent} -> this step)",
                 )
-        elif isinstance(by, NecK):
-            if system is not System.EDL:
+        elif isinstance(by, (NecK, NecB)):
+            box, name = (Knows, "K") if isinstance(by, NecK) else (Believes, "B")
+            rule = "knowledge" if box is Knows else "belief"
+            if (box is Knows) != (system is System.EDL):
                 return ProofResult(
-                    False, idx, f"knowledge necessitation is not a rule of {system.value}"
+                    False, idx, f"{rule} necessitation is not a rule of {system.value}"
                 )
             err = _check_ref(by.premise, idx)
             if err:
                 return ProofResult(False, idx, err)
-            if step.formula != Knows(by.agent, steps[by.premise - 1].formula):
+            if step.formula != box(by.agent, steps[by.premise - 1].formula):
                 return ProofResult(
-                    False, idx, f"formula is not K applied to step {by.premise}"
-                )
-        elif isinstance(by, NecB):
-            if system is System.EDL:
-                return ProofResult(
-                    False, idx, "belief necessitation is not a rule of EDL"
-                )
-            err = _check_ref(by.premise, idx)
-            if err:
-                return ProofResult(False, idx, err)
-            if step.formula != Believes(by.agent, steps[by.premise - 1].formula):
-                return ProofResult(
-                    False, idx, f"formula is not B applied to step {by.premise}"
+                    False, idx, f"formula is not {name} applied to step {by.premise}"
                 )
         else:
             return ProofResult(False, idx, f"unknown justification {by!r}")

@@ -2,8 +2,9 @@
 
 Everything here deliberately avoids the package's evaluators and caches:
 closures are computed by matrix iteration, satisfaction by plain
-recursion that recomputes accessibility at every modal node, and
-enumeration counts by brute force over labeled structures.
+recursion that recomputes accessibility at every modal node, tautologies
+by a truth table evaluated row by row, and enumeration counts by brute
+force over labeled structures.
 """
 
 import itertools
@@ -95,6 +96,32 @@ def naive_satisfies_h(m, i, f):
             naive_satisfies_h(m, j, f.sub) for j in _naive_succ(m, i, f.agent, "epistemic")
         )
     raise TypeError(f)
+
+
+def naive_is_tautology(f):
+    """Row-by-row truth table over the atoms and maximal modal
+    subformulas of f, which are told apart by their printed structure."""
+    letters = {}
+
+    def collect(g):
+        if isinstance(g, Not):
+            collect(g.sub)
+        elif isinstance(g, And):
+            collect(g.left)
+            collect(g.right)
+        else:
+            letters.setdefault(repr(g), len(letters))
+
+    def value(g, row):
+        if isinstance(g, Not):
+            return not value(g.sub, row)
+        if isinstance(g, And):
+            return value(g.left, row) and value(g.right, row)
+        return row[letters[repr(g)]]
+
+    collect(f)
+    rows = itertools.product((False, True), repeat=len(letters))
+    return all(value(f, row) for row in rows)
 
 
 def count_formulas(n_vars, n_agents, max_depth, max_size):

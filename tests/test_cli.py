@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
 import shutil
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from hyperdox import graph_metrics, load_model, model_properties, satisfies_h
 from hyperdox.cli import main
@@ -295,8 +299,131 @@ def test_deeply_nested_formula_is_a_parse_error(capsys):
     assert "nested too deeply" in error["message"]
 
 
+_CHAIN = " & ".join(["p_a_1"] * 3000)
+_FOUR_B = f"B{{a}}({_CHAIN}) -> B{{a}}B{{a}}({_CHAIN})"
+
+
+@pytest.mark.parametrize(
+    "steps",
+    [
+        [{"formula": _FOUR_B, "by": {"axiom": "4_B"}}],
+        [
+            {"formula": _FOUR_B, "by": {"axiom": "4_B"}},
+            {"formula": f"B{{a}}({_FOUR_B})", "by": {"nec_b": {"agent": "a", "from": 1}}},
+        ],
+        [{"formula": f"({_CHAIN}) -> p_a_1", "by": {"tautology": True}}],
+    ],
+    ids=["4_B", "nec_b", "tautology"],
+)
+def test_prove_deep_conjunction_chain(tmp_path, capsys, steps):
+    proof = {"system": "LocKD45", "agents": ["a"], "vars": {"a": ["p_a_1"]}, "steps": steps}
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(proof))
+    code, out, _ = run(capsys, "--json", "prove", str(path))
+    assert code == 0
+    assert json.loads(out) == {"ok": True}
+
+
 def test_directory_as_model_file_exit_two(tmp_path, capsys):
     code, out, _ = run(capsys, "--json", "validate", str(tmp_path))
     assert code == 2
     error = json.loads(out)["error"]
     assert error["type"] == "IsADirectoryError"
+
+
+_TOKENS = list("~&|()->{}BK ab_1") + ["p_a_1", "p_b_1", "p_z_9", "true", "false"]
+_deep = st.integers(0, 4000)
+_formula_text = st.one_of(
+    st.lists(st.sampled_from(_TOKENS), max_size=30).map("".join),
+    st.text(max_size=20),
+    _deep.map(lambda n: "~" * n + "p_a_1"),
+    _deep.map(lambda n: "(" * n + "p_a_1" + ")" * n),
+    _deep.map(lambda n: "(" * n + "p_a_1"),
+    st.tuples(st.integers(1, 3000), st.sampled_from([" & ", " | ", " -> "])).map(
+        lambda t: t[1].join(["p_a_1"] * t[0])
+    ),
+)
+_json_value = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=8),
+    lambda kids: st.lists(kids, max_size=3)
+    | st.dictionaries(st.sampled_from(["kind", "steps", "id", "tail", "by"]), kids, max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def _mutated_fixture(draw):
+    """A valid fixture file with one nested value replaced by an arbitrary one."""
+    name = draw(st.sampled_from(["chain4_h.json", "five_worlds_k.json", "proof_edl_ok.json"]))
+    with open(fixture_path(name), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    node = doc
+    while True:
+        keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+        key = draw(st.sampled_from(keys))
+        child = node[key]
+        if isinstance(child, (dict, list)) and child and draw(st.booleans()):
+            node = child
+        else:
+            node[key] = draw(_json_value)
+            return json.dumps(doc)
+
+
+_file_text = st.one_of(
+    st.text(max_size=60),
+    _json_value.map(json.dumps),
+    _mutated_fixture(),
+    st.integers(1, 100000).map(lambda n: "[" * n),
+    st.sampled_from(["<missing>", "<directory>", "<not utf-8>"]),
+)
+_justification = st.sampled_from(
+    [{"tautology": True}, {"axiom": "4_B"}, {"mp": [1, 1]}, {"nec_k": 1}, [], "x"]
+)
+
+
+def _proof_with(formula, by):
+    proof = {"system": "EDL", "agents": ["a"], "vars": {"a": ["p_a_1"]}}
+    proof["steps"] = [{"formula": formula, "by": by}]
+    return json.dumps(proof)
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(
+    st.one_of(
+        st.tuples(st.just("eval"), st.none(), _formula_text),
+        st.tuples(
+            st.just("prove"), st.builds(_proof_with, _formula_text, _justification), st.none()
+        ),
+        st.tuples(st.sampled_from(["validate", "eval", "prove"]), _file_text, st.just("p_a_1")),
+    )
+)
+@example(("eval", None, "-p_a_1"))
+@example(("validate", "<not utf-8>", "p_a_1"))
+@example(("prove", "[" * 100000, "p_a_1"))
+@example(("prove", '{"system": "EDL", "agents": ["a"], "vars": {}, "steps": [5]}', None))
+@example(("validate", '{"kind": "kripke", "agents": ["a"], "vars": {}, "belief": {"a": 0}}', None))
+@example(("validate", '{"kind": "hypergraph", "agents": ["a"], "vars": {}, "vertices": [0]}', None))
+def test_cli_exit_code_contract(tmp_path_factory, case):
+    """Any input ends in exit code 0, 1 or 2 with JSON on stdout, never a traceback."""
+    command, content, formula = case
+    path = tmp_path_factory.mktemp("contract")
+    target = str(path / "input.json")
+    if content is None:
+        target = fixture_path("chain4_h.json")
+    elif content == "<directory>":
+        target = str(path)
+    elif content == "<not utf-8>":
+        (path / "input.json").write_bytes(b"\xff\xfe{")
+    elif content != "<missing>":
+        (path / "input.json").write_text(content, encoding="utf-8")
+    argv = ["--json", command, target] + (["e1", formula] if command == "eval" else [])
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    json.loads(out.getvalue())
+    assert "Traceback" not in out.getvalue() + err.getvalue()

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 
 import pytest
@@ -20,8 +21,10 @@ from hyperdox import (
     satisfies_k,
 )
 from hyperdox.kripke import equivalence_classes
+from hyperdox.modelio import model_from_json
 from hyperdox.randgen import random_local_kripke, random_uniform_model
-from oracles import count_formulas
+from conftest import fixture_path
+from oracles import count_formulas, naive_satisfies_h, naive_satisfies_k
 
 
 def rel(size, pairs):
@@ -155,6 +158,29 @@ def test_modal_equivalence_on_five_worlds(five_worlds_k):
     ]
     report = check_modal_equivalence(five_worlds_k, mh, cert.mapping, formulas)
     assert report.agree and report.checked == 15
+
+
+def test_swapped_worlds_give_the_oracle_disagreements():
+    with open(fixture_path("five_worlds_k.json"), encoding="utf-8") as fh:
+        data = json.load(fh)
+    data["valuation"] = {w: ["p_b_1"] for w in ("2", "3", "5")}  # b's class {2, 3, 5}
+    mk = model_from_json(data)
+    mh, cert = kripke_to_hypergraph(mk)
+    mapping = dict(cert.mapping)
+    mapping["1"], mapping["2"] = mapping["2"], mapping["1"]
+    ws = mk.workspace
+    formulas = list(enumerate_formulas(ws.all_vars(), range(ws.n_agents), 1, 2))
+    report = check_modal_equivalence(mk, mh, mapping, formulas)
+    expected = []
+    for f in formulas:
+        for i, w in enumerate(mk.worlds):
+            k_value = naive_satisfies_k(mk, i, f)
+            h_value = naive_satisfies_h(mh, mh.edge_index(mapping[w]), f)
+            if k_value != h_value:
+                expected.append((w, f, k_value, h_value))
+    rows = [(r.state, r.formula, r.kripke_value, r.hypergraph_value) for r in report.disagreements]
+    assert expected and rows == expected
+    assert not report.agree and report.checked == 5 * len(formulas)
 
 
 def test_sigma_equivalence_random(ws3):

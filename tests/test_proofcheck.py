@@ -4,6 +4,7 @@ import random
 import pytest
 
 from hyperdox import (
+    And,
     Atom,
     Believes,
     Knows,
@@ -16,15 +17,18 @@ from hyperdox import (
     Workspace,
     check_proof,
     f_imp,
+    f_or,
     instantiate_scheme,
     is_tautology_instance,
     match_scheme,
     parse_formula,
+    render_formula,
 )
 from hyperdox.modelio import load_proof, proof_from_json
 from hyperdox.proofcheck import SCHEME_ARITY, Axiom, NecB, NecK, TautologyTooLarge
 from hyperdox.randgen import random_formula
 from conftest import fixture_path
+from oracles import naive_is_tautology
 
 
 @pytest.fixture
@@ -91,6 +95,41 @@ def test_instantiate_matches_own_scheme(ws):
             assert match_scheme(inst, scheme) is not None
 
 
+def test_instances_pinned_for_every_scheme(ws):
+    p = ws.var_by_name("p_b_1")
+    P = Atom(p)
+    x = And(Atom(ws.var_by_name("p_a_1")), Knows(0, P))
+    y = Not(Believes(1, P))
+
+    def B(f):
+        return Believes(1, f)
+
+    def K(f):
+        return Knows(1, f)
+
+    expected = {
+        SchemeId.K_B: f_imp(B(f_imp(x, y)), f_imp(B(x), B(y))),
+        SchemeId.K_K: f_imp(K(f_imp(x, y)), f_imp(K(x), K(y))),
+        SchemeId.D_B: Not(B(And(x, Not(x)))),
+        SchemeId.FOUR_B: f_imp(B(x), B(B(x))),
+        SchemeId.FIVE_B: f_imp(Not(B(x)), B(Not(B(x)))),
+        SchemeId.T_K: f_imp(K(x), x),
+        SchemeId.FOUR_K: f_imp(K(x), K(K(x))),
+        SchemeId.FIVE_K: f_imp(Not(K(x)), K(Not(K(x)))),
+        SchemeId.SPI: f_imp(B(x), K(B(x))),
+        SchemeId.SNI: f_imp(Not(B(x)), K(Not(B(x)))),
+        SchemeId.K_IB: f_imp(K(x), B(x)),
+        SchemeId.LOC: And(f_imp(P, B(P)), f_imp(Not(P), B(Not(P)))),
+    }
+    assert set(expected) == set(SchemeId)
+    for scheme, want in expected.items():
+        assert instantiate_scheme(scheme, 1, phi=x, psi=y, p=p) == want
+    with pytest.raises(ValueError, match="psi"):
+        instantiate_scheme(SchemeId.K_B, 1, phi=x)
+    with pytest.raises(ValueError, match="metavariable p "):
+        instantiate_scheme(SchemeId.LOC, 1, phi=x)
+
+
 def test_tautology_examples(ws):
     assert is_tautology_instance(parse_formula("B{a} p_a_1 -> B{a} p_a_1", ws))
     assert not is_tautology_instance(parse_formula("B{a} p_a_1 -> p_a_1", ws))
@@ -110,6 +149,49 @@ def test_tautology_size_cap():
     big = " | ".join(names)
     with pytest.raises(TautologyTooLarge):
         is_tautology_instance(parse_formula(big, ws))
+    at_cap = " | ".join(names[:20]) + " | ~q19"
+    assert is_tautology_instance(parse_formula(at_cap, ws))
+
+
+def _propositional_over_modal(rng, ws):
+    """A boolean combination of atoms and a few modal subformulas. The
+    modal ones recur, also as equal but distinct objects, and some occur
+    both alone and inside another modal subformula."""
+    vars_, atoms = ws.all_vars(), [Atom(v) for v in ws.all_vars()]
+    pool = [
+        rng.choice((Believes, Knows))(rng.randrange(2), random_formula(rng, vars_, range(2), 2, 4))
+        for _ in range(rng.randint(1, 3))
+    ]
+    pool += [m.sub for m in pool if isinstance(m.sub, (Believes, Knows))]
+    pool += [parse_formula(render_formula(m, ws), ws) for m in pool]
+    leaves = atoms + pool
+
+    def build(size):
+        if size <= 1:
+            return rng.choice(leaves)
+        if rng.random() < 0.3:
+            return Not(build(size - 1))
+        left = rng.randint(1, size - 1)
+        return And(build(left), build(size - left))
+
+    f = build(rng.randint(1, 10))
+    shape = rng.randrange(3)
+    if shape == 1:  # excluded middle
+        return f_or(f, Not(parse_formula(render_formula(f, ws), ws)))
+    if shape == 2:  # weakening
+        return f_imp(And(f, rng.choice(leaves)), f)
+    return f
+
+
+def test_tautology_agrees_with_truth_table_oracle(ws):
+    rng = random.Random(5)
+    verdicts = set()
+    for _ in range(1000):
+        f = _propositional_over_modal(rng, ws)
+        verdict = is_tautology_instance(f)
+        assert verdict == naive_is_tautology(f)
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 def _base_proof(ws):
