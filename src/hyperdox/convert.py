@@ -88,10 +88,10 @@ def kripke_to_hypergraph(m: KripkeModel):
     mapping: dict[str, str] = {}
     for u in range(m.n_worlds):
         tail = frozenset(
-            vertex_of[(a, u)] for a in range(ws.n_agents) if (u, u) in m.belief[a].pairs
+            vertex_of[(a, u)] for a in range(ws.n_agents) if m.belief[a].rows[u] >> u & 1
         )
         head = frozenset(
-            vertex_of[(a, u)] for a in range(ws.n_agents) if (u, u) not in m.belief[a].pairs
+            vertex_of[(a, u)] for a in range(ws.n_agents) if not m.belief[a].rows[u] >> u & 1
         )
         key = (tail, head)
         name = by_structure.get(key)

@@ -286,33 +286,33 @@ def parse_formula(text: str, ws: Workspace) -> Formula:
 
 
 def render_formula(f: Formula, ws: Workspace) -> str:
-    """Print a formula using core connectives only; re-parses to an equal AST."""
-    if isinstance(f, Atom):
-        return ws.var_name(f.var)
-    if isinstance(f, Not):
-        return "~" + _render_tight(f.sub, ws)
-    if isinstance(f, Believes):
-        return f"B{{{ws.agents[f.agent]}}}" + _render_arg(f.sub, ws)
-    if isinstance(f, Knows):
-        return f"K{{{ws.agents[f.agent]}}}" + _render_arg(f.sub, ws)
-    if isinstance(f, And):
-        left = render_formula(f.left, ws)
-        if isinstance(f.right, And):
-            return f"{left} & ({render_formula(f.right, ws)})"
-        return f"{left} & {render_formula(f.right, ws)}"
-    raise TypeError(f"not a formula: {f!r}")
+    """Print a formula using core connectives only; re-parses to an equal AST.
+
+    Walked with an explicit stack of formulas and literal text, so deep
+    formulas print without recursion."""
+    out, stack = [], [f]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, str):
+            out.append(node)
+        elif isinstance(node, Atom):
+            out.append(ws.var_name(node.var))
+        elif isinstance(node, And):  # & is left-associative: only a right conjunct is bracketed
+            stack += [*_operand(node.right, ""), " & ", node.left]
+        elif isinstance(node, Not):
+            out.append("~")
+            stack += _operand(node.sub, "")
+        elif isinstance(node, _Modal):
+            out.append(f"{node._letter}{{{ws.agents[node.agent]}}}")
+            stack += _operand(node.sub, " ")
+        else:
+            raise TypeError(f"not a formula: {node!r}")
+    return "".join(out)
 
 
-def _render_tight(f: Formula, ws: Workspace) -> str:
-    if isinstance(f, And):
-        return "(" + render_formula(f, ws) + ")"
-    return render_formula(f, ws)
-
-
-def _render_arg(f: Formula, ws: Workspace) -> str:
-    if isinstance(f, And):
-        return "(" + render_formula(f, ws) + ")"
-    return " " + render_formula(f, ws)
+def _operand(f: Formula, gap: str) -> tuple:
+    """Stack items, in push order, that print f after gap, or bracket a conjunction."""
+    return (")", f, "(") if isinstance(f, And) else (f, gap)
 
 
 @dataclass(frozen=True)
@@ -354,12 +354,18 @@ def fragment_check(f: Formula) -> FragmentInfo:
 
 
 def modal_depth(f: Formula) -> int:
-    if isinstance(f, Atom):
-        return 0
-    if isinstance(f, Not):
-        return modal_depth(f.sub)
-    if isinstance(f, And):
-        return max(modal_depth(f.left), modal_depth(f.right))
-    if isinstance(f, (Believes, Knows)):
-        return 1 + modal_depth(f.sub)
-    raise TypeError(f"not a formula: {f!r}")
+    """Greatest nesting of modalities, walked with an explicit stack."""
+    depth, stack = 0, [(f, 0)]
+    while stack:
+        node, d = stack.pop()
+        if isinstance(node, Atom):
+            depth = max(depth, d)
+        elif isinstance(node, Not):
+            stack.append((node.sub, d))
+        elif isinstance(node, And):
+            stack += [(node.left, d), (node.right, d)]
+        elif isinstance(node, _Modal):
+            stack.append((node.sub, d + 1))
+        else:
+            raise TypeError(f"not a formula: {node!r}")
+    return depth

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .errors import PreconditionError, ValidationError
 from .formula import Formula
-from .kernel import BELIEF, KNOWLEDGE, Frame, sat_mask
+from .kernel import BELIEF, KNOWLEDGE, Frame, bits, sat_mask
 from .kripke import Relation
 from .workspace import PropVar, Workspace
 
@@ -160,19 +160,16 @@ def graph_metrics(m: HypergraphModel) -> HypergraphClassReport:
 
 def accessibility(m: HypergraphModel, agent: int, kind: str) -> Relation:
     """Doxastic or epistemic accessibility over edge indices, read off the
-    frame's vertex blocks: e1 -> e2 iff some block has e1 in its span
-    and e2 in its reach."""
+    frame's vertex blocks: each block adds its reach to the rows of the
+    edges in its span."""
     if kind not in ("doxastic", "epistemic"):
         raise PreconditionError(f"unknown accessibility kind {kind!r}")
     key = (agent, BELIEF if kind == "doxastic" else KNOWLEDGE)
-    edges = range(m.n_edges)
-    pairs = frozenset(
-        (i, j)
-        for span, reach in frame_h([m]).blocks.get(key, ())
-        for i in edges if span >> i & 1
-        for j in edges if reach >> j & 1
-    )
-    return Relation(m.n_edges, pairs)
+    rows = [0] * m.n_edges
+    for span, reach in frame_h([m]).blocks.get(key, ()):
+        for i in bits(span):
+            rows[i] |= reach
+    return Relation(m.n_edges, tuple(rows))
 
 
 def edge_atoms(m: HypergraphModel, edge) -> frozenset:

@@ -86,6 +86,14 @@ def compile_formulas(formulas) -> Program:
     return prog
 
 
+def bits(mask: int):
+    """Indices of the set bits of mask, in ascending order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 @dataclass
 class Frame:
     size: int

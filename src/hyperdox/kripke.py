@@ -1,4 +1,4 @@
-"""Doxastic Kripke models: relation algebra, class checks and satisfaction.
+"""Doxastic Kripke models: bit-row relations, class checks and satisfaction.
 
 Knowledge is never stored as its own relation. It is always interpreted
 through the equivalence generated by the belief relation (the
@@ -12,66 +12,31 @@ from dataclasses import dataclass, field
 
 from .errors import FragmentError, PreconditionError, ValidationError
 from .formula import Believes, Formula, f_iff, f_imp, fragment_check
-from .kernel import BELIEF, KNOWLEDGE, Frame, sat_mask
+from .kernel import BELIEF, KNOWLEDGE, Frame, bits, sat_mask
 from .workspace import Workspace
 
 
 @dataclass(frozen=True)
 class Relation:
-    """Binary relation over world indices 0..size-1."""
+    """Binary relation over world indices 0..size-1 as bit rows: bit v
+    of rows[u] is set iff u relates to v."""
 
     size: int
-    pairs: frozenset
+    rows: tuple
 
     @classmethod
     def from_pairs(cls, size: int, pairs) -> "Relation":
-        ps = frozenset((int(u), int(v)) for u, v in pairs)
-        for u, v in ps:
+        rows = [0] * size
+        for u, v in pairs:
+            u, v = int(u), int(v)
             if not (0 <= u < size and 0 <= v < size):
                 raise ValidationError([f"relation pair ({u},{v}) out of bounds for size {size}"])
-        return cls(size, ps)
+            rows[u] |= 1 << v
+        return cls(size, tuple(rows))
 
-    def adjacency(self) -> list:
-        adj = [set() for _ in range(self.size)]
-        for u, v in self.pairs:
-            adj[u].add(v)
-        return adj
-
-
-def inverse(r: Relation) -> Relation:
-    return Relation(r.size, frozenset((v, u) for (u, v) in r.pairs))
-
-
-def symmetric_closure(r: Relation) -> Relation:
-    return Relation(r.size, r.pairs | inverse(r).pairs)
-
-
-def compose(r: Relation, s: Relation) -> Relation:
-    adj = s.adjacency()
-    return Relation(r.size, frozenset((u, w) for (u, v) in r.pairs for w in adj[v]))
-
-
-def power(r: Relation, m: int) -> Relation:
-    out = Relation(r.size, frozenset((u, u) for u in range(r.size)))
-    for _ in range(m):
-        out = compose(out, r)
-    return out
-
-
-def reflexive_transitive_closure(r: Relation) -> Relation:
-    adj = r.adjacency()
-    pairs = set()
-    for start in range(r.size):
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            u = frontier.pop()
-            for v in adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    frontier.append(v)
-        pairs.update((start, v) for v in seen)
-    return Relation(r.size, frozenset(pairs))
+    @property
+    def pairs(self) -> frozenset:
+        return frozenset((u, v) for u, row in enumerate(self.rows) for v in bits(row))
 
 
 def equivalence_classes(r: Relation) -> list:
@@ -85,10 +50,11 @@ def equivalence_classes(r: Relation) -> list:
             x = parent[x]
         return x
 
-    for u, v in r.pairs:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[rv] = ru
+    for u, row in enumerate(r.rows):
+        for v in bits(row):
+            ru, rv = find(u), find(v)
+            if ru != rv:
+                parent[rv] = ru
     members: dict[int, list[int]] = {}
     for u in range(r.size):
         members.setdefault(find(u), []).append(u)
@@ -96,11 +62,13 @@ def equivalence_classes(r: Relation) -> list:
 
 
 def generated_equivalence(r: Relation) -> Relation:
-    """Smallest equivalence containing r."""
-    return Relation(
-        r.size,
-        frozenset((u, v) for group in equivalence_classes(r) for u in group for v in group),
-    )
+    """Smallest equivalence containing r: each world's row is its class."""
+    rows = [0] * r.size
+    for group in equivalence_classes(r):
+        mask = sum(1 << u for u in group)
+        for u in group:
+            rows[u] = mask
+    return Relation(r.size, tuple(rows))
 
 
 @dataclass(frozen=True)
@@ -122,15 +90,16 @@ class RelationProperties:
 
 
 def relation_properties(r: Relation) -> RelationProperties:
-    adj = r.adjacency()
-    pairs = r.pairs
-    serial = all(adj[u] for u in range(r.size))
-    transitive = all((u, w) in pairs for (u, v) in pairs for w in adj[v])
-    euclidean = all(
-        (v, w) in pairs for u in range(r.size) for v in adj[u] for w in adj[u]
-    )
-    reflexive = all((u, u) in pairs for u in range(r.size))
-    symmetric = all((v, u) in pairs for (u, v) in pairs)
+    """The five properties read off the rows: along each arrow u -> v,
+    transitivity needs rows[v] within rows[u], Euclideanness rows[u]
+    within rows[v], and symmetry bit u of rows[v]."""
+    rows = r.rows
+    arrows = [(u, row, rows[v]) for u, row in enumerate(rows) for v in bits(row)]
+    serial = all(rows)
+    transitive = all(succ & ~row == 0 for _, row, succ in arrows)
+    euclidean = all(row & ~succ == 0 for _, row, succ in arrows)
+    reflexive = all(row >> u & 1 for u, row in enumerate(rows))
+    symmetric = all(succ >> u & 1 for u, _, succ in arrows)
     return RelationProperties(serial, transitive, euclidean, reflexive, symmetric)
 
 
@@ -152,7 +121,7 @@ class KripkeModel:
         size = len(self.worlds)
         rels = []
         for a in range(n):
-            r = belief.get(a, Relation(size, frozenset()))
+            r = belief.get(a, Relation(size, (0,) * size))
             if r.size != size:
                 violations.append(f"relation for agent {workspace.agents[a]} has wrong size")
             rels.append(r)
@@ -193,10 +162,7 @@ class KripkeModel:
             for p in vals:
                 atoms[p] = atoms.get(p, 0) | 1 << u
         for a, rel in enumerate(self.belief):
-            succ = [0] * n
-            for u, v in rel.pairs:
-                succ[u] |= 1 << v
-            frame.blocks[(a, BELIEF)] = [(1 << u, s) for u, s in enumerate(succ) if s]
+            frame.blocks[(a, BELIEF)] = [(1 << u, row) for u, row in enumerate(rel.rows) if row]
             classes = (sum(1 << u for u in group) for group in equivalence_classes(rel))
             frame.blocks[(a, KNOWLEDGE)] = [(c, c) for c in classes]
         return frame
@@ -247,12 +213,13 @@ def model_properties(m: KripkeModel) -> KripkeClassReport:
 
     own = [frozenset(ws.vars_of(a)) for a in range(ws.n_agents)]
     clashes = (
-        (a, u, v)
-        for a in range(ws.n_agents)
-        for u, v in symmetric_closure(m.belief[a]).pairs
+        (a, min(u, v), max(u, v))
+        for a, r in enumerate(m.belief)
+        for u, row in enumerate(r.rows)
+        for v in bits(row)
         if m.valuation[u] & own[a] != m.valuation[v] & own[a]
     )
-    clash = next(clashes, None)
+    clash = min(clashes, default=None)
     local = clash is None
     if clash is not None:
         a, u, v = clash
@@ -261,9 +228,9 @@ def model_properties(m: KripkeModel) -> KripkeClassReport:
             f"but they disagree on {ws.agents[a]}'s variables"
         )
 
-    equivs = [generated_equivalence(r) for r in m.belief]
+    classes = [generated_equivalence(r).rows for r in m.belief]
     pairs = ((u, v) for u in range(m.n_worlds) for v in range(u + 1, m.n_worlds))
-    twin = next((p for p in pairs if all(p in eq.pairs for eq in equivs)), None)
+    twin = next(((u, v) for u, v in pairs if all(c[u] >> v & 1 for c in classes)), None)
     proper = twin is None
     if twin is not None:
         u, v = twin

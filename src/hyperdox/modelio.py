@@ -106,8 +106,7 @@ def kripke_to_json(m: KripkeModel) -> dict:
     ws = m.workspace
     return {
         "kind": "kripke",
-        "agents": list(ws.agents),
-        "vars": {a: list(names) for a, names in zip(ws.agents, ws.vars)},
+        **ws.to_json(),
         "worlds": list(m.worlds),
         "belief": {
             ws.agents[a]: [
@@ -172,8 +171,7 @@ def hypergraph_to_json(m: HypergraphModel) -> dict:
     ws = m.workspace
     return {
         "kind": "hypergraph",
-        "agents": list(ws.agents),
-        "vars": {a: list(names) for a, names in zip(ws.agents, ws.vars)},
+        **ws.to_json(),
         "vertices": [
             {
                 "id": v.id,
@@ -235,7 +233,7 @@ def _justification_from_json(entry: dict, ws: Workspace, step_no: int):
             raise InputError(f"step {step_no}: unknown scheme {name!r}") from None
     if "mp" in entry:
         refs = entry["mp"]
-        if not (isinstance(refs, list) and len(refs) == 2 and all(isinstance(r, int) for r in refs)):
+        if not (isinstance(refs, list) and len(refs) == 2 and all(type(r) is int for r in refs)):
             raise InputError(f"step {step_no}: 'mp' must be a pair of step numbers")
         return MP(refs[0], refs[1])
     key = "nec_k" if "nec_k" in entry else "nec_b"
@@ -246,7 +244,7 @@ def _justification_from_json(entry: dict, ws: Workspace, step_no: int):
         agent = ws.agent_index(payload["agent"])
     except WorkspaceError as exc:
         raise InputError(f"step {step_no}: {exc}") from None
-    if not isinstance(payload["from"], int):
+    if type(payload["from"]) is not int:  # not isinstance: JSON true would pass as 1
         raise InputError(f"step {step_no}: 'from' must be a step number")
     cls = NecK if key == "nec_k" else NecB
     return cls(agent, payload["from"])

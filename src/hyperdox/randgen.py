@@ -92,7 +92,7 @@ def _random_te_relation(size: int, rng: random.Random, serial: bool) -> Relation
             target = rng.randrange(n_clusters + 1) - 1
         if target >= 0:
             pairs.update((u, v) for v in clusters[target])
-    return Relation(size, frozenset(pairs))
+    return Relation.from_pairs(size, pairs)
 
 
 def random_local_kripke(

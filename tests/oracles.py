@@ -1,7 +1,8 @@
 """Independent reference implementations used only as test oracles.
 
 Everything here deliberately avoids the package's evaluators and caches:
-closures are computed by matrix iteration, satisfaction by plain
+closures are computed by matrix iteration or by search over the pair
+list, relation properties from their definitions, satisfaction by plain
 recursion that recomputes accessibility at every modal node, tautologies
 by a truth table evaluated row by row, and enumeration counts by brute
 force over labeled structures.
@@ -31,6 +32,49 @@ def warshall_equivalence(size, pairs):
     return frozenset(
         (i, j) for i in range(size) for j in range(size) if reach[i][j]
     )
+
+
+def symmetric_closure(pairs):
+    return frozenset(pairs) | {(v, u) for u, v in pairs}
+
+
+def reflexive_transitive_closure(size, pairs):
+    """Pairs (u, v) such that v is reachable from u, by a search from
+    every world over the pair list."""
+    out = set()
+    for start in range(size):
+        seen = {start}
+        frontier = [start]
+        while frontier:
+            u = frontier.pop()
+            for x, v in pairs:
+                if x == u and v not in seen:
+                    seen.add(v)
+                    frontier.append(v)
+        out.update((start, v) for v in seen)
+    return frozenset(out)
+
+
+def naive_relation_properties(size, pairs):
+    """The five properties from their first-order definitions, quantifying
+    over worlds and pairs."""
+    r = set(pairs)
+    worlds = range(size)
+    return {
+        "serial": all(any((u, v) in r for v in worlds) for u in worlds),
+        "transitive": all((u, w) in r for u, v in r for x, w in r if x == v),
+        "euclidean": all((v, w) in r for u, v in r for x, w in r if x == u),
+        "reflexive": all((u, u) in r for u in worlds),
+        "symmetric": all((v, u) in r for u, v in r),
+    }
+
+
+def naive_equivalence_classes(size, pairs):
+    """Classes of the Warshall equivalence, each sorted, ordered by least
+    member."""
+    eq = warshall_equivalence(size, pairs)
+    classes = {tuple(v for v in range(size) if (u, v) in eq) for u in range(size)}
+    return sorted(list(c) for c in classes)
 
 
 def _sym_class(m, agent, w):

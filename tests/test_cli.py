@@ -7,7 +7,18 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from hyperdox import graph_metrics, load_model, model_properties, satisfies_h
+from hyperdox import (
+    Believes,
+    Not,
+    Workspace,
+    graph_metrics,
+    load_model,
+    modal_depth,
+    model_properties,
+    parse_formula,
+    render_formula,
+    satisfies_h,
+)
 from hyperdox.cli import main
 from conftest import fixture_path
 
@@ -322,6 +333,14 @@ def test_prove_deep_conjunction_chain(tmp_path, capsys, steps):
     code, out, _ = run(capsys, "--json", "prove", str(path))
     assert code == 0
     assert json.loads(out) == {"ok": True}
+
+
+def test_render_and_depth_of_deep_conjunction_chain():
+    ws = Workspace(("a",), (("p_a_1",),))
+    chain = parse_formula(_CHAIN, ws)
+    assert render_formula(chain, ws) == _CHAIN
+    assert modal_depth(chain) == 0
+    assert modal_depth(Believes(0, Not(chain))) == 1
 
 
 def test_directory_as_model_file_exit_two(tmp_path, capsys):

@@ -23,7 +23,7 @@ from hyperdox.formula import Believes, Knows
 from hyperdox.hypergraph import frame_h
 from hyperdox.kernel import compile_formulas, evaluate
 from hyperdox.randgen import random_formula, random_uniform_model
-from oracles import naive_satisfies_h
+from oracles import _naive_succ, naive_satisfies_h
 
 
 def has(m, rel, src, dst):
@@ -197,6 +197,16 @@ def test_uniform_accessibility_properties(ws3):
                 assert dox.serial
             epi = relation_properties(accessibility(m, a, "epistemic"))
             assert epi.reflexive and epi.symmetric and epi.transitive
+
+
+def test_accessibility_matches_naive_succ(ws3):
+    rng = random.Random(41)
+    for _ in range(150):
+        m = random_uniform_model(ws3, rng, max_edges=6, tail_bias=rng.random())
+        for a in range(3):
+            for kind in ("doxastic", "epistemic"):
+                expected = {(i, j) for i in range(m.n_edges) for j in _naive_succ(m, i, a, kind)}
+                assert accessibility(m, a, kind).pairs == expected
 
 
 def test_doxastic_subset_of_epistemic(ws3):

@@ -104,6 +104,18 @@ def test_proof_justification_single_key():
         proof_from_json(data)
 
 
+@pytest.mark.parametrize(
+    "by",
+    [{"mp": [True, 1]}, {"nec_k": {"agent": "a", "from": True}}, {"nec_b": {"agent": "a", "from": True}}],
+    ids=["mp", "nec_k", "nec_b"],
+)
+def test_proof_step_numbers_are_not_booleans(by):
+    data = json.load(open(fixture_path("proof_edl_ok.json")))
+    data["steps"][-1]["by"] = by
+    with pytest.raises(InputError, match="step number"):
+        proof_from_json(data)
+
+
 def test_proof_formula_parse_error_surfaces():
     data = json.load(open(fixture_path("proof_edl_ok.json")))
     data["steps"][0]["formula"] = "B{a} ("
