@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+import time
 
 from .convert import (
     check_modal_equivalence,
@@ -167,8 +168,9 @@ def cmd_search_countermodel(args) -> int:
     bounds = _parse_bounds(args.bounds)
     ws = bounds.workspace()
     formula = parse_formula(args.formula, ws)
+    start = time.perf_counter()
     result = countermodel(args.cls, formula, bounds, seed=args.seed, workers=args.workers)
-    payload = result.to_json()
+    payload = result.to_json(time.perf_counter() - start)
     if result.outcome == "countermodel":
         human = (
             f"countermodel at edge {result.edge} after {result.models_visited} models"

@@ -1,14 +1,20 @@
 """Bounded model enumeration, countermodel search and soundness suites.
 
-Models are enumerated in a canonical form (vertices within each color
-ordered by their edge-membership signature, taking the least structure
-under color-preserving vertex renamings), so isomorphic duplicates never
-appear. An exhausted search means "no countermodel within bounds" and
-never claims validity.
+Models are enumerated in a canonical form (vertices of each color
+numbered from 0, taking the least structure under color-preserving vertex
+renamings), so isomorphic duplicates never appear. Structures are
+generated in order rather than filtered: only descriptors the class
+admits are combined, depth-first, and a prefix is cut as soon as it
+cannot lead to a canonical structure of the class (orderly generation).
+Each structure then carries every atom placement. countermodel builds a
+structure's kernel frame once and sets only the atom masks per
+placement, and equal queries share their witness. An exhausted search
+means "no countermodel within bounds" and never claims validity.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 import time
@@ -19,7 +25,7 @@ from .convert import enumerate_formulas
 from .errors import FragmentError, PreconditionError
 from .formula import Formula, fragment_check, render_formula
 from .hypergraph import DirectedEdge, HypergraphModel, Vertex, frame_h
-from .kernel import compile_formulas, evaluate
+from .kernel import BELIEF, KNOWLEDGE, Frame, compile_formulas, evaluate
 from .proofcheck import ADMITTED, SCHEME_ARITY, SchemeId, System, instantiate_scheme
 from .workspace import Workspace, synthetic_workspace
 
@@ -53,90 +59,139 @@ class SearchBounds:
 
 
 # Edge descriptors encode, per agent: 0 = agent absent from the edge,
-# 1 + 2v = vertex v in the tail, 2 + 2v = vertex v in the head.
-
-
-def _code_tail(code: int) -> bool:
-    return code % 2 == 1
+# 1 + 2v = vertex v in the tail, 2 + 2v = vertex v in the head. A
+# structure is a sorted tuple of distinct descriptors, and the stream
+# lists structures by edge count, then in lexicographic order.
 
 
 def _code_vertex(code: int) -> int:
     return (code - 1) // 2
 
 
-def _remap(code: int, perm) -> int:
-    if code == 0:
-        return 0
-    return 1 + 2 * perm[_code_vertex(code)] + (0 if _code_tail(code) else 1)
+class _Tables:
+    """Descriptor tables for n agents and a vertex cap, over every
+    descriptor or only the uniform ones (no agent absent).
+
+    The descriptors are numbered in sorted order, so a structure compares
+    as its index list does. Vertex v of agent a is bit a * cap + v of the
+    span and tail masks. shifts[a][k] holds, for each permutation of
+    agent a's vertices 0..k-1, the change of descriptor index caused by
+    each of a's codes 0..2k.
+    """
+
+    def __init__(self, n: int, cap: int, uniform: bool):
+        self.n, self.cap = n, cap
+        low = 1 if uniform else 0
+        self.descs = list(itertools.product(range(low, 2 * cap + 1), repeat=n))
+        self.span, self.tail = [], []
+        for desc in self.descs:
+            span = tail = 0
+            for a, code in enumerate(desc):
+                if code:
+                    bit = 1 << (a * cap + _code_vertex(code))
+                    span |= bit
+                    tail |= bit if code % 2 else 0
+            self.span.append(span)
+            self.tail.append(tail)
+        self.first = [_code_vertex(desc[0]) for desc in self.descs]  # -1 if absent
+        self.shifts = []
+        for a in range(n):
+            weight = (2 * cap + 1 - low) ** (n - 1 - a)
+            self.shifts.append([
+                [
+                    [0]
+                    + [
+                        2 * (perm[_code_vertex(c)] - _code_vertex(c)) * weight
+                        for c in range(1, 2 * k + 1)
+                    ]
+                    for perm in itertools.permutations(range(k))
+                ]
+                for k in range(cap + 1)
+            ])
+
+    def segments(self, mask: int) -> list:
+        """Agent a's vertex bits of the mask, for each agent a."""
+        ones = (1 << self.cap) - 1
+        return [mask >> (a * self.cap) & ones for a in range(self.n)]
+
+    def is_least(self, chosen: list, used: int) -> bool:
+        """Whether no renaming of each agent's vertices 0..k-1, where k-1
+        is its highest vertex in the used mask, maps the structure to a
+        lexicographically smaller one."""
+        images = [chosen]
+        for a, seg in enumerate(self.segments(used)):
+            k = seg.bit_length()
+            if k > 1:  # one vertex or none: only the identity
+                codes = [self.descs[i][a] for i in chosen]
+                images = [
+                    [i + shift[c] for i, c in zip(image, codes)]
+                    for image in images
+                    for shift in self.shifts[a][k]
+                ]
+        return all(sorted(image) >= chosen for image in images)
 
 
-def _used_counts(structure, n_agents: int):
-    used = [set() for _ in range(n_agents)]
-    for edge in structure:
-        for a, code in enumerate(edge):
-            if code:
-                used[a].add(_code_vertex(code))
-    return used
-
-
-def _is_canonical(structure, counts) -> bool:
-    perm_sets = [list(itertools.permutations(range(k))) for k in counts]
-    for combo in itertools.product(*perm_sets):
-        remapped = tuple(
-            sorted(
-                tuple(_remap(code, combo[a]) for a, code in enumerate(edge))
-                for edge in structure
-            )
-        )
-        if remapped < structure:
-            return False
-    return True
-
-
-def _structure_in_class(structure, n_agents: int, cls: str) -> bool:
-    if cls == "all":
-        return True
-    spans = [
-        frozenset((a, _code_vertex(c)) for a, c in enumerate(edge) if c)
-        for edge in structure
-    ]
-    if any(len(s) != n_agents for s in spans):
-        return False
-    for i, si in enumerate(spans):
-        for j, sj in enumerate(spans):
-            if i != j and si <= sj:
-                return False
-    if cls == "H_sut":
-        tails = {
-            (a, _code_vertex(c))
-            for edge in structure
-            for a, c in enumerate(edge)
-            if c and _code_tail(c)
-        }
-        used = set().union(*spans) if spans else set()
-        if used - tails:
-            return False
-    return True
+_tables = functools.lru_cache(maxsize=16)(_Tables)
 
 
 def _structures(bounds: SearchBounds, cls: str) -> Iterator[tuple]:
-    n = bounds.n_agents
-    cap = bounds.vertex_cap
-    descriptors = sorted(itertools.product(range(2 * cap + 1), repeat=n))
-    for m in range(1, bounds.max_edges + 1):
-        for combo in itertools.combinations(descriptors, m):
-            structure = tuple(sorted(combo))
-            used = _used_counts(structure, n)
-            if not any(used):
-                continue  # no vertices at all
-            if any(u and max(u) + 1 != len(u) for u in used):
-                continue  # vertex indices must be contiguous from 0
-            counts = [len(u) for u in used]
-            if not _is_canonical(structure, counts):
+    """The canonical structures of the class, generated in order.
+
+    A structure is canonical when its vertex indices are contiguous from 0
+    per agent and no renaming within each agent makes it smaller. The
+    descriptors of each size are chosen depth-first in lexicographic
+    order, which is the stream's order, and prefixes are pruned:
+    - agent 0's codes never decrease along a structure, so its vertices
+      must appear as 0, 1, 2, ... (restricted growth);
+    - a renaming that makes a prefix smaller makes every extension
+      smaller too, since the prefix holds the extension's least
+      descriptors, so a prefix that is not least is cut with its subtree
+      (orderly generation; McKay, J. Algorithms 26, 1998);
+    - in a uniform class a descriptor whose span is taken already is
+      skipped, since equal spans break simplicity.
+    Contiguity and tail-completeness are mask tests on the finished
+    structure, made before its canonicity test.
+    """
+    uniform, complete = cls != "all", cls == "H_sut"
+    t = _tables(bounds.n_agents, bounds.vertex_cap, uniform)
+    descs, spans, tails, first = t.descs, t.span, t.tail, t.first
+
+    def extend(size, chosen, used, tail, top0, taken):
+        start = chosen[-1] + 1 if chosen else 0
+        for i in range(start, len(descs) - size + len(chosen) + 1):
+            if first[i] > top0 + 1:
+                break  # agent 0 would skip a vertex, as would every later descriptor
+            span = spans[i]
+            if uniform and span in taken:
                 continue
-            if not _structure_in_class(structure, n, cls):
-                continue
-            yield structure
+            now = used | span
+            chosen.append(i)
+            if len(chosen) < size:
+                if t.is_least(chosen, now):
+                    yield from extend(
+                        size, chosen, now, tail | tails[i], max(top0, first[i]), taken + (span,)
+                    )
+            elif (
+                now
+                and all(x & (x + 1) == 0 for x in t.segments(now))  # contiguous
+                and (not complete or tail | tails[i] == now)
+                and t.is_least(chosen, now)
+            ):
+                yield tuple(descs[j] for j in chosen)
+            chosen.pop()
+
+    for size in range(1, bounds.max_edges + 1):
+        yield from extend(size, [], 0, 0, -1, ())
+
+
+def _slots(structure) -> tuple:
+    """(agent, vertex) for every vertex the structure uses, by agent then
+    vertex."""
+    counts = [0] * len(structure[0])
+    for edge in structure:
+        for a, code in enumerate(edge):
+            counts[a] = max(counts[a], _code_vertex(code) + 1)
+    return tuple((a, v) for a, k in enumerate(counts) for v in range(k))
 
 
 def _subsets(items):
@@ -144,20 +199,49 @@ def _subsets(items):
         yield frozenset(items[i] for i in range(len(items)) if mask >> i & 1)
 
 
-def _build_model(ws: Workspace, structure, placement) -> HypergraphModel:
-    vertices = [Vertex(vid, a, atoms) for (vid, a), atoms in placement]
+_SAMPLED_PLACEMENTS = 32
+
+
+def _stream(cls: str, bounds: SearchBounds, seed: int):
+    """(structure, slots, placement) for every model of the canonical
+    stream, in order; placement[j] is the atom set of vertex slots[j]."""
+    if cls not in CLASSES:
+        raise PreconditionError(f"unknown class {cls!r}; expected one of {CLASSES}")
+    ws = bounds.workspace()
+    choices = [list(_subsets(ws.vars_of(a))) for a in range(ws.n_agents)]
+    for structure in _structures(bounds, cls):
+        slots = _slots(structure)
+        if bounds.vars_per_agent <= 2:
+            for placement in itertools.product(*(choices[a] for a, _ in slots)):
+                yield structure, slots, placement
+        else:
+            rng = random.Random((seed, structure).__repr__())
+            seen = set()
+            for _ in range(_SAMPLED_PLACEMENTS):
+                placement = tuple(
+                    frozenset(p for p in ws.vars_of(a) if rng.random() < 0.5)
+                    for a, _ in slots
+                )
+                if placement in seen:
+                    continue
+                seen.add(placement)
+                yield structure, slots, placement
+
+
+def _build_model(ws: Workspace, structure, slots, placement) -> HypergraphModel:
+    vertices = [
+        Vertex(f"{ws.agents[a]}{v + 1}", a, atoms)
+        for (a, v), atoms in zip(slots, placement)
+    ]
     edges = []
     for i, edge in enumerate(structure):
         tail, head = set(), set()
         for a, code in enumerate(edge):
             if code:
                 vid = f"{ws.agents[a]}{_code_vertex(code) + 1}"
-                (tail if _code_tail(code) else head).add(vid)
+                (tail if code % 2 else head).add(vid)
         edges.append(DirectedEdge(f"e{i + 1}", frozenset(tail), frozenset(head)))
     return HypergraphModel(ws, vertices, edges)
-
-
-_SAMPLED_PLACEMENTS = 32
 
 
 def enumerate_models(cls: str, bounds: SearchBounds, seed: int = 0) -> Iterator[HypergraphModel]:
@@ -166,47 +250,57 @@ def enumerate_models(cls: str, bounds: SearchBounds, seed: int = 0) -> Iterator[
     Atom placements are exhaustive for vars_per_agent <= 2; beyond that a
     fixed-seed sample of placements replaces exhaustion.
     """
-    if cls not in CLASSES:
-        raise PreconditionError(f"unknown class {cls!r}; expected one of {CLASSES}")
     ws = bounds.workspace()
-    for structure in _structures(bounds, cls):
-        used = _used_counts(structure, bounds.n_agents)
-        slots = [
-            (f"{ws.agents[a]}{v + 1}", a)
-            for a in range(bounds.n_agents)
-            for v in sorted(used[a])
-        ]
-        if bounds.vars_per_agent <= 2:
-            choice_lists = [list(_subsets(ws.vars_of(a))) for _, a in slots]
-            for assignment in itertools.product(*choice_lists):
-                yield _build_model(ws, structure, list(zip(slots, assignment)))
-        else:
-            rng = random.Random((seed, structure).__repr__())
-            seen = set()
-            for _ in range(_SAMPLED_PLACEMENTS):
-                assignment = tuple(
-                    frozenset(p for p in ws.vars_of(a) if rng.random() < 0.5)
-                    for _, a in slots
-                )
-                if assignment in seen:
-                    continue
-                seen.add(assignment)
-                yield _build_model(ws, structure, list(zip(slots, assignment)))
+    for structure, slots, placement in _stream(cls, bounds, seed):
+        yield _build_model(ws, structure, slots, placement)
 
 
-@dataclass
+def _frames(stream):
+    """(structure, placement, frame) for each model of the stream, where
+    frame is what hypergraph.frame_h gives that model. A structure's
+    blocks are built once; each placement only sets the atom masks, in a
+    frame that the next step reuses."""
+    current = None
+    for structure, slots, placement in stream:
+        if structure is not current:
+            current = structure
+            span, tail = {}, {}
+            for i, edge in enumerate(structure):
+                for a, code in enumerate(edge):
+                    if code:
+                        key = (a, _code_vertex(code))
+                        span[key] = span.get(key, 0) | 1 << i
+                        if code % 2:
+                            tail[key] = tail.get(key, 0) | 1 << i
+            frame = Frame(len(structure), parts=[(0, len(structure))])
+            for key in slots:
+                frame.blocks.setdefault((key[0], KNOWLEDGE), []).append((span[key], span[key]))
+                if key in tail:
+                    frame.blocks.setdefault((key[0], BELIEF), []).append((span[key], tail[key]))
+            slot_spans = [span[key] for key in slots]
+        atoms = frame.atoms = {}
+        for vertex_span, vals in zip(slot_spans, placement):
+            for p in vals:
+                atoms[p] = atoms.get(p, 0) | vertex_span
+        yield structure, placement, frame
+
+
+@dataclass(frozen=True, slots=True)
 class SearchResult:
+    """What a countermodel search found. Equal queries that end at the same
+    witness share one result, so it holds no per-call data: the caller
+    times the call, and to_json takes that time."""
+
     outcome: str  # "countermodel" | "exhausted"
     models_visited: int
-    elapsed: float
     model: Optional[HypergraphModel] = None
     edge: Optional[str] = None
 
-    def to_json(self) -> dict:
+    def to_json(self, elapsed: float) -> dict:
         out = {
             "outcome": self.outcome,
             "models_visited": self.models_visited,
-            "elapsed_ms": round(self.elapsed * 1000, 3),
+            "elapsed_ms": round(elapsed * 1000, 3),
         }
         if self.model is not None:
             from .modelio import hypergraph_to_json
@@ -214,6 +308,14 @@ class SearchResult:
             out["model"] = hypergraph_to_json(self.model)
             out["edge"] = self.edge
         return out
+
+
+# Bounded, so that a caller keeping many results keeps one witness model
+# per distinct (stream position, falsifying edge).
+@functools.lru_cache(maxsize=64)
+def _witness(ws: Workspace, structure, placement, visited: int, edge: int) -> SearchResult:
+    model = _build_model(ws, structure, _slots(structure), placement)
+    return SearchResult("countermodel", visited, model, model.edges[edge].name)
 
 
 def _require_fragment(cls: str, f: Formula):
@@ -234,24 +336,24 @@ def countermodel(
 
     The witness is minimal in the canonical enumeration order, and
     models_visited counts the stream consumed up to and including the
-    witness. Models are evaluated one at a time, since a witness usually
-    comes within the first few. `workers` is accepted for compatibility;
-    the stream is evaluated serially whatever its value.
+    witness. Each structure's frame is built once, and each placement
+    only sets its atom masks; a model is built for the witness alone, and
+    equal queries share it. Models are evaluated one at a time, since a
+    witness usually comes within the first few. `workers` is accepted for
+    compatibility; the stream is evaluated serially whatever its value.
     """
+    if workers < 1:
+        raise PreconditionError("workers must be at least 1")
     _require_fragment(cls, f)
-    start = time.perf_counter()
     prog = compile_formulas([f])
+    ws = bounds.workspace()
     visited = 0
-    for model in enumerate_models(cls, bounds, seed):
+    for structure, placement, frame in _frames(_stream(cls, bounds, seed)):
         visited += 1
-        frame = frame_h([model])
         failure = next(frame.failures(evaluate(prog, frame)[0]), None)
         if failure is not None:
-            edge = model.edges[failure[1]].name
-            return SearchResult(
-                "countermodel", visited, time.perf_counter() - start, model, edge
-            )
-    return SearchResult("exhausted", visited, time.perf_counter() - start)
+            return _witness(ws, structure, placement, visited, failure[1])
+    return SearchResult("exhausted", visited)
 
 
 # Models per union frame in soundness_suite: one program run covers a

@@ -4,8 +4,9 @@ Everything here deliberately avoids the package's evaluators and caches:
 closures are computed by matrix iteration or by search over the pair
 list, relation properties from their definitions, satisfaction by plain
 recursion that recomputes accessibility at every modal node, tautologies
-by a truth table evaluated row by row, and enumeration counts by brute
-force over labeled structures.
+by a truth table evaluated row by row, enumeration counts by brute force
+over labeled structures, and the canonical structure stream by filtering
+every combination of descriptors.
 """
 
 import itertools
@@ -219,3 +220,52 @@ def count_structures_naive(n_agents, max_edges, vertex_cap):
             )
             canon.add(best)
     return len(canon)
+
+
+def _structure_in_class(structure, n_agents, cls):
+    if cls == "all":
+        return True
+    spans = [
+        frozenset((a, (c - 1) // 2) for a, c in enumerate(edge) if c)
+        for edge in structure
+    ]
+    if any(len(s) != n_agents for s in spans):
+        return False  # not uniform
+    if any(i != j and si <= sj for i, si in enumerate(spans) for j, sj in enumerate(spans)):
+        return False  # not simple
+    if cls == "H_sut":
+        tails = {
+            (a, (c - 1) // 2) for edge in structure for a, c in enumerate(edge) if c % 2
+        }
+        return set().union(*spans) <= tails
+    return True
+
+
+def naive_structures(n_agents, max_edges, vertex_cap, cls):
+    """The canonical structure stream, in order, by filtering every
+    combination of descriptors (by size, then lexicographically): keep a
+    structure whose vertices are contiguous from 0 per agent, that no
+    per-agent permutation of its vertices maps to a smaller sorted
+    structure, and that lies in the class."""
+    out = []
+    descriptors = list(itertools.product(range(2 * vertex_cap + 1), repeat=n_agents))
+    for m in range(1, max_edges + 1):
+        for structure in itertools.combinations(descriptors, m):
+            used = [{(c - 1) // 2 for c in col if c} for col in zip(*structure)]
+            if not any(used) or any(u and max(u) + 1 != len(u) for u in used):
+                continue
+            perms = [list(itertools.permutations(range(len(u)))) for u in used]
+            if any(
+                tuple(
+                    sorted(
+                        tuple(_remap_code(c, combo[a]) for a, c in enumerate(edge))
+                        for edge in structure
+                    )
+                )
+                < structure
+                for combo in itertools.product(*perms)
+            ):
+                continue
+            if _structure_in_class(structure, n_agents, cls):
+                out.append(structure)
+    return out

@@ -222,6 +222,16 @@ def test_search_countermodel_found(capsys):
     assert data["model"]["kind"] == "hypergraph"
 
 
+def test_search_countermodel_rejects_workers_below_one(capsys):
+    argv = ["--json", "search", "countermodel", "H_su", "p_a_1", "--bounds"]
+    code, out, _ = run(capsys, *argv, "agents=1,edges=2,vars=1", "--workers", "-3")
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "PreconditionError"
+    code, out, _ = run(capsys, *argv, "agents=1,edges=2,vars=1", "--workers", "1")
+    assert code == 1
+    assert list(json.loads(out)) == ["outcome", "models_visited", "elapsed_ms", "model", "edge"]
+
+
 def test_search_countermodel_exhausted(capsys):
     code, out, _ = run(
         capsys,

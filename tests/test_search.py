@@ -1,3 +1,7 @@
+import hashlib
+import json
+import random
+
 import pytest
 
 from hyperdox import (
@@ -13,11 +17,12 @@ from hyperdox import (
     validate_model,
 )
 from hyperdox import search
-from hyperdox.formula import render_formula
+from hyperdox.formula import fragment_check, render_formula
 from hyperdox.hypergraph import frame_h
 from hyperdox.kernel import compile_formulas, evaluate
 from hyperdox.modelio import hypergraph_to_json
-from oracles import count_structures_naive, naive_satisfies_h
+from hyperdox.randgen import random_formula
+from oracles import count_structures_naive, naive_satisfies_h, naive_structures
 
 
 def test_hand_enumerated_two_model_space():
@@ -126,12 +131,34 @@ def test_sampled_placements_beyond_two_vars():
     assert len(first) <= structures * 32
     for m in enumerate_models("H_su", bounds, seed=5):
         assert validate_model(m) == []
+    # the sampled streams equal the ones recorded before orderly generation
+    # (sampling seeds on repr((seed, structure)), so structures stay tuples)
+    pinned = {
+        ((1, 1, 3), "H_su"): (16, "c249183829294d15d2d5cfd4f376cb4f8633e43acb2ba7dcf43276a4b52d835c"),
+        ((2, 2, 3), "H_su"): (1034, "a758505432cbc62bdfc2b9a411c138da9a212aa1c369363015035a99bd7e67ba"),
+        ((2, 2, 3), "H_sut"): (181, "5e72a6938c80791899f66540bd1ae207ba174596a8832fa8afaa9a4f9553b91e"),
+        ((1, 2, 3), "all"): (118, "6006b3112471039757b7e5ffc09953f753271f328d6bccf6ecde89fb20cac1d8"),
+    }
+    for (b, cls), (count, digest) in pinned.items():
+        stream = [hypergraph_to_json(m) for m in enumerate_models(cls, SearchBounds(*b), seed=5)]
+        assert len(stream) == count
+        assert hashlib.sha256(json.dumps(stream, sort_keys=True).encode()).hexdigest() == digest
 
 
 def test_unknown_class_rejected():
     bounds = SearchBounds(1, 1, 0)
     with pytest.raises(PreconditionError):
         list(enumerate_models("H_xyz", bounds))
+
+
+def test_countermodel_rejects_unknown_class_and_workers_below_one():
+    bounds = SearchBounds(1, 1, 1)
+    f = parse_formula("p_a_1", bounds.workspace())
+    with pytest.raises(PreconditionError):
+        countermodel("H_xyz", f, bounds)
+    for workers in (0, -3):
+        with pytest.raises(PreconditionError):
+            countermodel("H_su", f, bounds, workers=workers)
 
 
 def test_soundness_suite_class_mismatch():
@@ -210,3 +237,77 @@ def test_chunked_suite_matches_per_model_evaluation(monkeypatch):
         edge = model.edge_index(v["edge"])
         assert not naive_satisfies_h(model, edge, inst)
         assert all(naive_satisfies_h(model, i, inst) for i in range(edge))
+
+
+@pytest.mark.parametrize("bounds", [(1, 5, 1), (2, 2, 1), (2, 3, 1), (3, 2, 0)])
+@pytest.mark.parametrize("cls", search.CLASSES)
+def test_orderly_stream_equals_naive_stream(bounds, cls):
+    bounds = SearchBounds(*bounds)
+    naive = naive_structures(bounds.n_agents, bounds.max_edges, bounds.vertex_cap, cls)
+    assert list(search._structures(bounds, cls)) == naive
+
+
+# (count, sha256 of repr(list)) of the stream, recorded with the
+# generate-then-filter generator, which takes about 15 s per class here
+PINNED_STREAMS = {
+    ((2, 4, 0), "H_su"): (1837, "071b080eb5fca57306fc389d5939bb0910ed7ab0a05e5607a34d5d1e188830a5"),
+    ((2, 4, 0), "H_sut"): (148, "9a77e8328fa5f69332f3e909653a2e1ba0ce64be32a79691402392e127e4298d"),
+    ((2, 4, 0), "all"): (9685, "1db0c36d3714fbdbdee89ed588fd96955f06ff72e8acb544d474d9f244a68749"),
+    ((2, 4, 1, 3), "H_su"): (1262, "85ca0210533a571f98076631fba2dd408412a99e7d6742d6350b0961c812795c"),
+    ((2, 4, 1, 3), "H_sut"): (123, "d7cb7103e34d27e40b4657f5856cdd09f2ea23d38e5ee10f6158d1c63d181fc8"),
+    ((2, 4, 1, 3), "all"): (8628, "1fb9dd93e6acdd0051b4539beb5c06bd488de86785392c3a8d0322a541b6dbe9"),
+}
+
+
+@pytest.mark.parametrize("bounds,cls", list(PINNED_STREAMS))
+def test_orderly_stream_pinned_at_larger_bounds(bounds, cls):
+    stream = list(search._structures(SearchBounds(*bounds), cls))
+    assert all(type(s) is tuple and all(type(e) is tuple for e in s) for s in stream)
+    digest = hashlib.sha256(repr(stream).encode()).hexdigest()
+    assert (len(stream), digest) == PINNED_STREAMS[bounds, cls]
+
+
+@pytest.mark.parametrize("cls", search.CLASSES)
+def test_structure_frames_equal_model_frames(cls):
+    # the frame countermodel builds per structure, with a placement's atom
+    # masks set, is the frame of the model enumerate_models builds there
+    bounds = SearchBounds(2, 3, 1)
+    frames = search._frames(search._stream(cls, bounds, 0))
+    models = enumerate_models(cls, bounds)
+    for (_, _, frame), model in zip(frames, models, strict=True):
+        expected = frame_h([model])
+        assert frame.atoms == expected.atoms
+        assert (frame.size, frame.parts) == (expected.size, expected.parts)
+        assert {k: sorted(v) for k, v in frame.blocks.items()} == {
+            k: sorted(v) for k, v in expected.blocks.items()
+        }
+
+
+@pytest.mark.parametrize("cls", ["H_su", "H_sut"])
+def test_countermodel_frames_match_naive_walk(cls):
+    # per-structure frames against a walk of enumerate_models on the oracle
+    bounds = SearchBounds(2, 3, 1)
+    ws = bounds.workspace()
+    rng = random.Random(f"frames-{cls}")
+    formulas = [parse_formula("B{a}p_a_1 -> B{a}B{a}p_a_1", ws)]
+    while len(formulas) < 30:
+        f = random_formula(rng, ws.all_vars(), [0, 1], 2, 7)
+        if cls == "H_sut" or fragment_check(f).in_doxastic_fragment:
+            formulas.append(f)
+    models = list(enumerate_models(cls, bounds))
+    outcomes = set()
+    for f in formulas:
+        result = countermodel(cls, f, bounds)
+        expected = ("exhausted", len(models), None, None)
+        for index, model in enumerate(models, 1):
+            bad = [i for i in range(model.n_edges) if not naive_satisfies_h(model, i, f)]
+            if bad:
+                witness = hypergraph_to_json(model)
+                expected = ("countermodel", index, model.edges[bad[0]].name, witness)
+                break
+        witness = None if result.model is None else hypergraph_to_json(result.model)
+        assert (result.outcome, result.models_visited, result.edge, witness) == expected
+        again = countermodel(cls, f, bounds)
+        assert again.model is result.model
+        outcomes.add(result.outcome)
+    assert outcomes == {"countermodel", "exhausted"}
