@@ -34,8 +34,6 @@ from .formula import (
     f_imp,
     f_or,
     f_top,
-    fragment_check,
-    modal_depth,
     parse_formula,
     render_formula,
 )
@@ -51,6 +49,7 @@ from .hypergraph import (
     satisfies_h,
     validate_model,
 )
+from .kernel import fragment_check, modal_depth
 from .kripke import (
     KripkeClassReport,
     KripkeModel,

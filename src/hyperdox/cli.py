@@ -2,7 +2,7 @@
 
 Exit codes: 0 for success or a true/agreeing/accepted result, 1 for a
 false result, a found countermodel, a rejected proof or any reported
-violation, 2 for malformed input of any kind.
+violation, 2 for malformed input of any kind or a closed output pipe.
 """
 
 from __future__ import annotations
@@ -146,11 +146,9 @@ def cmd_equiv(args) -> int:
 def cmd_prove(args) -> int:
     system, steps, _ws = load_proof(args.proof)
     result = check_proof(system, steps)
-    if result.ok:
-        _emit(args, result.to_json(), "ok")
-        return 0
-    _emit(args, result.to_json(), f"error at step {result.step}: {result.reason}")
-    return 1
+    human = "ok" if result.ok else f"error at step {result.step}: {result.reason}"
+    _emit(args, result.to_json(), human)
+    return 0 if result.ok else 1
 
 
 def cmd_complex(args) -> int:
@@ -171,17 +169,11 @@ def cmd_search_countermodel(args) -> int:
     start = time.perf_counter()
     result = countermodel(args.cls, formula, bounds, seed=args.seed, workers=args.workers)
     payload = result.to_json(time.perf_counter() - start)
+    visited = result.models_visited
     if result.outcome == "countermodel":
-        human = (
-            f"countermodel at edge {result.edge} after {result.models_visited} models"
-        )
-        _emit(args, payload, human)
+        _emit(args, payload, f"countermodel at edge {result.edge} after {visited} models")
         return 1
-    _emit(
-        args,
-        payload,
-        f"no countermodel within bounds ({result.models_visited} models visited)",
-    )
+    _emit(args, payload, f"no countermodel within bounds ({visited} models visited)")
     return 0
 
 
@@ -271,10 +263,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = argparse.Namespace(json="--json" in (sys.argv[1:] if argv is None else argv))
     try:
-        args = build_parser().parse_args(argv)
-        return args.fn(args)
-    except (HyperdoxError, OSError) as exc:
-        _error(args, exc)
+        try:
+            args = build_parser().parse_args(argv)
+            return args.fn(args)
+        except BrokenPipeError:
+            raise
+        except (HyperdoxError, OSError) as exc:
+            _error(args, exc)
+            return 2
+        finally:  # a closed stdout shows here, not in the flush at exit
+            sys.stdout.flush()
+    except BrokenPipeError:  # the reader is gone: print nothing more, exit-flush into devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 2
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 from .errors import FragmentError, PreconditionError
-from .formula import And, Atom, Believes, Formula, Knows, Not, fragment_check
+from .formula import And, Atom, Believes, Formula, Knows, Not
 from .hypergraph import (
     DirectedEdge,
     HypergraphModel,
@@ -28,7 +28,7 @@ from .hypergraph import (
     frame_h,
     graph_metrics,
 )
-from .kernel import compile_formulas, evaluate
+from .kernel import KNOWLEDGE, compile_formulas, evaluate
 from .kripke import (
     KripkeModel,
     equivalence_classes,
@@ -168,17 +168,14 @@ def check_modal_equivalence(
     missing = [w for w in mk.worlds if w not in mapping]
     if missing:
         raise PreconditionError(f"mapping does not cover worlds: {missing}")
-    needs_serial = any(not fragment_check(f).in_doxastic_fragment for f in formulas)
-    if needs_serial:
+    prog = compile_formulas(formulas)
+    if any(kind == KNOWLEDGE for _, kind in prog.modals):
         ck = model_properties(mk)
         ch = graph_metrics(mh)
         if not (ck.in_k_ste and ch.in_h_sut):
-            raise FragmentError(
-                "knowledge formulas require the serial classes on both sides"
-            )
+            raise FragmentError("knowledge formulas require the serial classes on both sides")
     report = EquivalenceReport(checked=len(formulas) * mk.n_worlds)
     edge_of = [mh.edge_index(mapping[w]) for w in mk.worlds]
-    prog = compile_formulas(formulas)
     masks = zip(formulas, evaluate(prog, mk.frame()), evaluate(prog, frame_h([mh])))
     for f, mask_k, mask_h in masks:
         for i, e in enumerate(edge_of):

@@ -1,4 +1,4 @@
-"""Formula AST, parser, printer and fragment/depth analyses.
+"""Formula AST, parser and printer.
 
 The core language has five constructors: atoms, negation, conjunction and
 the two modalities (belief and knowledge, both agent-indexed). Disjunction,
@@ -21,12 +21,15 @@ the right):
     and   ::= unary ("&" unary)*
     unary ::= "~" unary | "B{" agent "}" unary | "K{" agent "}" unary
             | atom | "true" | "false" | "(" form ")"
+
+Structural facts about a formula (belief-fragment membership, the agent
+it is an a-formula for, modal depth) are read off its compiled program
+in kernel.py.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .errors import ParseError, WorkspaceError
 from .workspace import PropVar, Workspace
@@ -313,59 +316,3 @@ def render_formula(f: Formula, ws: Workspace) -> str:
 def _operand(f: Formula, gap: str) -> tuple:
     """Stack items, in push order, that print f after gap, or bracket a conjunction."""
     return (")", f, "(") if isinstance(f, And) else (f, gap)
-
-
-@dataclass(frozen=True)
-class FragmentInfo:
-    in_doxastic_fragment: bool
-    agent_formula_for: frozenset
-
-
-def fragment_check(f: Formula) -> FragmentInfo:
-    """Belief-only fragment membership and the agents for which f is an a-formula.
-
-    f is an a-formula when every atom is one of a's local variables and
-    every modality is indexed by a. Since formulas contain at least one
-    atom, at most one agent can qualify.
-    """
-    owners: set[int] = set()
-    modal_agents: set[int] = set()
-    has_knows = False
-    stack = [f]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Atom):
-            owners.add(node.var.owner)
-        elif isinstance(node, Not):
-            stack.append(node.sub)
-        elif isinstance(node, And):
-            stack.append(node.left)
-            stack.append(node.right)
-        elif isinstance(node, Believes):
-            modal_agents.add(node.agent)
-            stack.append(node.sub)
-        elif isinstance(node, Knows):
-            has_knows = True
-            modal_agents.add(node.agent)
-            stack.append(node.sub)
-    mentioned = owners | modal_agents
-    qualifying = frozenset(mentioned) if len(mentioned) == 1 else frozenset()
-    return FragmentInfo(not has_knows, qualifying)
-
-
-def modal_depth(f: Formula) -> int:
-    """Greatest nesting of modalities, walked with an explicit stack."""
-    depth, stack = 0, [(f, 0)]
-    while stack:
-        node, d = stack.pop()
-        if isinstance(node, Atom):
-            depth = max(depth, d)
-        elif isinstance(node, Not):
-            stack.append((node.sub, d))
-        elif isinstance(node, And):
-            stack += [(node.left, d), (node.right, d)]
-        elif isinstance(node, _Modal):
-            stack.append((node.sub, d + 1))
-        else:
-            raise TypeError(f"not a formula: {node!r}")
-    return depth

@@ -10,6 +10,9 @@ Kripke frames one per world for B and one per class for K
 (KripkeModel.frame). Since modal truth is invariant under disjoint
 union, one frame may hold several models side by side; `parts` records
 each member's (offset, size).
+
+Structural facts are read off the program too: fragment_check from its
+atoms and (agent, kind) modalities, modal_depth from its op columns.
 """
 
 from __future__ import annotations
@@ -84,6 +87,37 @@ def compile_formulas(formulas) -> Program:
         prog.roots.append(slot_of[root])
     prog.atoms, prog.modals = list(atom_pos), list(modal_pos)
     return prog
+
+
+@dataclass(frozen=True)
+class FragmentInfo:
+    in_doxastic_fragment: bool
+    agent_formula_for: frozenset
+
+
+def fragment_check(f: Formula) -> FragmentInfo:
+    """Belief-only fragment membership and the agents for which f is an a-formula.
+
+    f is an a-formula when every atom is one of a's local variables and
+    every modality is indexed by a. Since formulas contain at least one
+    atom, at most one agent can qualify.
+    """
+    prog = compile_formulas([f])
+    mentioned = {p.owner for p in prog.atoms} | {agent for agent, _ in prog.modals}
+    qualifying = frozenset(mentioned) if len(mentioned) == 1 else frozenset()
+    return FragmentInfo(all(kind != KNOWLEDGE for _, kind in prog.modals), qualifying)
+
+
+def modal_depth(f: Formula) -> int:
+    """Greatest nesting of modalities, in one pass over the op columns."""
+    prog = compile_formulas([f])
+    depth: list[int] = []
+    for op, a, b in zip(prog.op, prog.a, prog.b):
+        if op == ATOM or op == NOT:
+            depth.append(depth[a] if op == NOT else 0)
+        else:  # AND takes the deeper argument, BOX adds one to its argument's
+            depth.append(max(depth[a], depth[b]) if op == AND else depth[b] + 1)
+    return depth[prog.roots[0]]
 
 
 def bits(mask: int):

@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import FragmentError, PreconditionError, ValidationError
-from .formula import Believes, Formula, f_iff, f_imp, fragment_check
-from .kernel import BELIEF, KNOWLEDGE, Frame, bits, sat_mask
+from .formula import Believes, Formula, f_iff, f_imp
+from .kernel import BELIEF, KNOWLEDGE, Frame, bits, fragment_check, sat_mask
 from .workspace import Workspace
 
 

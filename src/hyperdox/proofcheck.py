@@ -22,8 +22,8 @@ from enum import Enum
 from typing import Optional, Union
 
 from .errors import HyperdoxError
-from .formula import And, Atom, Believes, Formula, Knows, Not, f_imp, fragment_check, parse_formula
-from .kernel import Frame, compile_formulas, sat_mask
+from .formula import And, Atom, Believes, Formula, Knows, Not, f_imp, parse_formula
+from .kernel import Frame, compile_formulas, fragment_check, sat_mask
 from .workspace import PropVar, Workspace
 
 

@@ -23,7 +23,7 @@ from typing import Iterator, Optional
 
 from .convert import enumerate_formulas
 from .errors import FragmentError, PreconditionError
-from .formula import Formula, fragment_check, render_formula
+from .formula import Formula, render_formula
 from .hypergraph import DirectedEdge, HypergraphModel, Vertex, frame_h
 from .kernel import BELIEF, KNOWLEDGE, Frame, compile_formulas, evaluate
 from .proofcheck import ADMITTED, SCHEME_ARITY, SchemeId, System, instantiate_scheme
@@ -318,13 +318,6 @@ def _witness(ws: Workspace, structure, placement, visited: int, edge: int) -> Se
     return SearchResult("countermodel", visited, model, model.edges[edge].name)
 
 
-def _require_fragment(cls: str, f: Formula):
-    if cls == "H_su" and not fragment_check(f).in_doxastic_fragment:
-        raise FragmentError(
-            "knowledge modalities are only admitted over the tail-complete class"
-        )
-
-
 def countermodel(
     cls: str,
     f: Formula,
@@ -344,8 +337,9 @@ def countermodel(
     """
     if workers < 1:
         raise PreconditionError("workers must be at least 1")
-    _require_fragment(cls, f)
     prog = compile_formulas([f])
+    if cls == "H_su" and any(kind == KNOWLEDGE for _, kind in prog.modals):
+        raise FragmentError("knowledge modalities are only admitted over the tail-complete class")
     ws = bounds.workspace()
     visited = 0
     for structure, placement, frame in _frames(_stream(cls, bounds, seed)):

@@ -4,7 +4,8 @@ Everything here deliberately avoids the package's evaluators and caches:
 closures are computed by matrix iteration or by search over the pair
 list, relation properties from their definitions, satisfaction by plain
 recursion that recomputes accessibility at every modal node, tautologies
-by a truth table evaluated row by row, enumeration counts by brute force
+by a truth table evaluated row by row, fragment membership and modal
+depth by walking the formula tree, enumeration counts by brute force
 over labeled structures, and the canonical structure stream by filtering
 every combination of descriptors.
 """
@@ -12,6 +13,7 @@ every combination of descriptors.
 import itertools
 
 from hyperdox.formula import And, Atom, Believes, Knows, Not
+from hyperdox.kernel import FragmentInfo
 
 
 def warshall_equivalence(size, pairs):
@@ -167,6 +169,49 @@ def naive_is_tautology(f):
     collect(f)
     rows = itertools.product((False, True), repeat=len(letters))
     return all(value(f, row) for row in rows)
+
+
+def naive_fragment_check(f):
+    """Belief-fragment membership and the agents f is an a-formula for,
+    collected by a walk over the tree with an explicit stack."""
+    owners, modal_agents, has_knows = set(), set(), False
+    stack = [f]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Atom):
+            owners.add(node.var.owner)
+        elif isinstance(node, Not):
+            stack.append(node.sub)
+        elif isinstance(node, And):
+            stack += [node.left, node.right]
+        elif isinstance(node, (Believes, Knows)):
+            has_knows = has_knows or isinstance(node, Knows)
+            modal_agents.add(node.agent)
+            stack.append(node.sub)
+        else:
+            raise TypeError(node)
+    mentioned = owners | modal_agents
+    qualifying = frozenset(mentioned) if len(mentioned) == 1 else frozenset()
+    return FragmentInfo(not has_knows, qualifying)
+
+
+def naive_modal_depth(f):
+    """Greatest nesting of modalities, by a walk over the tree with an
+    explicit stack."""
+    depth, stack = 0, [(f, 0)]
+    while stack:
+        node, d = stack.pop()
+        if isinstance(node, Atom):
+            depth = max(depth, d)
+        elif isinstance(node, Not):
+            stack.append((node.sub, d))
+        elif isinstance(node, And):
+            stack += [(node.left, d), (node.right, d)]
+        elif isinstance(node, (Believes, Knows)):
+            stack.append((node.sub, d + 1))
+        else:
+            raise TypeError(node)
+    return depth
 
 
 def count_formulas(n_vars, n_agents, max_depth, max_size):

@@ -1,7 +1,10 @@
 import contextlib
 import io
 import json
+import os
 import shutil
+import subprocess
+import sys
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -11,6 +14,7 @@ from hyperdox import (
     Believes,
     Not,
     Workspace,
+    fragment_check,
     graph_metrics,
     load_model,
     modal_depth,
@@ -21,6 +25,7 @@ from hyperdox import (
 )
 from hyperdox.cli import main
 from conftest import fixture_path
+from oracles import naive_fragment_check, naive_modal_depth
 
 
 def run(capsys, *argv):
@@ -351,6 +356,9 @@ def test_render_and_depth_of_deep_conjunction_chain():
     assert render_formula(chain, ws) == _CHAIN
     assert modal_depth(chain) == 0
     assert modal_depth(Believes(0, Not(chain))) == 1
+    for f in (chain, Believes(0, Not(chain))):
+        assert modal_depth(f) == naive_modal_depth(f)
+        assert fragment_check(f) == naive_fragment_check(f)
 
 
 def test_directory_as_model_file_exit_two(tmp_path, capsys):
@@ -456,3 +464,24 @@ def test_cli_exit_code_contract(tmp_path_factory, case):
     assert code in (0, 1, 2)
     json.loads(out.getvalue())
     assert "Traceback" not in out.getvalue() + err.getvalue()
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("flags", [["--json"], []], ids=["json", "plain"])
+def test_closed_stdout_ends_quietly(flags, unbuffered):
+    """A reader that is gone before the first write (as after `| head -1`)
+    ends the run with a normal exit code and no traceback."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src, PYTHONUNBUFFERED=unbuffered)
+    argv = [*flags, "validate", fixture_path("five_worlds_k.json")]
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "hyperdox.cli", *argv],
+            stdout=w, stderr=subprocess.PIPE, env=env, text=True, timeout=60,
+        )
+    finally:
+        os.close(w)
+    assert done.returncode in (0, 1, 2)
+    assert done.stderr == ""  # no traceback, and no error line after the reader left

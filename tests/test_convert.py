@@ -232,8 +232,12 @@ def test_equivalence_fragment_violation(ws3):
     m = KripkeModel(ws3, ["w"], {}, [set()])  # not serial
     mh, cert = kripke_to_hypergraph(m)
     f = parse_formula("K{a} p_a_1", ws3)
-    with pytest.raises(FragmentError):
-        check_modal_equivalence(m, mh, cert.mapping, [f])
+    belief_only = parse_formula("B{a} p_a_1 & ~p_b_1", ws3)
+    message = "^knowledge formulas require the serial classes on both sides$"
+    for formulas in ([f], [belief_only, f]):
+        with pytest.raises(FragmentError, match=message):
+            check_modal_equivalence(m, mh, cert.mapping, formulas)
+    assert check_modal_equivalence(m, mh, cert.mapping, [belief_only]).checked == 1
 
 
 def test_equivalence_requires_total_map(five_worlds_k):

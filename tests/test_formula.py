@@ -20,7 +20,9 @@ from hyperdox import (
     parse_formula,
     render_formula,
 )
+from hyperdox.kernel import compile_formulas
 from hyperdox.randgen import random_formula
+from oracles import naive_fragment_check, naive_modal_depth
 
 
 @pytest.fixture
@@ -167,6 +169,44 @@ def test_modal_depth_examples(ws):
     assert modal_depth(p) == 0
     assert modal_depth(Believes(0, Believes(0, p))) == 2
     assert modal_depth(And(Believes(0, p), Knows(1, q))) == 1
+
+
+def test_fragment_and_depth_match_tree_walks():
+    """The program-read analyses against the tree walks, on seeded draws
+    over one agent (always an a-formula) and over two agents."""
+    ws = Workspace(("a", "b"), (("p_a_1", "p_a_2"), ("p_b_1",)))
+    rng = random.Random(6)
+    seen = set()
+    for i in range(1200):
+        agents = [0] if i % 2 else [0, 1]
+        vars = ws.vars_of(0) if i % 2 else ws.all_vars()
+        f = random_formula(rng, vars, agents, max_depth=rng.randint(0, 4), max_size=14)
+        info = fragment_check(f)
+        assert info == naive_fragment_check(f), f
+        assert modal_depth(f) == naive_modal_depth(f), f
+        seen.add((info.in_doxastic_fragment, tuple(info.agent_formula_for)))
+    assert seen == {(k_free, agents) for k_free in (True, False) for agents in ((), (0,), (1,))}
+
+
+_P, _Q = Atom(PropVar(0, 0)), Atom(PropVar(0, 1))
+
+
+@pytest.mark.parametrize(
+    "x, y",
+    [
+        (Not(_P), Not(Believes(0, _P))),
+        (Not(Believes(0, _P)), Not(Believes(1, _P))),
+        (Not(_P), Not(_Q)),
+        (And(_P, Knows(0, _P)), And(_P, Knows(0, _Q))),
+    ],
+    ids=["class", "agent", "var", "var_in_right_conjunct"],
+)
+def test_equality_under_forced_hash_collision(x, y):
+    """Roots with equal hashes whose values differ below the root are
+    unequal, and compile gives them separate slots."""
+    y._hash = x._hash
+    assert x != y and y != x
+    assert len(set(compile_formulas([x, y]).roots)) == 2
 
 
 def test_variable_disjointness():

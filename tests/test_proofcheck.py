@@ -25,7 +25,7 @@ from hyperdox import (
     render_formula,
 )
 from hyperdox.modelio import load_proof, proof_from_json
-from hyperdox.proofcheck import SCHEME_ARITY, Axiom, NecB, NecK, TautologyTooLarge
+from hyperdox.proofcheck import SCHEME_ARITY, Axiom, NecB, NecK, ProofResult, TautologyTooLarge
 from hyperdox.randgen import random_formula
 from conftest import fixture_path
 from oracles import naive_is_tautology
@@ -296,6 +296,47 @@ def test_nec_b_in_belief_systems(ws):
         bad = [steps[0], ProofStep(Knows(1, f_imp(p, p)), NecK(1, 1))]
         result = check_proof(system, bad)
         assert not result.ok and result.step == 2
+
+
+def _rejected_steps(case, p):
+    taut = ProofStep(f_imp(p, p), Tautology())
+    if case == "not_a_tautology":
+        return System.EDL, [ProofStep(p, Tautology())]
+    if case == "too_many_letters":
+        boxes, f = [], p  # B{a}p, B{a}B{a}p, ...: 21 distinct letters
+        for _ in range(21):
+            f = Believes(0, f)
+            boxes.append(f)
+        tautology = f_or(boxes[0], Not(boxes[0]))
+        for box in boxes[1:]:
+            tautology = f_or(tautology, box)
+        return System.EDL, [ProofStep(tautology, Tautology())]
+    if case == "nec_k_out_of_range":
+        return System.EDL, [taut, ProofStep(Knows(0, taut.formula), NecK(0, 2))]
+    if case == "nec_b_out_of_range":
+        return System.LOC_KD45, [taut, ProofStep(Believes(0, taut.formula), NecB(0, 0))]
+    if case == "nec_k_not_box":
+        return System.EDL, [taut, ProofStep(Knows(1, taut.formula), NecK(0, 1))]
+    if case == "nec_b_not_box":
+        return System.LOC_K45, [taut, ProofStep(Believes(0, p), NecB(0, 1))]
+    return System.EDL, [taut, ProofStep(p, "hearsay")]
+
+
+@pytest.mark.parametrize(
+    "case, step, reason",
+    [
+        ("not_a_tautology", 1, "not an instance of a classical tautology"),
+        ("too_many_letters", 1, "tautology check abstracts 21 letters, more than the supported 20"),
+        ("nec_k_out_of_range", 2, "reference to step 2 is out of range (must be 1..1)"),
+        ("nec_b_out_of_range", 2, "reference to step 0 is out of range (must be 1..1)"),
+        ("nec_k_not_box", 2, "formula is not K applied to step 1"),
+        ("nec_b_not_box", 2, "formula is not B applied to step 1"),
+        ("unknown_justification", 2, "unknown justification 'hearsay'"),
+    ],
+)
+def test_rejection_reasons(ws, case, step, reason):
+    system, steps = _rejected_steps(case, Atom(ws.var_by_name("p_a_1")))
+    assert check_proof(system, steps) == ProofResult(False, step, reason)
 
 
 def test_d_b_not_in_lock45(ws):
