@@ -14,8 +14,8 @@ import sys
 import time
 
 from .convert import (
+    FormulaSlots,
     check_modal_equivalence,
-    enumerate_formulas,
     hypergraph_to_kripke,
     kripke_to_hypergraph,
 )
@@ -118,13 +118,8 @@ def cmd_equiv(args) -> int:
     if mk.workspace != mh.workspace:
         raise InputError("workspace mismatch between files")
     mapping = load_certificate(args.cert)
-    formulas = list(
-        enumerate_formulas(
-            mk.workspace.all_vars(),
-            range(mk.workspace.n_agents),
-            args.depth,
-            args.size,
-        )
+    formulas = FormulaSlots(
+        mk.workspace.all_vars(), range(mk.workspace.n_agents), args.depth, args.size
     )
     report = check_modal_equivalence(mk, mh, mapping, formulas)
     payload = {

@@ -14,8 +14,8 @@ structural isomorphism.
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
 
 from .errors import FragmentError, PreconditionError
 from .formula import And, Atom, Believes, Formula, Knows, Not
@@ -28,7 +28,7 @@ from .hypergraph import (
     frame_h,
     graph_metrics,
 )
-from .kernel import KNOWLEDGE, compile_formulas, evaluate
+from .kernel import AND, BELIEF, BOX, KNOWLEDGE, NOT, Builder, compile_formulas, evaluate
 from .kripke import (
     KripkeModel,
     equivalence_classes,
@@ -161,14 +161,18 @@ def check_modal_equivalence(
     The mapping must cover every world of mk. Formulas containing a
     knowledge modality are only admitted when both models lie in the
     serial classes (K_ste and H_sut); otherwise only belief-fragment
-    formulas may be supplied.
+    formulas may be supplied. A FormulaSlots stream is evaluated on its
+    own program, and a Formula is built for a disagreement row alone.
     """
     if mk.workspace != mh.workspace:
         raise PreconditionError("models are declared over different workspaces")
     missing = [w for w in mk.worlds if w not in mapping]
     if missing:
         raise PreconditionError(f"mapping does not cover worlds: {missing}")
-    prog = compile_formulas(formulas)
+    if isinstance(formulas, FormulaSlots):
+        prog = formulas.builder.program(formulas.slots)
+    else:
+        prog = compile_formulas(formulas)
     if any(kind == KNOWLEDGE for _, kind in prog.modals):
         ck = model_properties(mk)
         ch = graph_metrics(mh)
@@ -176,12 +180,12 @@ def check_modal_equivalence(
             raise FragmentError("knowledge formulas require the serial classes on both sides")
     report = EquivalenceReport(checked=len(formulas) * mk.n_worlds)
     edge_of = [mh.edge_index(mapping[w]) for w in mk.worlds]
-    masks = zip(formulas, evaluate(prog, mk.frame()), evaluate(prog, frame_h([mh])))
-    for f, mask_k, mask_h in masks:
+    masks = zip(evaluate(prog, mk.frame()), evaluate(prog, frame_h([mh])))
+    for j, (mask_k, mask_h) in enumerate(masks):
         for i, e in enumerate(edge_of):
             k_value, h_value = mask_k >> i & 1, mask_h >> e & 1
             if k_value != h_value:
-                row = EquivalenceRow(mk.worlds[i], f, k_value == 1, h_value == 1)
+                row = EquivalenceRow(mk.worlds[i], formulas[j], k_value == 1, h_value == 1)
                 report.disagreements.append(row)
     return report
 
@@ -198,30 +202,52 @@ def enumerate_formulas(
     deterministic: by size, then atoms, negations, beliefs, knowledge,
     conjunctions (splitting the left size from small to large).
     """
-    if max_depth < 0 or max_size < 0:
-        raise PreconditionError("bounds must be nonnegative")
-    by_size: list[list] = [[]]
-    for size in range(1, max_size + 1):
-        layer = []
-        if size == 1:
-            for v in vars:
-                layer.append((Atom(v), 0))
-        else:
-            for f, d in by_size[size - 1]:
-                layer.append((Not(f), d))
-            if max_depth >= 1:
+    return iter(FormulaSlots(vars, agents, max_depth, max_size))
+
+
+class FormulaSlots(Sequence):
+    """The stream of enumerate_formulas emitted into a program builder, in
+    order, without building it: slots[i] is the i-th formula's slot, and
+    self[i] builds the i-th Formula from its construction record (never
+    from its slot, which ~~x shares with x)."""
+
+    def __init__(self, vars, agents, max_depth: int, max_size: int):
+        if max_depth < 0 or max_size < 0:
+            raise PreconditionError("bounds must be nonnegative")
+        self.builder = b = Builder()
+        self.slots, self._records = slots, records = [], []
+        by_size: list[list] = [[]]  # (index, modal depth) per formula of each size
+
+        def add(record, slot, depth):
+            layer.append((len(slots), depth))
+            records.append(record)
+            slots.append(slot)
+
+        for size in range(1, max_size + 1):
+            layer: list = []
+            if size == 1:
+                for v in vars:
+                    add((Atom, v), b.atom(v), 0)
+            for i, d in by_size[size - 1]:
+                add((Not, i), b.node(NOT, slots[i]), d)
+            for cls, kind in ((Believes, BELIEF), (Knows, KNOWLEDGE)):
                 for a in agents:
-                    for f, d in by_size[size - 1]:
+                    for i, d in by_size[size - 1]:
                         if d < max_depth:
-                            layer.append((Believes(a, f), d + 1))
-                for a in agents:
-                    for f, d in by_size[size - 1]:
-                        if d < max_depth:
-                            layer.append((Knows(a, f), d + 1))
+                            add((cls, a, i), b.node(BOX, b.modal(a, kind), slots[i]), d + 1)
             for left_size in range(1, size - 1):
-                for f, df in by_size[left_size]:
-                    for g, dg in by_size[size - 1 - left_size]:
-                        layer.append((And(f, g), max(df, dg)))
-        by_size.append(layer)
-        for f, _ in layer:
-            yield f
+                for i, di in by_size[left_size]:
+                    for j, dj in by_size[size - 1 - left_size]:
+                        add((And, i, j), b.node(AND, slots[i], slots[j]), max(di, dj))
+            by_size.append(layer)
+
+    def __len__(self) -> int:
+        return len(self.slots)
+
+    def __getitem__(self, i: int) -> Formula:
+        cls, *args = self._records[i]
+        if cls is Atom:
+            return Atom(args[0])
+        if cls is And:
+            return And(self[args[0]], self[args[1]])
+        return Not(self[args[0]]) if cls is Not else cls(args[0], self[args[1]])

@@ -1,15 +1,22 @@
 """The one satisfaction kernel, shared by hypergraph and Kripke models.
 
 Formulas compile to a program: ops in topological order, where equal
-subformulas share a slot and double negations vanish. A program runs on
-a frame: the state count, a bitmask per atom (bit i = state i) and, per
-(agent, kind), a list of (span, reach) blocks. A box fails exactly on the
-spans of the blocks whose reach meets the states where its argument
-fails. Hypergraph frames have one block per vertex (hypergraph.frame_h),
-Kripke frames one per world for B and one per class for K
-(KripkeModel.frame). Since modal truth is invariant under disjoint
-union, one frame may hold several models side by side; `parts` records
-each member's (offset, size).
+subformulas share a slot and double negations vanish. A Builder makes
+one; its node(op, a, b) interns the int triple for the length of one
+call, so any emitter can write into it. compile_formulas emits Formula
+trees. search.scheme_instances and convert.FormulaSlots emit scheme
+instances and enumerated formulas as slots without building the trees,
+and keep construction records to build a Formula from when one is
+needed. A slot cannot be read back, since ~~x has x's slot.
+
+A program runs on a frame: the state count, a bitmask per atom (bit i =
+state i) and, per (agent, kind), a list of (span, reach) blocks. A box
+fails exactly on the spans of the blocks whose reach meets the states
+where its argument fails. Hypergraph frames have one block per vertex
+(hypergraph.frame_h), Kripke frames one per world for B and one per
+class for K (KripkeModel.frame). Since modal truth is invariant under
+disjoint union, one frame may hold several models side by side; `parts`
+records each member's (offset, size).
 
 Structural facts are read off the program too: fragment_check from its
 atoms and (agent, kind) modalities, modal_depth from its op columns.
@@ -37,56 +44,94 @@ class Program:
         self.op, self.a, self.b, self.roots = array("b"), array("i"), array("i"), array("i")
 
 
-def compile_formulas(formulas) -> Program:
-    """One program for all the formulas, built with an explicit stack.
-    The by-value lookup table lives only for the call."""
-    prog = Program()
-    slot_of: dict[Formula, int] = {}
-    atom_pos: dict = {}  # PropVar -> index into atoms
-    modal_pos: dict = {}  # (agent, kind) -> index into modals
-    for root in formulas:
-        stack = [root]
+class Builder:
+    """A program under construction, for one call. node(op, a, b) interns
+    the int triple, so equal subformulas share one slot whoever emits
+    them (hash-consing keyed on slots, after Filliatre and Conchon,
+    "Type-safe modular hash-consing", ML 2006), and folds ~~x to x. A
+    slot cannot be decoded back into a Formula, since ~~x has x's slot."""
+
+    __slots__ = ("prog", "_slot", "_atom", "_modal")
+
+    def __init__(self):
+        self.prog = Program()
+        self._slot: dict[int, int] = {}  # packed (op, a, b) -> slot
+        self._atom: dict = {}  # PropVar -> index into atoms
+        self._modal: dict = {}  # (agent, kind) -> index into modals
+
+    def node(self, op: int, a: int, b: int = 0) -> int:
+        prog = self.prog
+        if op == NOT and prog.op[a] == NOT:  # ~~x is x
+            return prog.a[a]
+        key = (a << 32 | b) << 2 | op
+        slot = self._slot.get(key)
+        if slot is None:
+            slot = self._slot[key] = len(prog.op)
+            prog.op.append(op)
+            prog.a.append(a)
+            prog.b.append(b)
+        return slot
+
+    def atom(self, var) -> int:
+        return self.node(ATOM, self._atom.setdefault(var, len(self._atom)))
+
+    def modal(self, agent: int, kind: str) -> int:
+        return self._modal.setdefault((agent, kind), len(self._modal))
+
+    def emit(self, f: Formula, leaf=None) -> int:
+        """The slot of f, walked with an explicit stack; a subtree met
+        twice as the same object is walked once. leaf, if given, supplies
+        the slot of every atom and modal subformula that it meets."""
+        slot_of: dict[int, int] = {}  # id(node) -> slot
+        stack = [f]
         while stack:
             node = stack[-1]
-            if node in slot_of:
+            if id(node) in slot_of:
                 stack.pop()
                 continue
             cls = type(node)
-            if cls is Atom:
-                op, a, b = ATOM, atom_pos.setdefault(node.var, len(atom_pos)), 0
-            elif cls is And:
-                a, b = slot_of.get(node.left), slot_of.get(node.right)
+            if cls is And:
+                a, b = slot_of.get(id(node.left)), slot_of.get(id(node.right))
                 if a is None or b is None:
                     if b is None:
                         stack.append(node.right)
                     if a is None:
                         stack.append(node.left)
                     continue
-                op = AND
+                slot = self.node(AND, a, b)
+            elif leaf is not None and (cls is Atom or cls is Believes or cls is Knows):
+                slot = leaf(node)
+            elif cls is Atom:
+                slot = self.atom(node.var)
             elif cls is Not or cls is Believes or cls is Knows:
-                b = slot_of.get(node.sub)
+                b = slot_of.get(id(node.sub))
                 if b is None:
                     stack.append(node.sub)
                     continue
-                if cls is not Not:
-                    kind = BELIEF if cls is Believes else KNOWLEDGE
-                    op, a = BOX, modal_pos.setdefault((node.agent, kind), len(modal_pos))
-                elif prog.op[b] == NOT:  # ~~x is x
-                    stack.pop()
-                    slot_of[node] = prog.a[b]
-                    continue
+                if cls is Not:
+                    slot = self.node(NOT, b)
                 else:
-                    op, a, b = NOT, b, 0
+                    kind = BELIEF if cls is Believes else KNOWLEDGE
+                    slot = self.node(BOX, self.modal(node.agent, kind), b)
             else:
                 raise TypeError(f"not a formula: {node!r}")
             stack.pop()
-            slot_of[node] = len(prog.op)
-            prog.op.append(op)
-            prog.a.append(a)
-            prog.b.append(b)
-        prog.roots.append(slot_of[root])
-    prog.atoms, prog.modals = list(atom_pos), list(modal_pos)
-    return prog
+            slot_of[id(node)] = slot
+        return slot_of[id(f)]
+
+    def program(self, roots) -> Program:
+        """The program with the given roots. Emitting ends here, so the
+        intern table is freed before the program runs."""
+        self._slot.clear()
+        prog = self.prog
+        prog.atoms, prog.modals, prog.roots = list(self._atom), list(self._modal), array("i", roots)
+        return prog
+
+
+def compile_formulas(formulas) -> Program:
+    """One program for all the formulas: each is emitted into one builder."""
+    builder = Builder()
+    return builder.program([builder.emit(f) for f in formulas])
 
 
 @dataclass(frozen=True)

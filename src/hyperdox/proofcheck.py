@@ -23,7 +23,7 @@ from typing import Optional, Union
 
 from .errors import HyperdoxError
 from .formula import And, Atom, Believes, Formula, Knows, Not, f_imp, parse_formula
-from .kernel import Frame, compile_formulas, fragment_check, sat_mask
+from .kernel import Builder, Frame, compile_formulas, evaluate, fragment_check
 from .workspace import PropVar, Workspace
 
 
@@ -163,50 +163,18 @@ class TautologyTooLarge(HyperdoxError):
 _MAX_LETTERS = 20
 
 
-def _abstract(f: Formula, letters: dict) -> Formula:
-    """f with each atom and maximal modal subformula replaced by a letter
-    atom; letters maps each replaced subformula (by value) to its letter."""
-    done: dict = {}
-    stack = [f]
-    while stack:
-        node = stack[-1]
-        if node in done:
-            stack.pop()
-            continue
-        cls = type(node)
-        if cls is Not:
-            sub = done.get(node.sub)
-            if sub is None:
-                stack.append(node.sub)
-                continue
-            out = Not(sub)
-        elif cls is And:
-            left, right = done.get(node.left), done.get(node.right)
-            if left is None or right is None:
-                if right is None:
-                    stack.append(node.right)
-                if left is None:
-                    stack.append(node.left)
-                continue
-            out = And(left, right)
-        elif cls is Atom or cls is Believes or cls is Knows:
-            out = letters.get(node)
-            if out is None:
-                out = letters[node] = Atom(PropVar(0, len(letters)))
-        else:
-            raise TypeError(f"not a formula: {node!r}")
-        stack.pop()
-        done[node] = out
-    return done[f]
-
-
 def is_tautology_instance(f: Formula) -> bool:
     """Truth-table validity after abstracting maximal modal subformulas.
 
-    The whole table is one kernel run: state s of a frame with 2^k states
-    is the row that gives letter i the value of bit i of s."""
+    Each atom and maximal modal subformula is a letter (equal subformulas,
+    by value, share one), emitted straight into the program. The whole
+    table is one kernel run: state s of a frame with 2^k states is the
+    row that gives letter i the value of bit i of s."""
     letters: dict = {}
-    skeleton = _abstract(f, letters)
+    builder = Builder()
+    root = builder.emit(
+        f, lambda node: builder.atom(PropVar(0, letters.setdefault(node, len(letters))))
+    )
     k = len(letters)
     if k > _MAX_LETTERS:
         raise TautologyTooLarge(
@@ -219,7 +187,7 @@ def is_tautology_instance(f: Formula) -> bool:
             column |= column << width
             width <<= 1
         frame.atoms[PropVar(0, i)] = column
-    return sat_mask(frame, skeleton) == frame.full
+    return evaluate(builder.program([root]), frame)[0] == frame.full
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,12 @@ Each structure then carries every atom placement. countermodel builds a
 structure's kernel frame once and sets only the atom masks per
 placement, and equal queries share their witness. An exhausted search
 means "no countermodel within bounds" and never claims validity.
+
+soundness_suite emits every scheme instance straight into one program:
+each scheme's pattern is compiled once and replayed per instance with
+its metavariables bound to the slots of the enumerated formulas, so
+instances share their subformulas and no Formula tree is built, except
+to render a violating instance.
 """
 
 from __future__ import annotations
@@ -21,12 +27,12 @@ import time
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .convert import enumerate_formulas
+from .convert import FormulaSlots
 from .errors import FragmentError, PreconditionError
 from .formula import Formula, render_formula
 from .hypergraph import DirectedEdge, HypergraphModel, Vertex, frame_h
-from .kernel import BELIEF, KNOWLEDGE, Frame, compile_formulas, evaluate
-from .proofcheck import ADMITTED, SCHEME_ARITY, SchemeId, System, instantiate_scheme
+from .kernel import AND, ATOM, BELIEF, BOX, KNOWLEDGE, NOT, Frame, compile_formulas, evaluate
+from .proofcheck import ADMITTED, SCHEME_ARITY, SCHEMES, SchemeId, System, instantiate_scheme
 from .workspace import Workspace, synthetic_workspace
 
 CLASSES = ("H_su", "H_sut", "all")
@@ -382,33 +388,54 @@ class SoundnessReport:
 def scheme_instances(
     system: System, ws: Workspace, instantiation_depth: int, instantiation_size: int = 3
 ):
-    """All (scheme, instance formula) pairs for the system's schemes,
-    instantiated with every enumerated formula within the given bounds
-    (atoms of the right owner for Loc)."""
-    formulas = list(
-        enumerate_formulas(
-            ws.all_vars(), range(ws.n_agents), instantiation_depth, instantiation_size
-        )
+    """Every instance of the system's schemes, instantiated with every
+    enumerated formula within the given bounds (atoms of the right owner
+    for Loc), emitted straight into one program: (program, origins,
+    formulas). Root j is the instance origins[j] = (scheme, agent, phi,
+    psi), where phi and psi index formulas (a FormulaSlots) or are None,
+    and Loc's phi is its variable p. Each scheme's pattern is compiled
+    and then replayed per instance with its metavariables bound to slots,
+    so no Formula is built; instance_formula builds one."""
+    formulas = FormulaSlots(
+        ws.all_vars(), range(ws.n_agents), instantiation_depth, instantiation_size
     )
-    out = []
-    for scheme in SchemeId:
-        if scheme not in ADMITTED[system]:
-            continue
+    builder, node = formulas.builder, formulas.builder.node
+    every = list(enumerate(formulas.slots))
+    roots, origins = [], []
+    for scheme in (s for s in SchemeId if s in ADMITTED[system]):
+        pattern = compile_formulas([SCHEMES[scheme]])
+        meta = [v.index for v in pattern.atoms]  # 0 phi, 1 psi, 2 p
+        steps, top = list(zip(pattern.op, pattern.a, pattern.b)), pattern.roots[0]
         arity = SCHEME_ARITY[scheme]
         for agent in range(ws.n_agents):
+            modals = [builder.modal(agent, kind) for _, kind in pattern.modals]
+            firsts = every  # (origin, slot) of each value of phi, or of p
             if arity == "atom":
-                for p in ws.vars_of(agent):
-                    out.append((scheme, instantiate_scheme(scheme, agent, p=p)))
-            elif arity == "two":
-                for phi in formulas:
-                    for psi in formulas:
-                        out.append(
-                            (scheme, instantiate_scheme(scheme, agent, phi=phi, psi=psi))
-                        )
-            else:
-                for phi in formulas:
-                    out.append((scheme, instantiate_scheme(scheme, agent, phi=phi)))
-    return out
+                firsts = [(p, builder.atom(p)) for p in ws.vars_of(agent)]
+            for phi, x in firsts:
+                for psi, y in every if arity == "two" else [(None, 0)]:
+                    env, vals = [], (x, y, x)
+                    for op, a, b in steps:
+                        if op == ATOM:
+                            env.append(vals[meta[a]])
+                        elif op == NOT:
+                            env.append(node(NOT, env[a]))
+                        elif op == AND:
+                            env.append(node(AND, env[a], env[b]))
+                        else:
+                            env.append(node(BOX, modals[a], env[b]))
+                    roots.append(env[top])
+                    origins.append((scheme, agent, phi, psi))
+    return builder.program(roots), origins, formulas
+
+
+def instance_formula(origin: tuple, formulas: FormulaSlots) -> Formula:
+    """The Formula of a scheme_instances origin, built from its record."""
+    scheme, agent, phi, psi = origin
+    if SCHEME_ARITY[scheme] == "atom":
+        return instantiate_scheme(scheme, agent, p=phi)
+    psi = None if psi is None else formulas[psi]
+    return instantiate_scheme(scheme, agent, phi=formulas[phi], psi=psi)
 
 
 def soundness_suite(
@@ -432,8 +459,9 @@ def soundness_suite(
         )
     start = time.perf_counter()
     ws = bounds.workspace()
-    instances = scheme_instances(system, ws, instantiation_depth, instantiation_size)
-    prog = compile_formulas(inst for _, inst in instances)
+    prog, origins, formulas = scheme_instances(
+        system, ws, instantiation_depth, instantiation_size
+    )
     violations = []
     visited = 0
     stream = enumerate_models(cls, bounds, seed)
@@ -446,15 +474,14 @@ def soundness_suite(
         # (model k, instance j, first failing edge i), in (model, instance) order
         failures = sorted((k, j, i) for j, m in enumerate(masks) for k, i in frame.failures(m))
         for k, j, i in failures:
-            scheme, inst = instances[j]
             violations.append(
                 {
-                    "scheme": scheme.value,
-                    "instance": render_formula(inst, ws),
+                    "scheme": origins[j][0].value,
+                    "instance": render_formula(instance_formula(origins[j], formulas), ws),
                     "model_index": visited + k + 1,
                     "edge": chunk[k].edges[i].name,
                 }
             )
         visited += len(chunk)
     elapsed = time.perf_counter() - start
-    return SoundnessReport(system, cls, violations, visited, len(instances), elapsed)
+    return SoundnessReport(system, cls, violations, visited, len(origins), elapsed)

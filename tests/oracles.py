@@ -7,13 +7,15 @@ recursion that recomputes accessibility at every modal node, tautologies
 by a truth table evaluated row by row, fragment membership and modal
 depth by walking the formula tree, enumeration counts by brute force
 over labeled structures, and the canonical structure stream by filtering
-every combination of descriptors.
+every combination of descriptors. The formula stream and the scheme
+instances are built as Formula trees, one constructor call per node.
 """
 
 import itertools
 
 from hyperdox.formula import And, Atom, Believes, Knows, Not
 from hyperdox.kernel import FragmentInfo
+from hyperdox.proofcheck import ADMITTED, SCHEME_ARITY, SchemeId, instantiate_scheme
 
 
 def warshall_equivalence(size, pairs):
@@ -231,6 +233,67 @@ def count_formulas(n_vars, n_agents, max_depth, max_size):
         return total
 
     return sum(c(s, max_depth) for s in range(1, max_size + 1))
+
+
+def naive_enumerate_formulas(vars, agents, max_depth, max_size):
+    """The formula stream of enumerate_formulas as Formula trees: by size,
+    then atoms, negations, beliefs, knowledge, conjunctions (splitting the
+    left size from small to large)."""
+    by_size = [[]]
+    for size in range(1, max_size + 1):
+        layer = []
+        if size == 1:
+            for v in vars:
+                layer.append((Atom(v), 0))
+        else:
+            for f, d in by_size[size - 1]:
+                layer.append((Not(f), d))
+            if max_depth >= 1:
+                for a in agents:
+                    for f, d in by_size[size - 1]:
+                        if d < max_depth:
+                            layer.append((Believes(a, f), d + 1))
+                for a in agents:
+                    for f, d in by_size[size - 1]:
+                        if d < max_depth:
+                            layer.append((Knows(a, f), d + 1))
+            for left_size in range(1, size - 1):
+                for f, df in by_size[left_size]:
+                    for g, dg in by_size[size - 1 - left_size]:
+                        layer.append((And(f, g), max(df, dg)))
+        by_size.append(layer)
+        for f, _ in layer:
+            yield f
+
+
+def naive_scheme_instances(system, ws, instantiation_depth, instantiation_size=3):
+    """All (scheme, instance formula) pairs for the system's schemes, in
+    the order of search.scheme_instances' roots, each instance a Formula
+    tree built by instantiate_scheme."""
+    formulas = list(
+        naive_enumerate_formulas(
+            ws.all_vars(), range(ws.n_agents), instantiation_depth, instantiation_size
+        )
+    )
+    out = []
+    for scheme in SchemeId:
+        if scheme not in ADMITTED[system]:
+            continue
+        arity = SCHEME_ARITY[scheme]
+        for agent in range(ws.n_agents):
+            if arity == "atom":
+                for p in ws.vars_of(agent):
+                    out.append((scheme, instantiate_scheme(scheme, agent, p=p)))
+            elif arity == "two":
+                for phi in formulas:
+                    for psi in formulas:
+                        out.append(
+                            (scheme, instantiate_scheme(scheme, agent, phi=phi, psi=psi))
+                        )
+            else:
+                for phi in formulas:
+                    out.append((scheme, instantiate_scheme(scheme, agent, phi=phi)))
+    return out
 
 
 def _remap_code(code, perm):

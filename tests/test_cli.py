@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -154,6 +155,36 @@ def test_equiv_against_transcribed_fixture(capsys):
         "4",
     )
     assert code == 0 and "all agree" in out
+
+
+def test_equiv_keys_recorded_with_formula_trees(tmp_path, capsys):
+    # (exit code, checked, formulas, sha256 of the whole payload), recorded
+    # when equiv built every enumerated formula as a Formula tree
+    fixtures = [fixture_path(f"five_worlds_{x}.json") for x in ("k", "h", "cert")]
+    with open(fixtures[0], encoding="utf-8") as fh:
+        data = json.load(fh)
+    data["valuation"] = {w: ["p_b_1"] for w in ("2", "3", "5")}
+    swapped = [tmp_path / "k.json", tmp_path / "h.json", tmp_path / "cert.json"]
+    swapped[0].write_text(json.dumps(data))
+    run(capsys, "convert", "k2h", str(swapped[0]), str(swapped[1]))
+    cert = json.loads((tmp_path / "h.cert.json").read_text())
+    cert["map"]["1"], cert["map"]["2"] = cert["map"]["2"], cert["map"]["1"]
+    swapped[2].write_text(json.dumps(cert))
+    pinned = [
+        (fixtures, 0, "32da2e14ef8ed93f3b67eaffdfbb69294c88de8c6aa2494895d13e8363671e25"),
+        (swapped, 1, "433b474cc12cb25d0ded85691edcfdaaf55cfea34ef6905d0e23ccad4d436a10"),
+    ]
+    for files, want_code, want_digest in pinned:
+        argv = ["--json", "equiv", *map(str, files), "--depth", "2", "--size", "4"]
+        code, out, _ = run(capsys, *argv)
+        payload = json.loads(out)
+        digest = hashlib.sha256(json.dumps(payload).encode()).hexdigest()
+        assert (code, payload["checked"], payload["formulas"], digest) == (
+            want_code,
+            5 * 750,
+            750,
+            want_digest,
+        )
 
 
 def test_equiv_workspace_mismatch(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import random
@@ -17,14 +18,21 @@ from hyperdox import (
     hypergraph_to_kripke,
     kripke_to_hypergraph,
     model_properties,
+    SearchBounds,
+    enumerate_models,
+    render_formula,
     satisfies_h,
     satisfies_k,
 )
+from hyperdox.convert import FormulaSlots
+from hyperdox.formula import And, Not
+from hyperdox.hypergraph import frame_h
+from hyperdox.kernel import compile_formulas, evaluate
 from hyperdox.kripke import equivalence_classes
 from hyperdox.modelio import model_from_json
 from hyperdox.randgen import random_local_kripke, random_uniform_model
 from conftest import fixture_path
-from oracles import count_formulas, naive_satisfies_h, naive_satisfies_k
+from oracles import count_formulas, naive_enumerate_formulas, naive_satisfies_h, naive_satisfies_k
 
 
 def rel(size, pairs):
@@ -160,14 +168,21 @@ def test_modal_equivalence_on_five_worlds(five_worlds_k):
     assert report.agree and report.checked == 15
 
 
-def test_swapped_worlds_give_the_oracle_disagreements():
+def swapped_worlds():
+    """The five-worlds model with b's class {2, 3, 5} made p_b_1, its
+    conversion, and the conversion map with worlds 1 and 2 swapped."""
     with open(fixture_path("five_worlds_k.json"), encoding="utf-8") as fh:
         data = json.load(fh)
-    data["valuation"] = {w: ["p_b_1"] for w in ("2", "3", "5")}  # b's class {2, 3, 5}
+    data["valuation"] = {w: ["p_b_1"] for w in ("2", "3", "5")}
     mk = model_from_json(data)
     mh, cert = kripke_to_hypergraph(mk)
     mapping = dict(cert.mapping)
     mapping["1"], mapping["2"] = mapping["2"], mapping["1"]
+    return mk, mh, mapping
+
+
+def test_swapped_worlds_give_the_oracle_disagreements():
+    mk, mh, mapping = swapped_worlds()
     ws = mk.workspace
     formulas = list(enumerate_formulas(ws.all_vars(), range(ws.n_agents), 1, 2))
     report = check_modal_equivalence(mk, mh, mapping, formulas)
@@ -275,3 +290,55 @@ def test_enumerate_formulas_deterministic():
     first = list(enumerate_formulas(ws.all_vars(), [0], 2, 4))
     second = list(enumerate_formulas(ws.all_vars(), [0], 2, 4))
     assert first == second
+
+
+def test_formula_slots_rebuild_the_enumerated_stream():
+    ws = Workspace(("a", "b"), (("p_a_1",), ("p_b_1",)))
+    naive = list(naive_enumerate_formulas(ws.all_vars(), range(2), 2, 4))
+    slots = FormulaSlots(ws.all_vars(), range(2), 2, 4)
+    assert len(slots) == len(slots.slots) == len(naive) == count_formulas(2, 2, 2, 4)
+    assert list(slots) == naive
+    assert list(enumerate_formulas(ws.all_vars(), range(2), 2, 4)) == naive
+    # every slot has its formula's mask, on the union of 52 models
+    frame = frame_h(list(enumerate_models("H_sut", SearchBounds(2, 2, 1))))
+    masks = evaluate(slots.builder.program(slots.slots), frame)
+    assert masks == evaluate(compile_formulas(naive), frame)
+    with pytest.raises(PreconditionError):
+        FormulaSlots(ws.all_vars(), range(2), -1, 4)
+
+
+def has_double_negation(f):
+    stack = [f]
+    while stack:
+        node = stack.pop()
+        if type(node) is And:
+            stack += [node.left, node.right]
+        elif type(node) is not Atom:
+            if type(node) is Not and type(node.sub) is Not:
+                return True
+            stack.append(node.sub)
+    return False
+
+
+def test_swapped_worlds_rows_from_formula_slots():
+    # equiv's stream builds a Formula for each disagreement row only; the
+    # rows equal those of the list of Formula trees, formula by formula
+    mk, mh, mapping = swapped_worlds()
+    ws = mk.workspace
+    slots = FormulaSlots(ws.all_vars(), range(ws.n_agents), 2, 4)
+    naive = list(naive_enumerate_formulas(ws.all_vars(), range(ws.n_agents), 2, 4))
+    report = check_modal_equivalence(mk, mh, mapping, slots)
+    listed = check_modal_equivalence(mk, mh, mapping, naive)
+    rows = [(r.state, r.formula, r.kripke_value, r.hypergraph_value) for r in report.disagreements]
+    assert rows == [
+        (r.state, r.formula, r.kripke_value, r.hypergraph_value) for r in listed.disagreements
+    ]
+    assert report.checked == listed.checked == 5 * 750
+    assert any(has_double_negation(f) for _, f, _, _ in rows)
+    # (count, sha256) of the rows, rendered, recorded when equiv built every formula
+    rendered = [(state, render_formula(f, ws), k, h) for state, f, k, h in rows]
+    digest = hashlib.sha256(json.dumps(rendered).encode()).hexdigest()
+    assert (len(rows), digest) == (
+        204,
+        "22caa49afa7b22d86ad6e246dc51fb5bee2808a5f9470d69486812dfb4f31649",
+    )

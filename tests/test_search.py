@@ -17,12 +17,12 @@ from hyperdox import (
     validate_model,
 )
 from hyperdox import search
-from hyperdox.formula import render_formula
+from hyperdox.formula import Not, render_formula
 from hyperdox.hypergraph import frame_h
 from hyperdox.kernel import compile_formulas, evaluate, fragment_check
 from hyperdox.modelio import hypergraph_to_json
 from hyperdox.randgen import random_formula
-from oracles import count_structures_naive, naive_satisfies_h, naive_structures
+from oracles import count_structures_naive, naive_satisfies_h, naive_scheme_instances, naive_structures
 
 
 def test_hand_enumerated_two_model_space():
@@ -211,7 +211,7 @@ def test_chunked_suite_matches_per_model_evaluation(monkeypatch):
     bounds = SearchBounds(2, 2, 1)
     ws = bounds.workspace()
     report = soundness_suite(System.LOC_KD45, "H_su", bounds, 1)
-    instances = search.scheme_instances(System.LOC_KD45, ws, 1)
+    instances = naive_scheme_instances(System.LOC_KD45, ws, 1)
     prog = compile_formulas(inst for _, inst in instances)
     expected = []
     models = list(enumerate_models("H_su", bounds))
@@ -312,3 +312,55 @@ def test_countermodel_frames_match_naive_walk(cls):
         assert again.model is result.model
         outcomes.add(result.outcome)
     assert outcomes == {"countermodel", "exhausted"}
+
+
+# (system, class, models_visited, instances_checked) of the three suites at
+# SearchBounds(2, 2, 1), instantiation depth 1 and size 3
+SUITE_COUNTS = (
+    (System.LOC_K45, "H_su", 336, 2450),
+    (System.LOC_KD45, "H_sut", 52, 2518),
+    (System.EDL, "H_sut", 52, 5238),
+)
+# (count, sha256 of json.dumps(report.violations)) for LocKD45 forced onto
+# H_su at (2, 2, 1), recorded when the instances were built as Formula trees
+FORCED_VIOLATIONS = (13600, "bece632194a15d731c1a9ca8d3202581a580296050e0e7916538adc7ea44a1fe")
+
+
+def test_suite_counts_and_forced_violations_pinned(monkeypatch):
+    bounds = SearchBounds(2, 2, 1)
+    for system, cls, models, instances in SUITE_COUNTS:
+        report = soundness_suite(system, cls, bounds, 1)
+        assert (report.violations, report.models_visited, report.instances_checked) == (
+            [],
+            models,
+            instances,
+        )
+    monkeypatch.setitem(search.SYSTEM_CLASS, System.LOC_KD45, "H_su")
+    report = soundness_suite(System.LOC_KD45, "H_su", bounds, 1)
+    digest = hashlib.sha256(json.dumps(report.violations).encode()).hexdigest()
+    assert (len(report.violations), digest) == FORCED_VIOLATIONS
+
+
+@pytest.mark.parametrize(
+    "system,depth,size",
+    [(System.LOC_K45, 1, 3), (System.LOC_KD45, 1, 3), (System.EDL, 1, 3), (System.EDL, 2, 3)],
+)
+def test_emitted_instances_match_naive_instances(system, depth, size):
+    # the replayed patterns against Formula trees built by instantiate_scheme:
+    # the same instances in the same order, rebuilt with their ~~ shapes
+    # intact, and the same mask per root on every union frame of the class
+    bounds = SearchBounds(2, 2, 1)
+    ws = bounds.workspace()
+    prog, origins, formulas = search.scheme_instances(system, ws, depth, size)
+    naive = naive_scheme_instances(system, ws, depth, size)
+    assert len(prog.roots) == len(origins) == len(naive)
+    for origin, (scheme, inst) in zip(origins, naive, strict=True):
+        assert origin[0] is scheme
+        assert search.instance_formula(origin, formulas) == inst
+    phis = (formulas[o[2]] for o in origins if type(o[2]) is int)
+    assert any(type(f) is Not and type(f.sub) is Not for f in phis)  # phi = ~~x occurs
+    expected = compile_formulas(inst for _, inst in naive)
+    models = list(enumerate_models(search.SYSTEM_CLASS[system], bounds))
+    for start in range(0, len(models), search._CHUNK):
+        frame = frame_h(models[start : start + search._CHUNK])
+        assert evaluate(prog, frame) == evaluate(expected, frame)
