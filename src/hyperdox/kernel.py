@@ -7,7 +7,8 @@ call, so any emitter can write into it. compile_formulas emits Formula
 trees. search.scheme_instances and convert.FormulaSlots emit scheme
 instances and enumerated formulas as slots without building the trees,
 and keep construction records to build a Formula from when one is
-needed. A slot cannot be read back, since ~~x has x's slot.
+needed; replay emits one compiled pattern in a single call. A slot
+cannot be read back, since ~~x has x's slot.
 
 A program runs on a frame: the state count, a bitmask per atom (bit i =
 state i) and, per (agent, kind), a list of (span, reach) blocks. A box
@@ -17,6 +18,14 @@ where its argument fails. Hypergraph frames have one block per vertex
 class for K (KripkeModel.frame). Since modal truth is invariant under
 disjoint union, one frame may hold several models side by side; `parts`
 records each member's (offset, size).
+
+A frame memoises its boxes: `boxes` maps (agent, kind) to {argument
+mask: box mask}, filled as programs run (the computed table of BDD
+packages; Bryant, IEEE TC 1986). A box reads only the blocks and the
+size, never the atoms, so the memo holds while the atom masks are
+reassigned (search._frames does so per placement) and while other
+programs run on the frame; it lives and dies with the frame. A frame's
+blocks and size are therefore fixed once it has been evaluated.
 
 Structural facts are read off the program too: fragment_check from its
 atoms and (agent, kind) modalities, modal_depth from its op columns.
@@ -70,6 +79,30 @@ class Builder:
             prog.op.append(op)
             prog.a.append(a)
             prog.b.append(b)
+        return slot
+
+    def replay(self, steps, leaves, modals) -> int:
+        """The slot of the last of a compiled pattern's steps, emitted with
+        ATOM a bound to slot leaves[a] and BOX a to modality modals[a]:
+        node() per step, with its interning and ~~x fold inlined."""
+        prog, intern = self.prog, self._slot
+        ops, args_a, args_b = prog.op, prog.a, prog.b
+        env: list[int] = []
+        for op, a, b in steps:
+            if op == ATOM:
+                slot = leaves[a]
+            elif op == NOT and ops[env[a]] == NOT:  # ~~x is x
+                slot = args_a[env[a]]
+            else:  # NOT takes a slot, AND two slots, BOX a modality and a slot
+                a, b = (env[a], 0) if op == NOT else (env[a] if op == AND else modals[a], env[b])
+                key = (a << 32 | b) << 2 | op
+                slot = intern.get(key)
+                if slot is None:
+                    slot = intern[key] = len(ops)
+                    ops.append(op)
+                    args_a.append(a)
+                    args_b.append(b)
+            env.append(slot)
         return slot
 
     def atom(self, var) -> int:
@@ -178,6 +211,7 @@ class Frame:
     size: int
     atoms: dict = field(default_factory=dict)  # PropVar -> mask
     blocks: dict = field(default_factory=dict)  # (agent, kind) -> [(span, reach)]
+    boxes: dict = field(default_factory=dict)  # (agent, kind) -> {argument mask: box mask}
     parts: list = field(default_factory=list)  # (offset, size) per member model
 
     @property
@@ -198,7 +232,7 @@ def evaluate(prog: Program, frame: Frame) -> list:
     """The satisfaction mask of every compiled formula, in compile order."""
     full = frame.full
     atom_masks = [frame.atoms.get(p, 0) for p in prog.atoms]
-    box_blocks = [frame.blocks.get(key, ()) for key in prog.modals]
+    box_memo = [frame.boxes.setdefault(key, {}) for key in prog.modals]
     vals: list[int] = []
     push = vals.append
     for op, a, b in zip(prog.op, prog.a, prog.b):
@@ -207,13 +241,16 @@ def evaluate(prog: Program, frame: Frame) -> list:
         elif op == NOT:
             push(full ^ vals[a])
         elif op == BOX:
-            bad = full ^ vals[b]
-            fail = 0
-            if bad:
-                for span, reach in box_blocks[a]:
-                    if reach & bad:
-                        fail |= span
-            push(full ^ fail)
+            arg = vals[b]
+            box = box_memo[a].get(arg)
+            if box is None:  # a miss: only now are the box's blocks read
+                bad, fail = full ^ arg, 0
+                if bad:
+                    for span, reach in frame.blocks.get(prog.modals[a], ()):
+                        if reach & bad:
+                            fail |= span
+                box = box_memo[a][arg] = full ^ fail
+            push(box)
         else:
             push(atom_masks[a])
     return [vals[r] for r in prog.roots]

@@ -31,7 +31,7 @@ from .convert import FormulaSlots
 from .errors import FragmentError, PreconditionError
 from .formula import Formula, render_formula
 from .hypergraph import DirectedEdge, HypergraphModel, Vertex, frame_h
-from .kernel import AND, ATOM, BELIEF, BOX, KNOWLEDGE, NOT, Frame, compile_formulas, evaluate
+from .kernel import ATOM, BELIEF, KNOWLEDGE, Frame, compile_formulas, evaluate
 from .proofcheck import ADMITTED, SCHEME_ARITY, SCHEMES, SchemeId, System, instantiate_scheme
 from .workspace import Workspace, synthetic_workspace
 
@@ -350,9 +350,10 @@ def countermodel(
     visited = 0
     for structure, placement, frame in _frames(_stream(cls, bounds, seed)):
         visited += 1
-        failure = next(frame.failures(evaluate(prog, frame)[0]), None)
-        if failure is not None:
-            return _witness(ws, structure, placement, visited, failure[1])
+        root = evaluate(prog, frame)[0]
+        if root != frame.full:
+            _, edge = next(frame.failures(root))
+            return _witness(ws, structure, placement, visited, edge)
     return SearchResult("exhausted", visited)
 
 
@@ -382,6 +383,8 @@ class SoundnessReport:
             "violations": list(self.violations),
             "models_visited": self.models_visited,
             "elapsed_ms": round(self.elapsed * 1000, 3),
+            "class": self.cls,
+            "instances_checked": self.instances_checked,
         }
 
 
@@ -399,13 +402,17 @@ def scheme_instances(
     formulas = FormulaSlots(
         ws.all_vars(), range(ws.n_agents), instantiation_depth, instantiation_size
     )
-    builder, node = formulas.builder, formulas.builder.node
+    builder = formulas.builder
     every = list(enumerate(formulas.slots))
     roots, origins = [], []
     for scheme in (s for s in SchemeId if s in ADMITTED[system]):
         pattern = compile_formulas([SCHEMES[scheme]])
         meta = [v.index for v in pattern.atoms]  # 0 phi, 1 psi, 2 p
-        steps, top = list(zip(pattern.op, pattern.a, pattern.b)), pattern.roots[0]
+        # steps up to the root, with each atom renumbered to its metavariable
+        steps = [
+            (op, meta[a] if op == ATOM else a, b)
+            for op, a, b in zip(pattern.op, pattern.a, pattern.b)
+        ][: pattern.roots[0] + 1]
         arity = SCHEME_ARITY[scheme]
         for agent in range(ws.n_agents):
             modals = [builder.modal(agent, kind) for _, kind in pattern.modals]
@@ -414,17 +421,7 @@ def scheme_instances(
                 firsts = [(p, builder.atom(p)) for p in ws.vars_of(agent)]
             for phi, x in firsts:
                 for psi, y in every if arity == "two" else [(None, 0)]:
-                    env, vals = [], (x, y, x)
-                    for op, a, b in steps:
-                        if op == ATOM:
-                            env.append(vals[meta[a]])
-                        elif op == NOT:
-                            env.append(node(NOT, env[a]))
-                        elif op == AND:
-                            env.append(node(AND, env[a], env[b]))
-                        else:
-                            env.append(node(BOX, modals[a], env[b]))
-                    roots.append(env[top])
+                    roots.append(builder.replay(steps, (x, y, x), modals))
                     origins.append((scheme, agent, phi, psi))
     return builder.program(roots), origins, formulas
 
@@ -470,9 +467,11 @@ def soundness_suite(
         if not chunk:
             break
         frame = frame_h(chunk)
-        masks = evaluate(prog, frame)
+        full, masks = frame.full, evaluate(prog, frame)
         # (model k, instance j, first failing edge i), in (model, instance) order
-        failures = sorted((k, j, i) for j, m in enumerate(masks) for k, i in frame.failures(m))
+        failures = sorted(
+            (k, j, i) for j, m in enumerate(masks) if m != full for k, i in frame.failures(m)
+        )
         for k, j, i in failures:
             violations.append(
                 {

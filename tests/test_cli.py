@@ -24,7 +24,9 @@ from hyperdox import (
     render_formula,
     satisfies_h,
 )
+from hyperdox import search
 from hyperdox.cli import main
+from hyperdox.proofcheck import System
 from conftest import fixture_path
 from oracles import naive_fragment_check, naive_modal_depth
 
@@ -299,6 +301,29 @@ def test_search_soundness_cli(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["violations"] == [] and data["system"] == "LocK45"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["LocK45", "--bounds", "agents=1,edges=2,vars=1", "--depth", "1", "--size", "2"],
+        ["LocKD45", "--class", "H_su", "--bounds", "agents=1,edges=2,vars=1", "--depth", "1"],
+    ],
+)
+def test_search_soundness_json_agrees_with_human_line(capsys, argv, monkeypatch):
+    # the second run forces LocKD45 onto H_su, where D_B has violations
+    monkeypatch.setitem(search.SYSTEM_CLASS, System.LOC_KD45, "H_su")
+    code, out, _ = run(capsys, "search", "soundness", *argv)
+    json_code, json_out, _ = run(capsys, "--json", "search", "soundness", *argv)
+    data = json.loads(json_out)
+    assert list(data) == [
+        "system", "violations", "models_visited", "elapsed_ms", "class", "instances_checked"
+    ]
+    assert out == (
+        f"{data['system']} over {data['class']}: {len(data['violations'])} violations, "
+        f"{data['instances_checked']} instances on {data['models_visited']} models\n"
+    )
+    assert code == json_code == (1 if data["violations"] else 0)
 
 
 def test_search_soundness_class_mismatch(capsys):

@@ -335,6 +335,11 @@ def test_swapped_worlds_rows_from_formula_slots():
     ]
     assert report.checked == listed.checked == 5 * 750
     assert any(has_double_negation(f) for _, f, _, _ in rows)
+    # each disagreeing formula is built once, and its rows share the object
+    # (the stream is duplicate-free, so equal formulas come from one slot)
+    pairs = list(zip(report.disagreements, report.disagreements[1:]))
+    assert all((r.formula is s.formula) == (r.formula == s.formula) for r, s in pairs)
+    assert any(r.formula is s.formula for r, s in pairs)
     # (count, sha256) of the rows, rendered, recorded when equiv built every formula
     rendered = [(state, render_formula(f, ws), k, h) for state, f, k, h in rows]
     digest = hashlib.sha256(json.dumps(rendered).encode()).hexdigest()

@@ -1,6 +1,18 @@
+import hashlib
+import json
+import random
+
+import pytest
+
+from hyperdox import search
 from hyperdox.formula import And, Atom, Believes, Knows, Not
-from hyperdox.kernel import AND, ATOM, BOX, NOT, Builder, compile_formulas
+from hyperdox.hypergraph import frame_h
+from hyperdox.kernel import AND, ATOM, BOX, NOT, Builder, compile_formulas, evaluate
+from hyperdox.proofcheck import System
+from hyperdox.randgen import random_formula
+from hyperdox.search import SearchBounds, scheme_instances
 from hyperdox.workspace import Workspace
+from oracles import naive_satisfies_h
 
 WS = Workspace(("a", "b"), (("p_a_1",), ("p_b_1",)))
 P, Q = (Atom(v) for v in WS.all_vars())
@@ -76,3 +88,57 @@ def test_leaf_replaces_atoms_and_maximal_modal_subformulas():
     b.emit(f, leaf)
     assert seen == [Believes(0, Not(P)), Q]  # left first, never below a box
     assert BOX not in b.prog.op
+
+
+@pytest.mark.parametrize(
+    "system, ops, digest",
+    [
+        (System.LOC_K45, 14894, "5e4e87588260489f22483554e23a6d626b7ba866a5c4a90c77fa0dc33d3a4045"),
+        (System.LOC_KD45, 15022, "d63193a8b0be1f3977366ae682c83732b095c6ad4fcc79bc4c677823a5da9d2a"),
+        (System.EDL, 28526, "968397aa408d3051db296a06c7ef165eee4c3fa3b62e469506b3d09885daf5c5"),
+    ],
+)
+def test_suite_programs_pinned(system, ops, digest):
+    # the op columns and roots of the depth-1 suite programs at (2,2,1),
+    # recorded when each instance was replayed one node() call per step
+    prog, _, _ = scheme_instances(system, SearchBounds(2, 2, 1).workspace(), 1)
+    cols = json.dumps([list(col) for col in (prog.op, prog.a, prog.b, prog.roots)])
+    assert (len(prog.op), hashlib.sha256(cols.encode()).hexdigest()) == (ops, digest)
+
+
+def test_box_memo_holds_on_a_reused_frame():
+    # search._frames keeps one frame per structure and reassigns its atom
+    # masks per placement; programs run on it in a seeded order must give
+    # the masks of a fresh frame and of the oracle, and every memoised box
+    # must be the box of its argument under the frame's blocks
+    rng = random.Random(20261018)
+    bounds = SearchBounds(2, 2, 1)
+    ws = bounds.workspace()
+    batches = [
+        [random_formula(rng, ws.all_vars(), range(2), 3, 9) for _ in range(4)] for _ in range(3)
+    ]
+    progs = [compile_formulas(batch) for batch in batches]
+    frames, box_runs = {}, 0
+    for structure, placement, frame in search._frames(search._stream("all", bounds, 0)):
+        frames[id(frame)] = frame
+        model = search._build_model(ws, structure, search._slots(structure), placement)
+        for k in rng.sample(range(len(progs)), len(progs)):
+            masks = evaluate(progs[k], frame)
+            box_runs += list(progs[k].op).count(BOX)
+            assert masks == evaluate(progs[k], frame_h([model]))
+            for f, mask in zip(batches[k], masks):
+                assert [mask >> i & 1 == 1 for i in range(model.n_edges)] == [
+                    naive_satisfies_h(model, i, f) for i in range(model.n_edges)
+                ]
+    assert len(frames) == 96
+    memoised = 0
+    for frame in frames.values():
+        for key, memo in frame.boxes.items():
+            for arg, box in memo.items():
+                bad = frame.full ^ arg
+                fail = 0
+                for span, reach in frame.blocks.get(key, ()):
+                    fail |= span if reach & bad else 0
+                assert box == frame.full ^ fail
+            memoised += len(memo)
+    assert 0 < memoised < box_runs

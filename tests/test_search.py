@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+from collections import Counter
 
 import pytest
 
@@ -174,8 +175,11 @@ def test_soundness_suite_small_run_clean():
     assert report.violations == []
     assert report.models_visited > 0 and report.instances_checked > 0
     data = report.to_json()
-    assert set(data) == {"system", "violations", "models_visited", "elapsed_ms"}
-    assert data["system"] == "LocK45"
+    assert list(data) == [
+        "system", "violations", "models_visited", "elapsed_ms", "class", "instances_checked"
+    ]
+    assert (data["system"], data["class"]) == ("LocK45", "H_su")
+    assert data["instances_checked"] == report.instances_checked
 
 
 def test_non_theorem_spot_checks():
@@ -203,18 +207,14 @@ def test_own_variable_belief_is_factive_within_bounds():
     assert countermodel("H_sut", f, bounds).outcome == "exhausted"
 
 
-def test_chunked_suite_matches_per_model_evaluation(monkeypatch):
-    # LocKD45 over H_su is unsound (D_B fails where a vertex lies in no
-    # tail), so the suite reports violations from many union frames;
-    # they must be exactly those of evaluating one model at a time
-    monkeypatch.setitem(search.SYSTEM_CLASS, System.LOC_KD45, "H_su")
-    bounds = SearchBounds(2, 2, 1)
+def _per_model_violations(system, cls, bounds, *sizes):
+    """(naive instances, models, the suite's violations as found by
+    evaluating the naive instances on one model at a time)."""
     ws = bounds.workspace()
-    report = soundness_suite(System.LOC_KD45, "H_su", bounds, 1)
-    instances = naive_scheme_instances(System.LOC_KD45, ws, 1)
+    instances = naive_scheme_instances(system, ws, *sizes)
     prog = compile_formulas(inst for _, inst in instances)
     expected = []
-    models = list(enumerate_models("H_su", bounds))
+    models = list(enumerate_models(cls, bounds))
     for index, model in enumerate(models, 1):
         frame = frame_h([model])
         for (scheme, inst), mask in zip(instances, evaluate(prog, frame)):
@@ -227,6 +227,18 @@ def test_chunked_suite_matches_per_model_evaluation(monkeypatch):
                         "edge": model.edges[i].name,
                     }
                 )
+    return instances, models, expected
+
+
+def test_chunked_suite_matches_per_model_evaluation(monkeypatch):
+    # LocKD45 over H_su is unsound (D_B fails where a vertex lies in no
+    # tail), so the suite reports violations from many union frames;
+    # they must be exactly those of evaluating one model at a time
+    monkeypatch.setitem(search.SYSTEM_CLASS, System.LOC_KD45, "H_su")
+    bounds = SearchBounds(2, 2, 1)
+    ws = bounds.workspace()
+    report = soundness_suite(System.LOC_KD45, "H_su", bounds, 1)
+    instances, models, expected = _per_model_violations(System.LOC_KD45, "H_su", bounds, 1)
     assert report.models_visited == len(models) > search._CHUNK
     assert len(report.violations) == 13600
     assert report.violations == expected
@@ -238,6 +250,20 @@ def test_chunked_suite_matches_per_model_evaluation(monkeypatch):
         edge = model.edge_index(v["edge"])
         assert not naive_satisfies_h(model, edge, inst)
         assert all(naive_satisfies_h(model, i, inst) for i in range(edge))
+
+
+def test_suite_reports_an_instance_failing_at_the_first_state_alone(monkeypatch):
+    # EDL over every hypergraph: some instance of the first union frame
+    # fails at its state 0 and nowhere else, so a suite that skipped a
+    # root by a wrong test on its mask would miss that violation
+    monkeypatch.setitem(search.SYSTEM_CLASS, System.EDL, "all")
+    bounds = SearchBounds(2, 1, 1)
+    report = soundness_suite(System.EDL, "all", bounds, 1, 2)
+    _, _, expected = _per_model_violations(System.EDL, "all", bounds, 1, 2)
+    assert report.violations == expected and len(expected) == 370
+    # every model has one edge, so each violation is one state of its frame
+    in_first = Counter(v["instance"] for v in expected if v["model_index"] <= search._CHUNK)
+    assert any(in_first[v["instance"]] == 1 for v in expected if v["model_index"] == 1)
 
 
 @pytest.mark.parametrize("bounds", [(1, 5, 1), (2, 2, 1), (2, 3, 1), (3, 2, 0)])
