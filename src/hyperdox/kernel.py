@@ -4,11 +4,11 @@ Formulas compile to a program: ops in topological order, where equal
 subformulas share a slot and double negations vanish. A Builder makes
 one; its node(op, a, b) interns the int triple for the length of one
 call, so any emitter can write into it. compile_formulas emits Formula
-trees. search.scheme_instances and convert.FormulaSlots emit scheme
-instances and enumerated formulas as slots without building the trees,
-and keep construction records to build a Formula from when one is
-needed; replay emits one compiled pattern in a single call. A slot
-cannot be read back, since ~~x has x's slot.
+trees. convert.FormulaSlots emits enumerated formulas as slots, keeping
+construction records to build a Formula from; search.scheme_instances
+replays each scheme's compiled pattern, one replay call per instance,
+with its metavariables bound to the slots it is given (formulas, or
+letter atoms). A slot cannot be read back, since ~~x has x's slot.
 
 A program runs on a frame: the state count, a bitmask per atom (bit i =
 state i) and, per (agent, kind), a list of (span, reach) blocks. A box

@@ -11,11 +11,11 @@ structure's kernel frame once and sets only the atom masks per
 placement, and equal queries share their witness. An exhausted search
 means "no countermodel within bounds" and never claims validity.
 
-soundness_suite emits every scheme instance straight into one program:
-each scheme's pattern is compiled once and replayed per instance with
-its metavariables bound to the slots of the enumerated formulas, so
-instances share their subformulas and no Formula tree is built, except
-to render a violating instance.
+soundness_suite checks each scheme once per tuple of distinct formula
+masks on a union frame: the enumerated formulas are grouped by mask,
+each group is a letter, and each scheme's compiled pattern is replayed
+with its metavariables bound to letters. A failing root expands to its
+formula tuples, and a Formula is built only for a violating instance.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .convert import FormulaSlots
 from .errors import FragmentError, PreconditionError
 from .formula import Formula, render_formula
 from .hypergraph import DirectedEdge, HypergraphModel, Vertex, frame_h
-from .kernel import ATOM, BELIEF, KNOWLEDGE, Frame, compile_formulas, evaluate
+from .kernel import ATOM, BELIEF, KNOWLEDGE, Builder, Frame, compile_formulas, evaluate
 from .proofcheck import ADMITTED, SCHEME_ARITY, SCHEMES, SchemeId, System, instantiate_scheme
 from .workspace import Workspace, synthetic_workspace
 
@@ -388,22 +388,15 @@ class SoundnessReport:
         }
 
 
-def scheme_instances(
-    system: System, ws: Workspace, instantiation_depth: int, instantiation_size: int = 3
-):
-    """Every instance of the system's schemes, instantiated with every
-    enumerated formula within the given bounds (atoms of the right owner
-    for Loc), emitted straight into one program: (program, origins,
-    formulas). Root j is the instance origins[j] = (scheme, agent, phi,
-    psi), where phi and psi index formulas (a FormulaSlots) or are None,
-    and Loc's phi is its variable p. Each scheme's pattern is compiled
-    and then replayed per instance with its metavariables bound to slots,
-    so no Formula is built; instance_formula builds one."""
-    formulas = FormulaSlots(
-        ws.all_vars(), range(ws.n_agents), instantiation_depth, instantiation_size
-    )
-    builder = formulas.builder
-    every = list(enumerate(formulas.slots))
+def scheme_instances(system: System, ws: Workspace, builder: Builder, values):
+    """Every instance of the system's schemes, emitted into the builder
+    with phi and psi bound to each of the value slots in turn and Loc's p
+    to each of the agent's own variables: (program, origins). Root j is
+    the instance origins[j] = (scheme, agent, phi, psi), where phi and
+    psi index values or are None, and Loc's phi is its variable p. Each
+    scheme's pattern is compiled and then replayed per instance, so no
+    Formula is built; over FormulaSlots, instance_formula builds one."""
+    every = list(enumerate(values))
     roots, origins = [], []
     for scheme in (s for s in SchemeId if s in ADMITTED[system]):
         pattern = compile_formulas([SCHEMES[scheme]])
@@ -423,7 +416,7 @@ def scheme_instances(
                 for psi, y in every if arity == "two" else [(None, 0)]:
                     roots.append(builder.replay(steps, (x, y, x), modals))
                     origins.append((scheme, agent, phi, psi))
-    return builder.program(roots), origins, formulas
+    return builder.program(roots), origins
 
 
 def instance_formula(origin: tuple, formulas: FormulaSlots) -> Formula:
@@ -449,6 +442,13 @@ def soundness_suite(
     LocK45 with H_su). A sound system reports zero violations; each
     violation records the scheme, the rendered instance, the model's
     position in the canonical stream and the falsifying edge.
+
+    An instance's mask on a frame depends only on the masks of its
+    metavariables' values (the substitution lemma; Blackburn, de Rijke
+    and Venema, Modal Logic, 2001, 1.3). So on each union frame the
+    enumerated formulas are grouped by mask, each group is one letter,
+    and the schemes are checked once per tuple of letters; a failing
+    root stands for every tuple of formulas its letters hold.
     """
     if SYSTEM_CLASS[system] != cls:
         raise PreconditionError(
@@ -456,31 +456,61 @@ def soundness_suite(
         )
     start = time.perf_counter()
     ws = bounds.workspace()
-    prog, origins, formulas = scheme_instances(
-        system, ws, instantiation_depth, instantiation_size
+    formulas = FormulaSlots(
+        ws.all_vars(), range(ws.n_agents), instantiation_depth, instantiation_size
     )
-    violations = []
-    visited = 0
+    n, masks_of = len(formulas), formulas.builder.program(formulas.slots)
+    base, checked = {}, 0  # each (scheme, agent)'s first instance over the formulas
+    for scheme in (s for s in SchemeId if s in ADMITTED[system]):
+        for agent in range(ws.n_agents):
+            base[scheme, agent] = checked
+            arity = SCHEME_ARITY[scheme]
+            checked += len(ws.vars_of(agent)) if arity == "atom" else n ** (1 + (arity == "two"))
+
+    def letter_program(count):  # letter l is the atom keyed by the int l, never a PropVar
+        builder = Builder()
+        return scheme_instances(system, ws, builder, [builder.atom(l) for l in range(count)])
+
+    letters, (prog, origins) = 0, letter_program(0)
+    violations, visited = [], 0
     stream = enumerate_models(cls, bounds, seed)
     while True:
         chunk = list(itertools.islice(stream, _CHUNK))
         if not chunk:
             break
         frame = frame_h(chunk)
-        full, masks = frame.full, evaluate(prog, frame)
+        groups: dict[int, list] = {}  # mask -> its formulas, in first-occurrence order
+        for f, mask in enumerate(evaluate(masks_of, frame)):
+            groups.setdefault(mask, []).append(f)
+        if len(groups) > letters:
+            letters, (prog, origins) = len(groups), letter_program(len(groups))
+        members = list(groups.values()) + [[]] * (letters - len(groups))
+        frame.atoms.update(enumerate(groups))
+        full, failures, origin_of = frame.full, [], {}
+        for (scheme, agent, x, y), m in zip(origins, evaluate(prog, frame)):
+            if m == full:
+                continue
+            b = base[scheme, agent]
+            if y is not None:
+                found = [(b + phi * n + psi, phi, psi) for phi in members[x] for psi in members[y]]
+            elif type(x) is int:
+                found = [(b + phi, phi, None) for phi in members[x]]
+            else:  # Loc's p, at its position among the agent's variables
+                found = [(b + ws.vars_of(agent).index(x), x, None)]
+            fails = list(frame.failures(m)) if found else ()  # empty past the chunk's letters
+            for j, phi, psi in found:
+                origin_of[j] = (scheme, agent, phi, psi)
+                failures.extend((k, j, i) for k, i in fails)
         # (model k, instance j, first failing edge i), in (model, instance) order
-        failures = sorted(
-            (k, j, i) for j, m in enumerate(masks) if m != full for k, i in frame.failures(m)
-        )
-        for k, j, i in failures:
+        for k, j, i in sorted(failures):
             violations.append(
                 {
-                    "scheme": origins[j][0].value,
-                    "instance": render_formula(instance_formula(origins[j], formulas), ws),
+                    "scheme": origin_of[j][0].value,
+                    "instance": render_formula(instance_formula(origin_of[j], formulas), ws),
                     "model_index": visited + k + 1,
                     "edge": chunk[k].edges[i].name,
                 }
             )
         visited += len(chunk)
     elapsed = time.perf_counter() - start
-    return SoundnessReport(system, cls, violations, visited, len(origins), elapsed)
+    return SoundnessReport(system, cls, violations, visited, checked, elapsed)

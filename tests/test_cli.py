@@ -326,6 +326,23 @@ def test_search_soundness_json_agrees_with_human_line(capsys, argv, monkeypatch)
     assert code == json_code == (1 if data["violations"] else 0)
 
 
+@pytest.mark.parametrize("depth, size, instances", [("1", "0", 2), ("0", "1", 18)])
+def test_search_soundness_at_degenerate_instantiation_bounds(capsys, depth, size, instances):
+    # no formula is enumerated at size 0, but Loc's instances still are
+    bounds = "agents=2,edges=2,vars=1"
+    argv = ["LocK45", "--bounds", bounds, "--depth", depth, "--size", size]
+    code, out, _ = run(capsys, "--json", "search", "soundness", *argv)
+    data = json.loads(out)
+    assert code == 0 and type(data.pop("elapsed_ms")) is float
+    assert list(data.items()) == [
+        ("system", "LocK45"),
+        ("violations", []),
+        ("models_visited", 336),
+        ("class", "H_su"),
+        ("instances_checked", instances),
+    ]
+
+
 def test_search_soundness_class_mismatch(capsys):
     code, _, err = run(
         capsys,

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from hyperdox import search
+from hyperdox.convert import FormulaSlots
 from hyperdox.formula import And, Atom, Believes, Knows, Not
 from hyperdox.hypergraph import frame_h
 from hyperdox.kernel import AND, ATOM, BOX, NOT, Builder, compile_formulas, evaluate
@@ -101,7 +102,9 @@ def test_leaf_replaces_atoms_and_maximal_modal_subformulas():
 def test_suite_programs_pinned(system, ops, digest):
     # the op columns and roots of the depth-1 suite programs at (2,2,1),
     # recorded when each instance was replayed one node() call per step
-    prog, _, _ = scheme_instances(system, SearchBounds(2, 2, 1).workspace(), 1)
+    ws = SearchBounds(2, 2, 1).workspace()
+    formulas = FormulaSlots(ws.all_vars(), range(ws.n_agents), 1, 3)
+    prog, _ = scheme_instances(system, ws, formulas.builder, formulas.slots)
     cols = json.dumps([list(col) for col in (prog.op, prog.a, prog.b, prog.roots)])
     assert (len(prog.op), hashlib.sha256(cols.encode()).hexdigest()) == (ops, digest)
 

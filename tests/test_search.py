@@ -18,11 +18,14 @@ from hyperdox import (
     validate_model,
 )
 from hyperdox import search
+from hyperdox.convert import FormulaSlots
 from hyperdox.formula import Not, render_formula
 from hyperdox.hypergraph import frame_h
 from hyperdox.kernel import compile_formulas, evaluate, fragment_check
 from hyperdox.modelio import hypergraph_to_json
+from hyperdox.proofcheck import SCHEMES, SchemeId
 from hyperdox.randgen import random_formula
+from hyperdox.workspace import Workspace
 from oracles import count_structures_naive, naive_satisfies_h, naive_scheme_instances, naive_structures
 
 
@@ -266,6 +269,72 @@ def test_suite_reports_an_instance_failing_at_the_first_state_alone(monkeypatch)
     assert any(in_first[v["instance"]] == 1 for v in expected if v["model_index"] == 1)
 
 
+def test_letter_suite_matches_per_model_evaluation(monkeypatch):
+    # the suite checks each scheme once per tuple of letters, the distinct
+    # formula masks on a union frame; its violations must be those of
+    # evaluating every instance one model at a time, on runs where a
+    # violating letter holds several formulas, a later chunk has more
+    # letters than every earlier one (so the letter program is rebuilt)
+    # and a chunk has fewer letters than the program
+    shared = rebuilt = fewer = False
+    for system, cls, bounds, sizes in (
+        (System.EDL, "all", (2, 2, 1), (1, 3)),
+        (System.LOC_KD45, "H_su", (2, 2, 1), (2, 3)),
+        (System.LOC_KD45, "H_su", (3, 1, 1), (1, 2)),
+    ):
+        monkeypatch.setitem(search.SYSTEM_CLASS, system, cls)
+        bounds = SearchBounds(*bounds)
+        ws = bounds.workspace()
+        report = soundness_suite(system, cls, bounds, *sizes)
+        instances, models, expected = _per_model_violations(system, cls, bounds, *sizes)
+        assert report.violations == expected and report.instances_checked == len(instances)
+        formulas = FormulaSlots(ws.all_vars(), range(ws.n_agents), *sizes)
+        prog = formulas.builder.program(formulas.slots)
+        chunks = range(0, len(models), search._CHUNK)
+        masks = [evaluate(prog, frame_h(models[c : c + search._CHUNK])) for c in chunks]
+        letters = [len(set(m)) for m in masks]
+        rebuilt |= any(letters[c] > max(letters[:c]) for c in range(1, len(letters)))
+        fewer |= any(letters[c] < max(letters[:c]) for c in range(1, len(letters)))
+        formulas = FormulaSlots(ws.all_vars(), range(ws.n_agents), *sizes)
+        _, origins = search.scheme_instances(system, ws, formulas.builder, formulas.slots)
+        origin_of = {
+            (o[0].value, render_formula(search.instance_formula(o, formulas), ws)): o
+            for o in origins
+        }
+        for v in expected:
+            _, _, phi, psi = origin_of[v["scheme"], v["instance"]]
+            chunk = masks[(v["model_index"] - 1) // search._CHUNK]
+            shared |= any(type(x) is int and chunk.count(chunk[x]) > 1 for x in (phi, psi))
+    assert shared and rebuilt and fewer
+
+
+def test_letter_suite_expands_two_letter_and_loc_roots(monkeypatch):
+    # K_B, K_K and Loc hold on every model of every class, so no suite
+    # fails a root of two letters or one of Loc's; falsifiable stand-ins
+    # with the same metavariables check that such roots expand in instance
+    # order, with Loc's p at its position among two variables
+    meta = Workspace(("a",), (("phi", "psi", "p"),))
+    monkeypatch.setitem(SCHEMES, SchemeId.K_B, parse_formula("B{a}phi -> psi", meta))
+    monkeypatch.setitem(SCHEMES, SchemeId.LOC, parse_formula("B{a}p", meta))
+    bounds = SearchBounds(2, 1, 2)
+    report = soundness_suite(System.LOC_K45, "H_su", bounds, 1, 2)
+    instances, _, expected = _per_model_violations(System.LOC_K45, "H_su", bounds, 1, 2)
+    assert report.violations == expected and report.instances_checked == len(instances)
+    assert {"K_B", "Loc"} <= {v["scheme"] for v in expected}
+
+
+@pytest.mark.parametrize("depth, size, instances", [(1, 0, 2), (0, 1, 18)])
+def test_suite_at_degenerate_instantiation_bounds(depth, size, instances):
+    # size 0 enumerates no formula, yet Loc's two instances are checked on
+    # every model; depth 0, size 1 enumerates the two atoms alone
+    report = soundness_suite(System.LOC_K45, "H_su", SearchBounds(2, 2, 1), depth, size)
+    assert (report.violations, report.models_visited, report.instances_checked) == (
+        [],
+        336,
+        instances,
+    )
+
+
 @pytest.mark.parametrize("bounds", [(1, 5, 1), (2, 2, 1), (2, 3, 1), (3, 2, 0)])
 @pytest.mark.parametrize("cls", search.CLASSES)
 def test_orderly_stream_equals_naive_stream(bounds, cls):
@@ -377,7 +446,8 @@ def test_emitted_instances_match_naive_instances(system, depth, size):
     # intact, and the same mask per root on every union frame of the class
     bounds = SearchBounds(2, 2, 1)
     ws = bounds.workspace()
-    prog, origins, formulas = search.scheme_instances(system, ws, depth, size)
+    formulas = FormulaSlots(ws.all_vars(), range(ws.n_agents), depth, size)
+    prog, origins = search.scheme_instances(system, ws, formulas.builder, formulas.slots)
     naive = naive_scheme_instances(system, ws, depth, size)
     assert len(prog.roots) == len(origins) == len(naive)
     for origin, (scheme, inst) in zip(origins, naive, strict=True):
