@@ -182,12 +182,10 @@ def check_modal_equivalence(
     edge_of = [mh.edge_index(mapping[w]) for w in mk.worlds]
     masks = zip(evaluate(prog, mk.frame()), evaluate(prog, frame_h([mh])))
     for j, (mask_k, mask_h) in enumerate(masks):
-        f = None  # built at the formula's first disagreement and shared by its rows
         for i, e in enumerate(edge_of):
             k_value, h_value = mask_k >> i & 1, mask_h >> e & 1
             if k_value != h_value:
-                f = formulas[j] if f is None else f
-                row = EquivalenceRow(mk.worlds[i], f, k_value == 1, h_value == 1)
+                row = EquivalenceRow(mk.worlds[i], formulas[j], k_value == 1, h_value == 1)
                 report.disagreements.append(row)
     return report
 

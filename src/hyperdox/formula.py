@@ -22,6 +22,12 @@ the right):
     unary ::= "~" unary | "B{" agent "}" unary | "K{" agent "}" unary
             | atom | "true" | "false" | "(" form ")"
 
+Formulas are interned (hash-consing; Filliatre and Conchon, "Type-safe
+modular hash-consing", ML 2006): a constructor returns the one live
+object for its class and fields, so equal formulas are one object and
+== and hash are identity. The table holds formulas weakly; copy,
+deepcopy and pickle go back through the constructor.
+
 Structural facts about a formula (belief-fragment membership, the agent
 it is an a-formula for, modal depth) are read off its compiled program
 in kernel.py.
@@ -30,96 +36,62 @@ in kernel.py.
 from __future__ import annotations
 
 import re
+import weakref
 
 from .errors import ParseError, WorkspaceError
 from .workspace import PropVar, Workspace
 
+_LIVE: weakref.WeakValueDictionary[tuple, Formula] = weakref.WeakValueDictionary()
+
 
 class Formula:
-    """Base class; instances are immutable and hash-consable by value."""
+    """Base class of the formula nodes: immutable, and interned by __new__
+    on (class, *fields). Children are interned before their parent, so
+    the table's key compares them by identity."""
 
-    __slots__ = ("_hash",)
+    __slots__ = ("__weakref__",)
+    _fields: tuple[str, ...] = ()
 
-    def __hash__(self):
-        return self._hash
+    def __new__(cls, *fields):
+        key = (cls, *fields)
+        self = _LIVE.get(key)
+        if self is None:
+            self = object.__new__(cls)
+            for name, value in zip(cls._fields, fields):
+                setattr(self, name, value)
+            _LIVE[key] = self
+        return self
 
-    def __eq__(self, other):
-        """Equality by value, walked with an explicit stack so that deep
-        formulas compare without recursion. Below the root, unequal
-        values are rare (the hashes matched), so the walk skips hashes."""
-        if self is other:
-            return True
-        if type(other) is not type(self) or self._hash != other._hash:
-            return False
-        x, y, stack = self, other, []
-        while True:
-            if x is not y:
-                cls = type(x)
-                if cls is not type(y):
-                    return False
-                if cls is Not:
-                    x, y = x.sub, y.sub
-                    continue
-                if cls is And:
-                    stack.append((x.right, y.right))
-                    x, y = x.left, y.left
-                    continue
-                if cls is not Atom:  # a modality
-                    if x.agent != y.agent:
-                        return False
-                    x, y = x.sub, y.sub
-                    continue
-                if x.var != y.var:
-                    return False
-            if not stack:
-                return True
-            x, y = stack.pop()
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self._fields)
 
 
 class Atom(Formula):
-    __slots__ = ("var",)
-
-    def __init__(self, var: PropVar):
-        self.var = var
-        self._hash = hash((1, var))
+    __slots__ = _fields = ("var",)
 
     def __repr__(self):
         return f"Atom({self.var.owner},{self.var.index})"
 
 
 class Not(Formula):
-    __slots__ = ("sub",)
-
-    def __init__(self, sub: Formula):
-        self.sub = sub
-        self._hash = hash((2, sub._hash))
+    __slots__ = _fields = ("sub",)
 
     def __repr__(self):
         return f"Not({self.sub!r})"
 
 
 class And(Formula):
-    __slots__ = ("left", "right")
-
-    def __init__(self, left: Formula, right: Formula):
-        self.left = left
-        self.right = right
-        self._hash = hash((3, left._hash, right._hash))
+    __slots__ = _fields = ("left", "right")
 
     def __repr__(self):
         return f"And({self.left!r},{self.right!r})"
 
 
 class _Modal(Formula):
-    """Agent-indexed box; subclasses set the hash tag and the letter."""
+    """Agent-indexed box; subclasses set the letter."""
 
-    __slots__ = ("agent", "sub")
-    _tag, _letter = 0, ""
-
-    def __init__(self, agent: int, sub: Formula):
-        self.agent = agent
-        self.sub = sub
-        self._hash = hash((self._tag, agent, sub._hash))
+    __slots__ = _fields = ("agent", "sub")
+    _letter = ""
 
     def __repr__(self):
         return f"{self._letter}{self.agent}({self.sub!r})"
@@ -127,12 +99,12 @@ class _Modal(Formula):
 
 class Believes(_Modal):
     __slots__ = ()
-    _tag, _letter = 4, "B"
+    _letter = "B"
 
 
 class Knows(_Modal):
     __slots__ = ()
-    _tag, _letter = 5, "K"
+    _letter = "K"
 
 
 def f_or(left: Formula, right: Formula) -> Formula:

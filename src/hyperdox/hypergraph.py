@@ -77,13 +77,6 @@ class HypergraphModel:
         except KeyError:
             raise ValidationError([f"unknown edge {name!r}"]) from None
 
-    def color_vertex(self, edge_idx: int, agent: int):
-        """The unique agent-colored vertex id in the edge's span, or None."""
-        for vid in self.edges[edge_idx].span:
-            if self.vertices[vid].color == agent:
-                return vid
-        return None
-
 
 def validate_model(m: HypergraphModel) -> list:
     """All invariant violations, each naming the offending vertex or edge."""

@@ -112,9 +112,10 @@ class Builder:
         return self._modal.setdefault((agent, kind), len(self._modal))
 
     def emit(self, f: Formula, leaf=None) -> int:
-        """The slot of f, walked with an explicit stack; a subtree met
-        twice as the same object is walked once. leaf, if given, supplies
-        the slot of every atom and modal subformula that it meets."""
+        """The slot of f, walked with an explicit stack; each distinct
+        subformula is walked once, since equal subformulas are one
+        interned object. leaf, if given, supplies the slot of every atom
+        and modal subformula that it meets."""
         slot_of: dict[int, int] = {}  # id(node) -> slot
         stack = [f]
         while stack:

@@ -240,6 +240,8 @@ def _justification_from_json(entry: dict, ws: Workspace, step_no: int):
     payload = entry[key]
     if not (isinstance(payload, dict) and set(payload) == {"agent", "from"}):
         raise InputError(f"step {step_no}: '{key}' needs 'agent' and 'from'")
+    if not isinstance(payload["agent"], str):
+        raise InputError(f"step {step_no}: 'agent' must be an agent name")
     try:
         agent = ws.agent_index(payload["agent"])
     except WorkspaceError as exc:

@@ -166,10 +166,10 @@ _MAX_LETTERS = 20
 def is_tautology_instance(f: Formula) -> bool:
     """Truth-table validity after abstracting maximal modal subformulas.
 
-    Each atom and maximal modal subformula is a letter (equal subformulas,
-    by value, share one), emitted straight into the program. The whole
-    table is one kernel run: state s of a frame with 2^k states is the
-    row that gives letter i the value of bit i of s."""
+    Each atom and maximal modal subformula is a letter (equal subformulas
+    are one interned object, so they share one), emitted straight into
+    the program. The whole table is one kernel run: state s of a frame
+    with 2^k states is the row that gives letter i the value of bit i of s."""
     letters: dict = {}
     builder = Builder()
     root = builder.emit(

@@ -9,11 +9,11 @@ from __future__ import annotations
 import random
 from typing import Optional
 
-from .errors import PreconditionError
-from .formula import And, Atom, Believes, Formula, Knows, Not
-from .hypergraph import DirectedEdge, HypergraphModel, Vertex, graph_metrics
-from .kripke import KripkeModel, Relation, equivalence_classes, model_properties
-from .workspace import Workspace
+from hyperdox.errors import PreconditionError
+from hyperdox.formula import And, Atom, Believes, Formula, Knows, Not
+from hyperdox.hypergraph import DirectedEdge, HypergraphModel, Vertex, graph_metrics
+from hyperdox.kripke import KripkeModel, Relation, equivalence_classes, model_properties
+from hyperdox.workspace import Workspace
 
 
 def random_uniform_model(

@@ -36,7 +36,7 @@ from hyperdox import (
 from hyperdox.formula import Knows, Not
 from hyperdox.kripke import Relation
 from hyperdox.proofcheck import Axiom, NecB
-from hyperdox.randgen import random_a_formula, random_local_kripke, random_uniform_model
+from randgen import random_a_formula, random_local_kripke, random_uniform_model
 from conftest import fixture_path
 from oracles import warshall_equivalence
 

@@ -426,6 +426,7 @@ def test_prove_deep_conjunction_chain(tmp_path, capsys, steps):
 def test_render_and_depth_of_deep_conjunction_chain():
     ws = Workspace(("a",), (("p_a_1",),))
     chain = parse_formula(_CHAIN, ws)
+    assert parse_formula(_CHAIN, ws) is chain
     assert render_formula(chain, ws) == _CHAIN
     assert modal_depth(chain) == 0
     assert modal_depth(Believes(0, Not(chain))) == 1
@@ -487,7 +488,15 @@ _file_text = st.one_of(
     st.sampled_from(["<missing>", "<directory>", "<not utf-8>"]),
 )
 _justification = st.sampled_from(
-    [{"tautology": True}, {"axiom": "4_B"}, {"mp": [1, 1]}, {"nec_k": 1}, [], "x"]
+    [
+        {"tautology": True},
+        {"axiom": "4_B"},
+        {"mp": [1, 1]},
+        {"nec_k": 1},
+        {"nec_b": {"agent": ["a"], "from": 1}},
+        [],
+        "x",
+    ]
 )
 
 
@@ -515,6 +524,7 @@ def _proof_with(formula, by):
 @example(("validate", "<not utf-8>", "p_a_1"))
 @example(("prove", "[" * 100000, "p_a_1"))
 @example(("prove", '{"system": "EDL", "agents": ["a"], "vars": {}, "steps": [5]}', None))
+@example(("prove", _proof_with("p_a_1", {"nec_b": {"agent": ["a"], "from": 1}}), None))
 @example(("validate", '{"kind": "kripke", "agents": ["a"], "vars": {}, "belief": {"a": 0}}', None))
 @example(("validate", '{"kind": "hypergraph", "agents": ["a"], "vars": {}, "vertices": [0]}', None))
 def test_cli_exit_code_contract(tmp_path_factory, case):

@@ -30,7 +30,7 @@ from hyperdox.hypergraph import frame_h
 from hyperdox.kernel import compile_formulas, evaluate
 from hyperdox.kripke import equivalence_classes
 from hyperdox.modelio import model_from_json
-from hyperdox.randgen import random_local_kripke, random_uniform_model
+from randgen import random_local_kripke, random_uniform_model
 from conftest import fixture_path
 from oracles import count_formulas, naive_enumerate_formulas, naive_satisfies_h, naive_satisfies_k
 

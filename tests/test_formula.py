@@ -1,4 +1,7 @@
+import copy
+import pickle
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +24,8 @@ from hyperdox import (
     render_formula,
 )
 from hyperdox.kernel import compile_formulas
-from hyperdox.randgen import random_formula
+from hyperdox.proofcheck import ProofStep, Tautology
+from randgen import random_formula
 from oracles import naive_fragment_check, naive_modal_depth
 
 
@@ -201,12 +205,31 @@ _P, _Q = Atom(PropVar(0, 0)), Atom(PropVar(0, 1))
     ],
     ids=["class", "agent", "var", "var_in_right_conjunct"],
 )
-def test_equality_under_forced_hash_collision(x, y):
-    """Roots with equal hashes whose values differ below the root are
-    unequal, and compile gives them separate slots."""
-    y._hash = x._hash
+def test_distinct_values_are_distinct_objects(x, y):
+    """Formulas that differ below the root are distinct, unequal objects
+    that compile to separate slots; rebuilding one from its fields gives
+    the same object back."""
+    assert x is not y
     assert x != y and y != x
     assert len(set(compile_formulas([x, y]).roots)) == 2
+    for f in (x, y):
+        assert type(f)(*(getattr(f, name) for name in f._fields)) is f
+
+
+def test_copy_and_pickle_return_the_interned_object(ws):
+    f = parse_formula("B{a}(p_a_1 -> K{b} p_b_1) & ~p_c_1", ws)
+    step = ProofStep(f, Tautology())
+    for copied in (copy.copy(f), copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
+        assert copied is f
+    for copied in (copy.deepcopy(step), pickle.loads(pickle.dumps(step))):
+        assert copied == step and copied.formula is f
+
+
+def test_unreferenced_formula_is_freed(ws):
+    f = parse_formula("B{c}(p_a_1 & K{b} ~p_b_1)", ws)
+    ref = weakref.ref(f)
+    del f  # freed at once by its reference count: the table holds it weakly
+    assert ref() is None
 
 
 def test_variable_disjointness():

@@ -22,7 +22,7 @@ from hyperdox import (
 from hyperdox.formula import Believes, Knows
 from hyperdox.hypergraph import frame_h
 from hyperdox.kernel import compile_formulas, evaluate
-from hyperdox.randgen import random_formula, random_uniform_model
+from randgen import random_formula, random_uniform_model
 from oracles import _naive_succ, naive_satisfies_h
 
 

@@ -10,9 +10,9 @@ from hyperdox.formula import And, Atom, Believes, Knows, Not
 from hyperdox.hypergraph import frame_h
 from hyperdox.kernel import AND, ATOM, BOX, NOT, Builder, compile_formulas, evaluate
 from hyperdox.proofcheck import System
-from hyperdox.randgen import random_formula
 from hyperdox.search import SearchBounds, scheme_instances
 from hyperdox.workspace import Workspace
+from randgen import random_formula
 from oracles import naive_satisfies_h
 
 WS = Workspace(("a", "b"), (("p_a_1",), ("p_b_1",)))

@@ -22,7 +22,7 @@ from hyperdox import (
 )
 from hyperdox.kripke import equivalence_classes
 from hyperdox.proofcheck import SCHEME_ARITY, SchemeId, instantiate_scheme
-from hyperdox.randgen import random_formula, random_local_kripke
+from randgen import random_formula, random_local_kripke
 from oracles import (
     naive_equivalence_classes,
     naive_relation_properties,
@@ -205,7 +205,7 @@ def test_local_veracity_on_atom(five_worlds_k):
 
 
 def test_local_veracity_random_ste(ws3):
-    from hyperdox.randgen import random_a_formula
+    from randgen import random_a_formula
 
     rng = random.Random(23)
     for _ in range(60):

@@ -26,7 +26,7 @@ from hyperdox import (
 )
 from hyperdox.modelio import load_proof, proof_from_json
 from hyperdox.proofcheck import SCHEME_ARITY, Axiom, NecB, NecK, ProofResult, TautologyTooLarge
-from hyperdox.randgen import random_formula
+from randgen import random_formula
 from conftest import fixture_path
 from oracles import naive_is_tautology
 

@@ -24,8 +24,8 @@ from hyperdox.hypergraph import frame_h
 from hyperdox.kernel import compile_formulas, evaluate, fragment_check
 from hyperdox.modelio import hypergraph_to_json
 from hyperdox.proofcheck import SCHEMES, SchemeId
-from hyperdox.randgen import random_formula
 from hyperdox.workspace import Workspace
+from randgen import random_formula
 from oracles import count_structures_naive, naive_satisfies_h, naive_scheme_instances, naive_structures
 
 
@@ -80,7 +80,7 @@ def test_consistency_countermodel_without_tail_completeness():
     # the witness's a-vertex lies in no tail
     witness = result.model
     idx = witness.edge_index(result.edge)
-    a_vertex = witness.color_vertex(idx, 0)
+    (a_vertex,) = (v for v in witness.edges[idx].span if witness.vertices[v].color == 0)
     assert all(a_vertex not in e.tail for e in witness.edges)
     # witness re-verifies on the cache-free oracle
     assert not naive_satisfies_h(witness, idx, f)
