@@ -180,7 +180,7 @@ def check_modal_equivalence(
             raise FragmentError("knowledge formulas require the serial classes on both sides")
     report = EquivalenceReport(checked=len(formulas) * mk.n_worlds)
     edge_of = [mh.edge_index(mapping[w]) for w in mk.worlds]
-    masks = zip(evaluate(prog, mk.frame()), evaluate(prog, frame_h([mh])))
+    masks = zip(evaluate(prog, mk.frame()), evaluate(prog, frame_h(mh)))
     for j, (mask_k, mask_h) in enumerate(masks):
         for i, e in enumerate(edge_of):
             k_value, h_value = mask_k >> i & 1, mask_h >> e & 1

@@ -25,8 +25,8 @@ the right):
 Formulas are interned (hash-consing; Filliatre and Conchon, "Type-safe
 modular hash-consing", ML 2006): a constructor returns the one live
 object for its class and fields, so equal formulas are one object and
-== and hash are identity. The table holds formulas weakly; copy,
-deepcopy and pickle go back through the constructor.
+== and hash are identity. The table holds formulas weakly; copy and
+deepcopy return the formula, and pickle goes back through the constructor.
 
 Structural facts about a formula (belief-fragment membership, the agent
 it is an a-formula for, modal depth) are read off its compiled program
@@ -65,26 +65,37 @@ class Formula:
     def __reduce__(self):
         return type(self), tuple(getattr(self, name) for name in self._fields)
 
+    def __deepcopy__(self, memo=None):
+        return self
+
+    __copy__ = __deepcopy__
+
+    def __repr__(self):
+        out, stack = [], [self]
+        while stack:  # an explicit stack, so deep formulas print without recursion
+            node = stack.pop()
+            if type(node) is str:
+                out.append(node)
+            elif type(node) is Atom:
+                out.append(f"Atom({node.var.owner},{node.var.index})")
+            elif type(node) is And:
+                stack += [")", node.right, ",", node.left, "And("]
+            else:  # Not, or a box's letter and agent
+                head = "Not" if type(node) is Not else f"{node._letter}{node.agent}"
+                stack += [")", node.sub, head + "("]
+        return "".join(out)
+
 
 class Atom(Formula):
     __slots__ = _fields = ("var",)
-
-    def __repr__(self):
-        return f"Atom({self.var.owner},{self.var.index})"
 
 
 class Not(Formula):
     __slots__ = _fields = ("sub",)
 
-    def __repr__(self):
-        return f"Not({self.sub!r})"
-
 
 class And(Formula):
     __slots__ = _fields = ("left", "right")
-
-    def __repr__(self):
-        return f"And({self.left!r},{self.right!r})"
 
 
 class _Modal(Formula):
@@ -92,9 +103,6 @@ class _Modal(Formula):
 
     __slots__ = _fields = ("agent", "sub")
     _letter = ""
-
-    def __repr__(self):
-        return f"{self._letter}{self.agent}({self.sub!r})"
 
 
 class Believes(_Modal):

@@ -159,7 +159,7 @@ def accessibility(m: HypergraphModel, agent: int, kind: str) -> Relation:
         raise PreconditionError(f"unknown accessibility kind {kind!r}")
     key = (agent, BELIEF if kind == "doxastic" else KNOWLEDGE)
     rows = [0] * m.n_edges
-    for span, reach in frame_h([m]).blocks.get(key, ()):
+    for span, reach in frame_h(m).blocks.get(key, ()):
         for i in bits(span):
             rows[i] |= reach
     return Relation(m.n_edges, tuple(rows))
@@ -174,42 +174,35 @@ def edge_atoms(m: HypergraphModel, edge) -> frozenset:
     return frozenset(atoms)
 
 
-def frame_h(models) -> Frame:
-    """The kernel frame of the disjoint union of the models, their edges
-    laid side by side in order.
+def frame_h(m: HypergraphModel) -> Frame:
+    """The kernel frame of one model (state i is edge i).
 
     Accessibility factors through vertices: e1 -B_a-> e2 iff e1 lies in
     the span of an a-vertex v and e2 in its tail, so each vertex gives
     the block (span(v), tail(v)) for B and (span(v), span(v)) for K.
     """
-    frame = Frame(0)
-    atoms, blocks = frame.atoms, frame.blocks
-    for m in models:
-        offset = frame.size
-        span_of: dict[str, int] = {}
-        tail_of: dict[str, int] = {}
-        for i, e in enumerate(m.edges):
-            bit = 1 << (offset + i)
-            for vid in e.tail:
-                tail_of[vid] = tail_of.get(vid, 0) | bit
-            for vid in e.tail | e.head:
-                span_of[vid] = span_of.get(vid, 0) | bit
-        for vid, span in span_of.items():
-            v = m.vertices[vid]
-            for p in v.atoms:
-                atoms[p] = atoms.get(p, 0) | span
-            blocks.setdefault((v.color, KNOWLEDGE), []).append((span, span))
-            tail = tail_of.get(vid)
-            if tail:
-                blocks.setdefault((v.color, BELIEF), []).append((span, tail))
-        frame.parts.append((offset, m.n_edges))
-        frame.size += m.n_edges
-    return frame
+    atoms, blocks = {}, {}
+    span_of: dict[str, int] = {}
+    tail_of: dict[str, int] = {}
+    for i, e in enumerate(m.edges):
+        for vid in e.tail:
+            tail_of[vid] = tail_of.get(vid, 0) | 1 << i
+        for vid in e.tail | e.head:
+            span_of[vid] = span_of.get(vid, 0) | 1 << i
+    for vid, span in span_of.items():
+        v = m.vertices[vid]
+        for p in v.atoms:
+            atoms[p] = atoms.get(p, 0) | span
+        blocks.setdefault((v.color, KNOWLEDGE), []).append((span, span))
+        tail = tail_of.get(vid)
+        if tail:
+            blocks.setdefault((v.color, BELIEF), []).append((span, tail))
+    return Frame(m.n_edges, atoms, blocks, parts=[(0, m.n_edges)])
 
 
 def sat_mask_h(m: HypergraphModel, f: Formula) -> int:
     """Bitmask of edges satisfying f (bit i = edge i)."""
-    return sat_mask(frame_h([m]), f)
+    return sat_mask(frame_h(m), f)
 
 
 def satisfies_h(m: HypergraphModel, edge, f: Formula) -> bool:

@@ -15,9 +15,10 @@ state i) and, per (agent, kind), a list of (span, reach) blocks. A box
 fails exactly on the spans of the blocks whose reach meets the states
 where its argument fails. Hypergraph frames have one block per vertex
 (hypergraph.frame_h), Kripke frames one per world for B and one per
-class for K (KripkeModel.frame). Since modal truth is invariant under
-disjoint union, one frame may hold several models side by side; `parts`
-records each member's (offset, size).
+class for K (KripkeModel.frame). Modal truth is invariant under disjoint
+union, so union() lays frames side by side; it alone shifts masks, and
+`parts` records each member's (offset, size). A frame that
+search._frames yields must be read before its stream advances.
 
 A frame memoises its boxes: `boxes` maps (agent, kind) to {argument
 mask: box mask}, filled as programs run (the computed table of BDD
@@ -227,6 +228,20 @@ class Frame:
             s = bad >> offset & ((1 << size) - 1)
             if s:
                 yield k, (s & -s).bit_length() - 1
+
+
+def union(frames) -> Frame:
+    """The frames side by side in order, each read as it is yielded."""
+    out = Frame(0)
+    for frame in frames:
+        offset = out.size
+        for p, mask in frame.atoms.items():
+            out.atoms[p] = out.atoms.get(p, 0) | mask << offset
+        for key, pairs in frame.blocks.items():
+            out.blocks.setdefault(key, []).extend((s << offset, r << offset) for s, r in pairs)
+        out.parts.append((offset, frame.size))
+        out.size += frame.size
+    return out
 
 
 def evaluate(prog: Program, frame: Frame) -> list:

@@ -11,11 +11,11 @@ structure's kernel frame once and sets only the atom masks per
 placement, and equal queries share their witness. An exhausted search
 means "no countermodel within bounds" and never claims validity.
 
-soundness_suite checks each scheme once per tuple of distinct formula
-masks on a union frame: the enumerated formulas are grouped by mask,
-each group is a letter, and each scheme's compiled pattern is replayed
-with its metavariables bound to letters. A failing root expands to its
-formula tuples, and a Formula is built only for a violating instance.
+soundness_suite lays chunks of the same frames side by side with
+kernel.union and checks each scheme once per tuple of distinct formula
+masks: formulas with one mask are one letter, and each scheme's pattern
+is replayed on letters. A failing root expands to its formula tuples,
+and a Formula is built only for a violating instance.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ from typing import Iterator, Optional
 from .convert import FormulaSlots
 from .errors import FragmentError, PreconditionError
 from .formula import Formula, render_formula
-from .hypergraph import DirectedEdge, HypergraphModel, Vertex, frame_h
-from .kernel import ATOM, BELIEF, KNOWLEDGE, Builder, Frame, compile_formulas, evaluate
+from .hypergraph import DirectedEdge, HypergraphModel, Vertex
+from .kernel import ATOM, BELIEF, KNOWLEDGE, Builder, Frame, compile_formulas, evaluate, union
 from .proofcheck import ADMITTED, SCHEME_ARITY, SCHEMES, SchemeId, System, instantiate_scheme
 from .workspace import Workspace, synthetic_workspace
 
@@ -234,6 +234,10 @@ def _stream(cls: str, bounds: SearchBounds, seed: int):
                 yield structure, slots, placement
 
 
+def _edge_name(i: int) -> str:
+    return f"e{i + 1}"
+
+
 def _build_model(ws: Workspace, structure, slots, placement) -> HypergraphModel:
     vertices = [
         Vertex(f"{ws.agents[a]}{v + 1}", a, atoms)
@@ -246,7 +250,7 @@ def _build_model(ws: Workspace, structure, slots, placement) -> HypergraphModel:
             if code:
                 vid = f"{ws.agents[a]}{_code_vertex(code) + 1}"
                 (tail if code % 2 else head).add(vid)
-        edges.append(DirectedEdge(f"e{i + 1}", frozenset(tail), frozenset(head)))
+        edges.append(DirectedEdge(_edge_name(i), frozenset(tail), frozenset(head)))
     return HypergraphModel(ws, vertices, edges)
 
 
@@ -357,8 +361,8 @@ def countermodel(
     return SearchResult("exhausted", visited)
 
 
-# Models per union frame in soundness_suite: one program run covers a
-# whole chunk (modal truth is invariant under disjoint union).
+# Models per union frame in soundness_suite, framed by _frames: one program
+# run covers a whole chunk (modal truth is invariant under disjoint union).
 _CHUNK = 32
 
 SYSTEM_CLASS = {
@@ -473,12 +477,8 @@ def soundness_suite(
 
     letters, (prog, origins) = 0, letter_program(0)
     violations, visited = [], 0
-    stream = enumerate_models(cls, bounds, seed)
-    while True:
-        chunk = list(itertools.islice(stream, _CHUNK))
-        if not chunk:
-            break
-        frame = frame_h(chunk)
+    stream = (frame for _, _, frame in _frames(_stream(cls, bounds, seed)))
+    while (frame := union(itertools.islice(stream, _CHUNK))).parts:
         groups: dict[int, list] = {}  # mask -> its formulas, in first-occurrence order
         for f, mask in enumerate(evaluate(masks_of, frame)):
             groups.setdefault(mask, []).append(f)
@@ -508,9 +508,9 @@ def soundness_suite(
                     "scheme": origin_of[j][0].value,
                     "instance": render_formula(instance_formula(origin_of[j], formulas), ws),
                     "model_index": visited + k + 1,
-                    "edge": chunk[k].edges[i].name,
+                    "edge": _edge_name(i),
                 }
             )
-        visited += len(chunk)
+        visited += len(frame.parts)
     elapsed = time.perf_counter() - start
     return SoundnessReport(system, cls, violations, visited, checked, elapsed)

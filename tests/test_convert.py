@@ -27,7 +27,7 @@ from hyperdox import (
 from hyperdox.convert import FormulaSlots
 from hyperdox.formula import And, Not
 from hyperdox.hypergraph import frame_h
-from hyperdox.kernel import compile_formulas, evaluate
+from hyperdox.kernel import compile_formulas, evaluate, union
 from hyperdox.kripke import equivalence_classes
 from hyperdox.modelio import model_from_json
 from randgen import random_local_kripke, random_uniform_model
@@ -300,7 +300,7 @@ def test_formula_slots_rebuild_the_enumerated_stream():
     assert list(slots) == naive
     assert list(enumerate_formulas(ws.all_vars(), range(2), 2, 4)) == naive
     # every slot has its formula's mask, on the union of 52 models
-    frame = frame_h(list(enumerate_models("H_sut", SearchBounds(2, 2, 1))))
+    frame = union(frame_h(m) for m in enumerate_models("H_sut", SearchBounds(2, 2, 1)))
     masks = evaluate(slots.builder.program(slots.slots), frame)
     assert masks == evaluate(compile_formulas(naive), frame)
     with pytest.raises(PreconditionError):

@@ -223,6 +223,12 @@ def test_copy_and_pickle_return_the_interned_object(ws):
         assert copied is f
     for copied in (copy.deepcopy(step), pickle.loads(pickle.dumps(step))):
         assert copied == step and copied.formula is f
+    assert repr(f) == "And(B0(Not(And(Not(Not(Atom(0,0))),Not(K1(Atom(1,0)))))),Not(Atom(2,0)))"
+    # a deep chain copies and prints without recursion
+    chain = parse_formula(" & ".join(["p_a_1"] * 3000), ws)
+    assert copy.copy(chain) is chain and copy.deepcopy(chain) is chain
+    p = repr(Atom(ws.var_by_name("p_a_1")))
+    assert repr(chain) == "And(" * 2999 + p + f",{p})" * 2999
 
 
 def test_unreferenced_formula_is_freed(ws):

@@ -21,7 +21,7 @@ from hyperdox import (
 )
 from hyperdox.formula import Believes, Knows
 from hyperdox.hypergraph import frame_h
-from hyperdox.kernel import compile_formulas, evaluate
+from hyperdox.kernel import compile_formulas, evaluate, union
 from randgen import random_formula, random_uniform_model
 from oracles import _naive_succ, naive_satisfies_h
 
@@ -349,7 +349,7 @@ def test_union_frame_agrees_with_oracle_per_model(seed, n_models):
     for _ in range(4):
         f = random_formula(rng, vars_, range(3), 2, 7)
         formulas += [f, Believes(rng.randrange(3), f), Knows(rng.randrange(3), f)]
-    frame = frame_h(models)
+    frame = union(frame_h(m) for m in models)
     assert frame.size == sum(m.n_edges for m in models)
     masks = evaluate(compile_formulas(formulas), frame)
     for m, (offset, size) in zip(models, frame.parts):

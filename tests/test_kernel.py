@@ -128,7 +128,7 @@ def test_box_memo_holds_on_a_reused_frame():
         for k in rng.sample(range(len(progs)), len(progs)):
             masks = evaluate(progs[k], frame)
             box_runs += list(progs[k].op).count(BOX)
-            assert masks == evaluate(progs[k], frame_h([model]))
+            assert masks == evaluate(progs[k], frame_h(model))
             for f, mask in zip(batches[k], masks):
                 assert [mask >> i & 1 == 1 for i in range(model.n_edges)] == [
                     naive_satisfies_h(model, i, f) for i in range(model.n_edges)

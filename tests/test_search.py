@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import random
 from collections import Counter
@@ -17,11 +18,11 @@ from hyperdox import (
     soundness_suite,
     validate_model,
 )
-from hyperdox import search
+from hyperdox import hypergraph, search
 from hyperdox.convert import FormulaSlots
 from hyperdox.formula import Not, render_formula
 from hyperdox.hypergraph import frame_h
-from hyperdox.kernel import compile_formulas, evaluate, fragment_check
+from hyperdox.kernel import compile_formulas, evaluate, fragment_check, union
 from hyperdox.modelio import hypergraph_to_json
 from hyperdox.proofcheck import SCHEMES, SchemeId
 from hyperdox.workspace import Workspace
@@ -219,7 +220,7 @@ def _per_model_violations(system, cls, bounds, *sizes):
     expected = []
     models = list(enumerate_models(cls, bounds))
     for index, model in enumerate(models, 1):
-        frame = frame_h([model])
+        frame = frame_h(model)
         for (scheme, inst), mask in zip(instances, evaluate(prog, frame)):
             for _, i in frame.failures(mask):
                 expected.append(
@@ -291,7 +292,8 @@ def test_letter_suite_matches_per_model_evaluation(monkeypatch):
         formulas = FormulaSlots(ws.all_vars(), range(ws.n_agents), *sizes)
         prog = formulas.builder.program(formulas.slots)
         chunks = range(0, len(models), search._CHUNK)
-        masks = [evaluate(prog, frame_h(models[c : c + search._CHUNK])) for c in chunks]
+        frames = (union(frame_h(m) for m in models[c : c + search._CHUNK]) for c in chunks)
+        masks = [evaluate(prog, frame) for frame in frames]
         letters = [len(set(m)) for m in masks]
         rebuilt |= any(letters[c] > max(letters[:c]) for c in range(1, len(letters)))
         fewer |= any(letters[c] < max(letters[:c]) for c in range(1, len(letters)))
@@ -363,6 +365,14 @@ def test_orderly_stream_pinned_at_larger_bounds(bounds, cls):
     assert (len(stream), digest) == PINNED_STREAMS[bounds, cls]
 
 
+def _assert_same_frame(frame, expected):
+    assert frame.atoms == expected.atoms
+    assert (frame.size, frame.parts) == (expected.size, expected.parts)
+    assert {k: sorted(v) for k, v in frame.blocks.items()} == {
+        k: sorted(v) for k, v in expected.blocks.items()
+    }
+
+
 @pytest.mark.parametrize("cls", search.CLASSES)
 def test_structure_frames_equal_model_frames(cls):
     # the frame countermodel builds per structure, with a placement's atom
@@ -371,12 +381,20 @@ def test_structure_frames_equal_model_frames(cls):
     frames = search._frames(search._stream(cls, bounds, 0))
     models = enumerate_models(cls, bounds)
     for (_, _, frame), model in zip(frames, models, strict=True):
-        expected = frame_h([model])
-        assert frame.atoms == expected.atoms
-        assert (frame.size, frame.parts) == (expected.size, expected.parts)
-        assert {k: sorted(v) for k, v in frame.blocks.items()} == {
-            k: sorted(v) for k, v in expected.blocks.items()
-        }
+        _assert_same_frame(frame, frame_h(model))
+    # and soundness_suite's union of each chunk of the reused per-structure
+    # frames is the union of the chunk's model frames
+    frames = search._frames(search._stream(cls, bounds, 0))
+    models = enumerate_models(cls, bounds)
+    chunks = 0
+    while True:
+        frame = union(f for _, _, f in itertools.islice(frames, search._CHUNK))
+        expected = union(frame_h(m) for m in itertools.islice(models, search._CHUNK))
+        _assert_same_frame(frame, expected)
+        if not frame.parts:
+            break
+        chunks += 1
+    assert chunks > 1
 
 
 @pytest.mark.parametrize("cls", ["H_su", "H_sut"])
@@ -422,6 +440,12 @@ FORCED_VIOLATIONS = (13600, "bece632194a15d731c1a9ca8d3202581a580296050e0e791653
 
 
 def test_suite_counts_and_forced_violations_pinned(monkeypatch):
+    # the suite frames the stream from per-structure blocks, with no model
+    def unused(*args):
+        raise AssertionError("soundness_suite builds a model or a model frame")
+
+    monkeypatch.setattr(search, "_build_model", unused)
+    monkeypatch.setattr(hypergraph, "frame_h", unused)
     bounds = SearchBounds(2, 2, 1)
     for system, cls, models, instances in SUITE_COUNTS:
         report = soundness_suite(system, cls, bounds, 1)
@@ -458,5 +482,5 @@ def test_emitted_instances_match_naive_instances(system, depth, size):
     expected = compile_formulas(inst for _, inst in naive)
     models = list(enumerate_models(search.SYSTEM_CLASS[system], bounds))
     for start in range(0, len(models), search._CHUNK):
-        frame = frame_h(models[start : start + search._CHUNK])
+        frame = union(frame_h(m) for m in models[start : start + search._CHUNK])
         assert evaluate(prog, frame) == evaluate(expected, frame)
