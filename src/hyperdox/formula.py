@@ -26,7 +26,8 @@ Formulas are interned (hash-consing; Filliatre and Conchon, "Type-safe
 modular hash-consing", ML 2006): a constructor returns the one live
 object for its class and fields, so equal formulas are one object and
 == and hash are identity. The table holds formulas weakly; copy and
-deepcopy return the formula, and pickle goes back through the constructor.
+deepcopy return the formula, and pickle writes a flat postfix record that
+goes back through the constructors, so a live formula unpickles to itself.
 
 Structural facts about a formula (belief-fragment membership, the agent
 it is an a-formula for, modal depth) are read off its compiled program
@@ -63,7 +64,26 @@ class Formula:
         return self
 
     def __reduce__(self):
-        return type(self), tuple(getattr(self, name) for name in self._fields)
+        """(_rebuild, (record,)): the distinct nodes in postfix order, each
+        as (class, its other fields, the record positions of its formula
+        fields, which come last), so a deep formula pickles without
+        recursion."""
+        at: dict[int, int] = {}  # id(node) -> its position in the record
+        record, stack = [], [self]
+        while stack:
+            node = stack[-1]
+            values = [getattr(node, name) for name in node._fields]
+            pending = [v for v in values if isinstance(v, Formula) and id(v) not in at]
+            if pending:
+                stack += pending
+                continue
+            stack.pop()
+            if id(node) not in at:
+                at[id(node)] = len(record)
+                plain = tuple(v for v in values if not isinstance(v, Formula))
+                subs = tuple(at[id(v)] for v in values if isinstance(v, Formula))
+                record.append((type(node), plain, subs))
+        return _rebuild, (record,)
 
     def __deepcopy__(self, memo=None):
         return self
@@ -84,6 +104,15 @@ class Formula:
                 head = "Not" if type(node) is Not else f"{node._letter}{node.agent}"
                 stack += [")", node.sub, head + "("]
         return "".join(out)
+
+
+def _rebuild(record) -> Formula:
+    """The formula of a __reduce__ record, built bottom-up through the
+    constructors, so a live formula comes back as itself."""
+    built: list[Formula] = []
+    for cls, plain, subs in record:
+        built.append(cls(*plain, *(built[i] for i in subs)))
+    return built[-1]
 
 
 class Atom(Formula):

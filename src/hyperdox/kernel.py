@@ -34,8 +34,10 @@ atoms and (agent, kind) modalities, modal_depth from its op columns.
 
 from __future__ import annotations
 
+import itertools
 from array import array
 from dataclasses import dataclass, field
+from typing import Optional
 
 from .formula import And, Atom, Believes, Formula, Knows, Not
 
@@ -244,14 +246,21 @@ def union(frames) -> Frame:
     return out
 
 
-def evaluate(prog: Program, frame: Frame) -> list:
-    """The satisfaction mask of every compiled formula, in compile order."""
+def evaluate(prog: Program, frame: Frame, count: Optional[int] = None) -> list:
+    """The satisfaction mask of every compiled formula, in compile order.
+    Given a root count, the masks of the first count roots only, and only
+    the ops up to the largest of their slots run: interning can give a
+    later root an earlier slot, so the count-th root's slot is no bound."""
+    ops, roots = zip(prog.op, prog.a, prog.b), prog.roots
+    if count is not None:
+        roots = roots[:count]
+        ops = itertools.islice(ops, max(roots, default=-1) + 1)
     full = frame.full
     atom_masks = [frame.atoms.get(p, 0) for p in prog.atoms]
     box_memo = [frame.boxes.setdefault(key, {}) for key in prog.modals]
     vals: list[int] = []
     push = vals.append
-    for op, a, b in zip(prog.op, prog.a, prog.b):
+    for op, a, b in ops:
         if op == AND:
             push(vals[a] & vals[b])
         elif op == NOT:
@@ -269,7 +278,7 @@ def evaluate(prog: Program, frame: Frame) -> list:
             push(box)
         else:
             push(atom_masks[a])
-    return [vals[r] for r in prog.roots]
+    return [vals[r] for r in roots]
 
 
 def sat_mask(frame: Frame, f: Formula) -> int:

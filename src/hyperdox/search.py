@@ -14,8 +14,11 @@ means "no countermodel within bounds" and never claims validity.
 soundness_suite lays chunks of the same frames side by side with
 kernel.union and checks each scheme once per tuple of distinct formula
 masks: formulas with one mask are one letter, and each scheme's pattern
-is replayed on letters. A failing root expands to its formula tuples,
-and a Formula is built only for a violating instance.
+is replayed on letters. The letter program is ordered by largest letter,
+so a frame with L letters evaluates only a root prefix of it, and it is
+kept per admitted schemes and workspace for the life of the process. A
+failing root expands to its formula tuples, and a Formula is built only
+for a violating instance.
 """
 
 from __future__ import annotations
@@ -392,6 +395,56 @@ class SoundnessReport:
         }
 
 
+_NO_PSI = (None, 0)  # (origin, slot) of psi in a scheme without psi
+
+
+def _admitted(system: System) -> tuple:
+    """(scheme, pattern) of each scheme the system admits, in SchemeId order."""
+    return tuple((s, SCHEMES[s]) for s in SchemeId if s in ADMITTED[system])
+
+
+def _patterns(admitted) -> list:
+    """(scheme, steps, modal kinds) per admitted scheme: the steps of its
+    compiled pattern up to the root, with each atom renumbered to its
+    metavariable (0 phi, 1 psi, 2 p)."""
+    out = []
+    for scheme, formula in admitted:
+        pattern = compile_formulas([formula])
+        meta = [v.index for v in pattern.atoms]
+        steps = [
+            (op, meta[a] if op == ATOM else a, b)
+            for op, a, b in zip(pattern.op, pattern.a, pattern.b)
+        ][: pattern.roots[0] + 1]
+        out.append((scheme, steps, [kind for _, kind in pattern.modals]))
+    return out
+
+
+def _emit(builder: Builder, ws: Workspace, patterns, values, roots, origins, last_only=False):
+    """Replay each pattern per agent and per tuple of values, (origin,
+    slot) pairs, appending each root and its origin (scheme, agent, phi,
+    psi). phi and psi are bound to the tuple's slots, Loc's p to each of
+    the agent's own variables. With last_only, only the tuples that hold
+    the last value are replayed, and no Loc instance."""
+    last = values[-1] if last_only else None
+    for scheme, steps, kinds in patterns:
+        arity = SCHEME_ARITY[scheme]
+        if last_only and arity == "atom":
+            continue
+        for agent in range(ws.n_agents):
+            modals = [builder.modal(agent, kind) for kind in kinds]
+            if arity == "atom":
+                tuples = [((p, builder.atom(p)), _NO_PSI) for p in ws.vars_of(agent)]
+            elif arity == "one":
+                tuples = [(last, _NO_PSI)] if last_only else [(v, _NO_PSI) for v in values]
+            elif last_only:
+                tuples = [(v, last) for v in values[:-1]] + [(last, v) for v in values]
+            else:
+                tuples = itertools.product(values, values)
+            for (phi, x), (psi, y) in tuples:
+                roots.append(builder.replay(steps, (x, y, x), modals))
+                origins.append((scheme, agent, phi, psi))
+
+
 def scheme_instances(system: System, ws: Workspace, builder: Builder, values):
     """Every instance of the system's schemes, emitted into the builder
     with phi and psi bound to each of the value slots in turn and Loc's p
@@ -400,27 +453,50 @@ def scheme_instances(system: System, ws: Workspace, builder: Builder, values):
     psi index values or are None, and Loc's phi is its variable p. Each
     scheme's pattern is compiled and then replayed per instance, so no
     Formula is built; over FormulaSlots, instance_formula builds one."""
-    every = list(enumerate(values))
     roots, origins = [], []
-    for scheme in (s for s in SchemeId if s in ADMITTED[system]):
-        pattern = compile_formulas([SCHEMES[scheme]])
-        meta = [v.index for v in pattern.atoms]  # 0 phi, 1 psi, 2 p
-        # steps up to the root, with each atom renumbered to its metavariable
-        steps = [
-            (op, meta[a] if op == ATOM else a, b)
-            for op, a, b in zip(pattern.op, pattern.a, pattern.b)
-        ][: pattern.roots[0] + 1]
-        arity = SCHEME_ARITY[scheme]
-        for agent in range(ws.n_agents):
-            modals = [builder.modal(agent, kind) for _, kind in pattern.modals]
-            firsts = every  # (origin, slot) of each value of phi, or of p
-            if arity == "atom":
-                firsts = [(p, builder.atom(p)) for p in ws.vars_of(agent)]
-            for phi, x in firsts:
-                for psi, y in every if arity == "two" else [(None, 0)]:
-                    roots.append(builder.replay(steps, (x, y, x), modals))
-                    origins.append((scheme, agent, phi, psi))
+    _emit(builder, ws, _patterns(_admitted(system)), list(enumerate(values)), roots, origins)
     return builder.program(roots), origins
+
+
+def _letter_program(admitted, ws: Workspace, count: int):
+    """(program, origins, ends): the instances of scheme_instances over
+    count letters, in largest-letter order. Loc's instances come first;
+    group L then holds every instance whose largest letter is L - 1, in
+    scheme, agent, phi, psi order, and ends[L] is the root count after
+    group L. The instances over L letters are thus the first ends[L]
+    roots. Letter l is the atom keyed by the int l, never a PropVar, and
+    is emitted with its group, so a program over more letters begins with
+    the ops and roots of this one."""
+    builder, patterns = Builder(), _patterns(admitted)
+    letters, roots, origins = [], [], []
+    _emit(builder, ws, patterns, letters, roots, origins)
+    ends = [len(roots)]
+    for letter in range(count):
+        letters.append((letter, builder.atom(letter)))
+        _emit(builder, ws, patterns, letters, roots, origins, last_only=True)
+        ends.append(len(roots))
+    return builder.program(roots), origins, ends
+
+
+# The letter program per (admitted schemes' patterns, workspace), most
+# recently used last, kept for the life of the process: an instance's mask
+# depends only on its letters' masks, so the program is a function of the
+# key. Interned patterns make the key follow any change to SCHEMES or
+# ADMITTED. A chunk with more letters than the program replaces it.
+_LETTER_PROGRAMS: dict = {}
+_LETTER_PROGRAMS_KEPT = 4
+
+
+def _letters(key: tuple, count: int):
+    """The cached (program, origins, ends) for the key, with at least
+    count letters."""
+    entry = _LETTER_PROGRAMS.pop(key, None)
+    if entry is None or len(entry[2]) <= count:
+        entry = _letter_program(*key, count)
+    _LETTER_PROGRAMS[key] = entry
+    if len(_LETTER_PROGRAMS) > _LETTER_PROGRAMS_KEPT:
+        del _LETTER_PROGRAMS[next(iter(_LETTER_PROGRAMS))]
+    return entry
 
 
 def instance_formula(origin: tuple, formulas: FormulaSlots) -> Formula:
@@ -452,7 +528,9 @@ def soundness_suite(
     and Venema, Modal Logic, 2001, 1.3). So on each union frame the
     enumerated formulas are grouped by mask, each group is one letter,
     and the schemes are checked once per tuple of letters; a failing
-    root stands for every tuple of formulas its letters hold.
+    root stands for every tuple of formulas its letters hold. The letter
+    program comes from the cache of _letters, and a frame with L letters
+    evaluates its first ends[L] roots, the tuples over those letters.
     """
     if SYSTEM_CLASS[system] != cls:
         raise PreconditionError(
@@ -464,30 +542,26 @@ def soundness_suite(
         ws.all_vars(), range(ws.n_agents), instantiation_depth, instantiation_size
     )
     n, masks_of = len(formulas), formulas.builder.program(formulas.slots)
+    admitted = _admitted(system)
     base, checked = {}, 0  # each (scheme, agent)'s first instance over the formulas
-    for scheme in (s for s in SchemeId if s in ADMITTED[system]):
+    for scheme, _ in admitted:
         for agent in range(ws.n_agents):
             base[scheme, agent] = checked
             arity = SCHEME_ARITY[scheme]
             checked += len(ws.vars_of(agent)) if arity == "atom" else n ** (1 + (arity == "two"))
-
-    def letter_program(count):  # letter l is the atom keyed by the int l, never a PropVar
-        builder = Builder()
-        return scheme_instances(system, ws, builder, [builder.atom(l) for l in range(count)])
-
-    letters, (prog, origins) = 0, letter_program(0)
+    ends: list = []  # no letter program yet
     violations, visited = [], 0
     stream = (frame for _, _, frame in _frames(_stream(cls, bounds, seed)))
     while (frame := union(itertools.islice(stream, _CHUNK))).parts:
         groups: dict[int, list] = {}  # mask -> its formulas, in first-occurrence order
         for f, mask in enumerate(evaluate(masks_of, frame)):
             groups.setdefault(mask, []).append(f)
-        if len(groups) > letters:
-            letters, (prog, origins) = len(groups), letter_program(len(groups))
-        members = list(groups.values()) + [[]] * (letters - len(groups))
+        if len(groups) >= len(ends):
+            prog, origins, ends = _letters((admitted, ws), len(groups))
+        members = list(groups.values())
         frame.atoms.update(enumerate(groups))
         full, failures, origin_of = frame.full, [], {}
-        for (scheme, agent, x, y), m in zip(origins, evaluate(prog, frame)):
+        for (scheme, agent, x, y), m in zip(origins, evaluate(prog, frame, ends[len(groups)])):
             if m == full:
                 continue
             b = base[scheme, agent]
@@ -497,7 +571,7 @@ def soundness_suite(
                 found = [(b + phi, phi, None) for phi in members[x]]
             else:  # Loc's p, at its position among the agent's variables
                 found = [(b + ws.vars_of(agent).index(x), x, None)]
-            fails = list(frame.failures(m)) if found else ()  # empty past the chunk's letters
+            fails = list(frame.failures(m))
             for j, phi, psi in found:
                 origin_of[j] = (scheme, agent, phi, psi)
                 failures.extend((k, j, i) for k, i in fails)

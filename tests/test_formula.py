@@ -224,9 +224,19 @@ def test_copy_and_pickle_return_the_interned_object(ws):
     for copied in (copy.deepcopy(step), pickle.loads(pickle.dumps(step))):
         assert copied == step and copied.formula is f
     assert repr(f) == "And(B0(Not(And(Not(Not(Atom(0,0))),Not(K1(Atom(1,0)))))),Not(Atom(2,0)))"
-    # a deep chain copies and prints without recursion
+    # a deep chain copies, pickles and prints without recursion
     chain = parse_formula(" & ".join(["p_a_1"] * 3000), ws)
     assert copy.copy(chain) is chain and copy.deepcopy(chain) is chain
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(chain, protocol)) is chain
+    # a pickled formula that is no longer live comes back by value
+    text = "B{c}(p_a_1 & ~K{b}(p_b_1 & p_b_1)) & p_a_1"
+    f = parse_formula(text, ws)
+    data, ref = pickle.dumps(f), weakref.ref(f)
+    del f
+    assert ref() is None
+    loaded = pickle.loads(data)
+    assert loaded is parse_formula(text, ws)
     p = repr(Atom(ws.var_by_name("p_a_1")))
     assert repr(chain) == "And(" * 2999 + p + f",{p})" * 2999
 

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import random
 
@@ -8,7 +9,7 @@ from hyperdox import search
 from hyperdox.convert import FormulaSlots
 from hyperdox.formula import And, Atom, Believes, Knows, Not
 from hyperdox.hypergraph import frame_h
-from hyperdox.kernel import AND, ATOM, BOX, NOT, Builder, compile_formulas, evaluate
+from hyperdox.kernel import AND, ATOM, BOX, NOT, Builder, Frame, compile_formulas, evaluate, union
 from hyperdox.proofcheck import System
 from hyperdox.search import SearchBounds, scheme_instances
 from hyperdox.workspace import Workspace
@@ -145,3 +146,30 @@ def test_box_memo_holds_on_a_reused_frame():
                 assert box == frame.full ^ fail
             memoised += len(memo)
     assert 0 < memoised < box_runs
+
+
+def test_root_count_evaluates_a_prefix_of_the_roots():
+    # evaluate(prog, frame, k) gives the full run's first k masks on seeded
+    # programs; the last one interns its later roots onto earlier slots, so
+    # its ops must run up to the largest slot of the first k roots, and a
+    # box past that bound must not be evaluated
+    rng = random.Random(20261019)
+    bounds = SearchBounds(2, 2, 1)
+    ws = bounds.workspace()
+    frames = (frame for _, _, frame in search._frames(search._stream("all", bounds, 0)))
+    frame = union(itertools.islice(frames, search._CHUNK))
+    p, q = (Atom(v) for v in ws.all_vars())
+    programs = [
+        compile_formulas([random_formula(rng, ws.all_vars(), range(2), 3, 9) for _ in range(n)])
+        for n in (1, 5, 12)
+    ]
+    late = compile_formulas([And(p, q), q, Not(Not(p)), Believes(0, p)])
+    assert list(late.roots) == [2, 1, 0, 4]  # slot 3 is the ~p folded away
+    for prog in programs + [late]:
+        full = evaluate(prog, frame)
+        n = len(prog.roots)
+        for k in (0, 1, n // 2, n):
+            assert evaluate(prog, frame, k) == full[:k]
+    fresh = Frame(frame.size, dict(frame.atoms), frame.blocks)
+    assert evaluate(late, fresh, 3) == full[:3]
+    assert fresh.boxes == {(0, "B"): {}}

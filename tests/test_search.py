@@ -22,9 +22,9 @@ from hyperdox import hypergraph, search
 from hyperdox.convert import FormulaSlots
 from hyperdox.formula import Not, render_formula
 from hyperdox.hypergraph import frame_h
-from hyperdox.kernel import compile_formulas, evaluate, fragment_check, union
+from hyperdox.kernel import Builder, compile_formulas, evaluate, fragment_check, union
 from hyperdox.modelio import hypergraph_to_json
-from hyperdox.proofcheck import SCHEMES, SchemeId
+from hyperdox.proofcheck import ADMITTED, SCHEMES, SchemeId
 from hyperdox.workspace import Workspace
 from randgen import random_formula
 from oracles import count_structures_naive, naive_satisfies_h, naive_scheme_instances, naive_structures
@@ -275,8 +275,9 @@ def test_letter_suite_matches_per_model_evaluation(monkeypatch):
     # formula masks on a union frame; its violations must be those of
     # evaluating every instance one model at a time, on runs where a
     # violating letter holds several formulas, a later chunk has more
-    # letters than every earlier one (so the letter program is rebuilt)
-    # and a chunk has fewer letters than the program
+    # letters than every earlier one (so the cached letter program may
+    # need rebuilding at more letters) and a chunk has fewer letters than
+    # the program (so only a prefix of its roots is evaluated)
     shared = rebuilt = fewer = False
     for system, cls, bounds, sizes in (
         (System.EDL, "all", (2, 2, 1), (1, 3)),
@@ -323,6 +324,68 @@ def test_letter_suite_expands_two_letter_and_loc_roots(monkeypatch):
     instances, _, expected = _per_model_violations(System.LOC_K45, "H_su", bounds, 1, 2)
     assert report.violations == expected and report.instances_checked == len(instances)
     assert {"K_B", "Loc"} <= {v["scheme"] for v in expected}
+
+
+def test_letter_program_cache_follows_schemes_and_admitted(monkeypatch):
+    # the letter program is cached per admitted schemes' patterns and
+    # workspace; a suite run after SCHEMES or ADMITTED changes, and again
+    # after they are restored, must check the schemes then in force
+    bounds = SearchBounds(2, 1, 2)
+
+    def violations():
+        report = soundness_suite(System.LOC_K45, "H_su", bounds, 1, 2)
+        _, _, expected = _per_model_violations(System.LOC_K45, "H_su", bounds, 1, 2)
+        assert report.violations == expected
+        return len(expected)
+
+    meta = Workspace(("a",), (("phi", "psi", "p"),))
+    assert violations() == 0
+    with monkeypatch.context() as patched:
+        patched.setitem(SCHEMES, SchemeId.K_B, parse_formula("B{a}phi -> psi", meta))
+        patched.setitem(SCHEMES, SchemeId.LOC, parse_formula("B{a}p", meta))
+        assert violations() == 22176
+    assert violations() == 0
+    with monkeypatch.context() as patched:
+        patched.setitem(ADMITTED, System.LOC_K45, ADMITTED[System.LOC_K45] | {SchemeId.D_B})
+        assert violations() == 1536
+    assert violations() == 0
+
+
+@pytest.mark.parametrize("system", list(System))
+def test_letter_program_prefixes_are_the_instances_over_fewer_letters(system, monkeypatch):
+    # Loc's instances come first, then group L holds those whose largest
+    # letter is L - 1; so for every L the first ends[L] roots are the
+    # instances over L letters, with the same masks, and evaluating only
+    # them gives the full run's first ends[L] masks
+    monkeypatch.setattr(search, "_LETTER_PROGRAMS", {})
+    bounds = SearchBounds(2, 2, 1)
+    ws = bounds.workspace()
+    key = (search._admitted(system), ws)
+    prog, origins, ends = search._letters(key, 6)
+    assert len(ends) == 7 and len(prog.roots) == len(origins) == ends[-1]
+    models = list(enumerate_models(search.SYSTEM_CLASS[system], bounds))
+    frame = union(frame_h(m) for m in models[: search._CHUNK])
+    rng = random.Random(f"letters-{system.value}")
+    frame.atoms.update((letter, rng.getrandbits(frame.size)) for letter in range(6))
+    full = evaluate(prog, frame)
+    for letters, end in enumerate(ends):
+        builder = Builder()
+        values = [builder.atom(letter) for letter in range(letters)]
+        expected, expected_origins = search.scheme_instances(system, ws, builder, values)
+        assert Counter(origins[:end]) == Counter(expected_origins)
+        masks = evaluate(prog, frame, end)
+        assert masks == full[:end]
+        assert dict(zip(origins[:end], masks)) == dict(zip(expected_origins, evaluate(expected, frame)))
+    # fewer letters reuse the cached program; more rebuild it, and the
+    # larger program begins with the smaller one
+    assert search._letters(key, 2)[0] is prog
+    grown, grown_origins, grown_ends = search._letters(key, 8)
+    assert grown_ends[:7] == ends and grown_origins[: ends[-1]] == origins
+    assert list(grown.roots[: ends[-1]]) == list(prog.roots)
+    assert all(col[: len(prog.op)] == ours for col, ours in zip(
+        (grown.op, grown.a, grown.b), (prog.op, prog.a, prog.b)
+    ))
+    assert search._letters(key, 7)[0] is grown
 
 
 @pytest.mark.parametrize("depth, size, instances", [(1, 0, 2), (0, 1, 18)])
