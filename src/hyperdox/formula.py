@@ -67,7 +67,9 @@ class Formula:
         """(_rebuild, (record,)): the distinct nodes in postfix order, each
         as (class, its other fields, the record positions of its formula
         fields, which come last), so a deep formula pickles without
-        recursion."""
+        recursion. Each record is whole: pickle's memo shares no subterm
+        between two formulas in one dump, so formulas that share
+        subterms (a proof's steps, say) write them once per formula."""
         at: dict[int, int] = {}  # id(node) -> its position in the record
         record, stack = [], [self]
         while stack:

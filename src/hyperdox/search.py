@@ -14,11 +14,11 @@ means "no countermodel within bounds" and never claims validity.
 soundness_suite lays chunks of the same frames side by side with
 kernel.union and checks each scheme once per tuple of distinct formula
 masks: formulas with one mask are one letter, and each scheme's pattern
-is replayed on letters. The letter program is ordered by largest letter,
-so a frame with L letters evaluates only a root prefix of it, and it is
-kept per admitted schemes and workspace for the life of the process. A
-failing root expands to its formula tuples, and a Formula is built only
-for a violating instance.
+is replayed on letters. The letter program is built once per suite,
+and again only for a frame with more letters than it holds; it is
+ordered by largest letter, so a frame with L letters evaluates only a
+root prefix of it. A failing root expands to its formula tuples, and a
+Formula is built only for a violating instance.
 """
 
 from __future__ import annotations
@@ -34,7 +34,19 @@ from .convert import FormulaSlots
 from .errors import FragmentError, PreconditionError
 from .formula import Formula, render_formula
 from .hypergraph import DirectedEdge, HypergraphModel, Vertex
-from .kernel import ATOM, BELIEF, KNOWLEDGE, Builder, Frame, compile_formulas, evaluate, union
+from .kernel import (
+    AND,
+    ATOM,
+    BELIEF,
+    BOX,
+    KNOWLEDGE,
+    NOT,
+    Builder,
+    Frame,
+    compile_formulas,
+    evaluate,
+    union,
+)
 from .proofcheck import ADMITTED, SCHEME_ARITY, SCHEMES, SchemeId, System, instantiate_scheme
 from .workspace import Workspace, synthetic_workspace
 
@@ -398,18 +410,13 @@ class SoundnessReport:
 _NO_PSI = (None, 0)  # (origin, slot) of psi in a scheme without psi
 
 
-def _admitted(system: System) -> tuple:
-    """(scheme, pattern) of each scheme the system admits, in SchemeId order."""
-    return tuple((s, SCHEMES[s]) for s in SchemeId if s in ADMITTED[system])
-
-
-def _patterns(admitted) -> list:
-    """(scheme, steps, modal kinds) per admitted scheme: the steps of its
-    compiled pattern up to the root, with each atom renumbered to its
-    metavariable (0 phi, 1 psi, 2 p)."""
+def _patterns(system: System) -> list:
+    """(scheme, steps, modal kinds) per scheme the system admits, in
+    SchemeId order: the steps of its compiled pattern up to the root,
+    with each atom renumbered to its metavariable (0 phi, 1 psi, 2 p)."""
     out = []
-    for scheme, formula in admitted:
-        pattern = compile_formulas([formula])
+    for scheme in (s for s in SchemeId if s in ADMITTED[system]):
+        pattern = compile_formulas([SCHEMES[scheme]])
         meta = [v.index for v in pattern.atoms]
         steps = [
             (op, meta[a] if op == ATOM else a, b)
@@ -419,30 +426,41 @@ def _patterns(admitted) -> list:
     return out
 
 
-def _emit(builder: Builder, ws: Workspace, patterns, values, roots, origins, last_only=False):
-    """Replay each pattern per agent and per tuple of values, (origin,
-    slot) pairs, appending each root and its origin (scheme, agent, phi,
-    psi). phi and psi are bound to the tuple's slots, Loc's p to each of
-    the agent's own variables. With last_only, only the tuples that hold
-    the last value are replayed, and no Loc instance."""
-    last = values[-1] if last_only else None
+def _live(steps) -> list:
+    """The steps that the root reads, renumbered. The ~y that a ~~y fold
+    left behind (an implication's ~phi, say) is dropped, so no instance
+    emits it."""
+    read = [False] * (len(steps) - 1) + [True]
+    for i in range(len(steps) - 1, -1, -1):
+        op, a, b = steps[i]
+        if read[i] and op != ATOM:
+            read[a] |= op != BOX  # NOT and AND read slot a
+            read[b] |= op != NOT  # AND and BOX read slot b
+    out, at = [], {}  # at: old index -> new
+    for i, (op, a, b) in enumerate(steps):
+        if read[i]:
+            at[i] = len(out)
+            a = a if op == ATOM or op == BOX else at[a]
+            out.append((op, a, at[b] if op == AND or op == BOX else b))
+    return out
+
+
+def _emit(builder: Builder, ws: Workspace, patterns, tuples_of, roots, origins):
+    """Replay each pattern per agent and per (phi, psi) pair that
+    tuples_of(arity, agent) gives, appending each root and its origin
+    (scheme, agent, phi, psi). phi and psi are (origin, slot) pairs, and
+    the pattern's phi and psi are bound to their slots, Loc's p to phi's."""
     for scheme, steps, kinds in patterns:
-        arity = SCHEME_ARITY[scheme]
-        if last_only and arity == "atom":
-            continue
         for agent in range(ws.n_agents):
             modals = [builder.modal(agent, kind) for kind in kinds]
-            if arity == "atom":
-                tuples = [((p, builder.atom(p)), _NO_PSI) for p in ws.vars_of(agent)]
-            elif arity == "one":
-                tuples = [(last, _NO_PSI)] if last_only else [(v, _NO_PSI) for v in values]
-            elif last_only:
-                tuples = [(v, last) for v in values[:-1]] + [(last, v) for v in values]
-            else:
-                tuples = itertools.product(values, values)
-            for (phi, x), (psi, y) in tuples:
+            for (phi, x), (psi, y) in tuples_of(SCHEME_ARITY[scheme], agent):
                 roots.append(builder.replay(steps, (x, y, x), modals))
                 origins.append((scheme, agent, phi, psi))
+
+
+def _loc_tuples(builder: Builder, ws: Workspace, agent: int) -> list:
+    """Loc's (p, no psi) pairs: each of the agent's own variables."""
+    return [((p, builder.atom(p)), _NO_PSI) for p in ws.vars_of(agent)]
 
 
 def scheme_instances(system: System, ws: Workspace, builder: Builder, values):
@@ -453,12 +471,19 @@ def scheme_instances(system: System, ws: Workspace, builder: Builder, values):
     psi index values or are None, and Loc's phi is its variable p. Each
     scheme's pattern is compiled and then replayed per instance, so no
     Formula is built; over FormulaSlots, instance_formula builds one."""
+    every = list(enumerate(values))
+
+    def tuples_of(arity, agent):
+        if arity == "atom":
+            return _loc_tuples(builder, ws, agent)
+        return itertools.product(every, every) if arity == "two" else [(v, _NO_PSI) for v in every]
+
     roots, origins = [], []
-    _emit(builder, ws, _patterns(_admitted(system)), list(enumerate(values)), roots, origins)
+    _emit(builder, ws, _patterns(system), tuples_of, roots, origins)
     return builder.program(roots), origins
 
 
-def _letter_program(admitted, ws: Workspace, count: int):
+def _letter_program(system: System, ws: Workspace, count: int):
     """(program, origins, ends): the instances of scheme_instances over
     count letters, in largest-letter order. Loc's instances come first;
     group L then holds every instance whose largest letter is L - 1, in
@@ -466,37 +491,30 @@ def _letter_program(admitted, ws: Workspace, count: int):
     group L. The instances over L letters are thus the first ends[L]
     roots. Letter l is the atom keyed by the int l, never a PropVar, and
     is emitted with its group, so a program over more letters begins with
-    the ops and roots of this one."""
-    builder, patterns = Builder(), _patterns(admitted)
+    the ops and roots of this one. Each pattern is replayed from its live
+    steps, so the program holds no op that its roots do not read."""
+    builder = Builder()
+    patterns = [(scheme, _live(steps), kinds) for scheme, steps, kinds in _patterns(system)]
     letters, roots, origins = [], [], []
-    _emit(builder, ws, patterns, letters, roots, origins)
+
+    def loc(arity, agent):
+        return _loc_tuples(builder, ws, agent) if arity == "atom" else ()
+
+    def largest(arity, agent):  # the pairs that hold the last letter
+        last = letters[-1]
+        if arity == "atom":
+            return ()
+        if arity == "one":
+            return [(last, _NO_PSI)]
+        return [(v, last) for v in letters[:-1]] + [(last, v) for v in letters]
+
+    _emit(builder, ws, patterns, loc, roots, origins)
     ends = [len(roots)]
     for letter in range(count):
         letters.append((letter, builder.atom(letter)))
-        _emit(builder, ws, patterns, letters, roots, origins, last_only=True)
+        _emit(builder, ws, patterns, largest, roots, origins)
         ends.append(len(roots))
     return builder.program(roots), origins, ends
-
-
-# The letter program per (admitted schemes' patterns, workspace), most
-# recently used last, kept for the life of the process: an instance's mask
-# depends only on its letters' masks, so the program is a function of the
-# key. Interned patterns make the key follow any change to SCHEMES or
-# ADMITTED. A chunk with more letters than the program replaces it.
-_LETTER_PROGRAMS: dict = {}
-_LETTER_PROGRAMS_KEPT = 4
-
-
-def _letters(key: tuple, count: int):
-    """The cached (program, origins, ends) for the key, with at least
-    count letters."""
-    entry = _LETTER_PROGRAMS.pop(key, None)
-    if entry is None or len(entry[2]) <= count:
-        entry = _letter_program(*key, count)
-    _LETTER_PROGRAMS[key] = entry
-    if len(_LETTER_PROGRAMS) > _LETTER_PROGRAMS_KEPT:
-        del _LETTER_PROGRAMS[next(iter(_LETTER_PROGRAMS))]
-    return entry
 
 
 def instance_formula(origin: tuple, formulas: FormulaSlots) -> Formula:
@@ -529,8 +547,9 @@ def soundness_suite(
     enumerated formulas are grouped by mask, each group is one letter,
     and the schemes are checked once per tuple of letters; a failing
     root stands for every tuple of formulas its letters hold. The letter
-    program comes from the cache of _letters, and a frame with L letters
-    evaluates its first ends[L] roots, the tuples over those letters.
+    program is built at the first frame's letter count and rebuilt when
+    a frame has more; a frame with L letters evaluates its first ends[L]
+    roots, the tuples over those letters.
     """
     if SYSTEM_CLASS[system] != cls:
         raise PreconditionError(
@@ -542,9 +561,8 @@ def soundness_suite(
         ws.all_vars(), range(ws.n_agents), instantiation_depth, instantiation_size
     )
     n, masks_of = len(formulas), formulas.builder.program(formulas.slots)
-    admitted = _admitted(system)
     base, checked = {}, 0  # each (scheme, agent)'s first instance over the formulas
-    for scheme, _ in admitted:
+    for scheme in (s for s in SchemeId if s in ADMITTED[system]):
         for agent in range(ws.n_agents):
             base[scheme, agent] = checked
             arity = SCHEME_ARITY[scheme]
@@ -556,8 +574,8 @@ def soundness_suite(
         groups: dict[int, list] = {}  # mask -> its formulas, in first-occurrence order
         for f, mask in enumerate(evaluate(masks_of, frame)):
             groups.setdefault(mask, []).append(f)
-        if len(groups) >= len(ends):
-            prog, origins, ends = _letters((admitted, ws), len(groups))
+        if len(groups) >= len(ends):  # built at the first chunk, rebuilt at more letters
+            prog, origins, ends = _letter_program(system, ws, len(groups))
         members = list(groups.values())
         frame.atoms.update(enumerate(groups))
         full, failures, origin_of = frame.full, [], {}

@@ -22,7 +22,7 @@ from hyperdox import hypergraph, search
 from hyperdox.convert import FormulaSlots
 from hyperdox.formula import Not, render_formula
 from hyperdox.hypergraph import frame_h
-from hyperdox.kernel import Builder, compile_formulas, evaluate, fragment_check, union
+from hyperdox.kernel import AND, BOX, NOT, Builder, compile_formulas, evaluate, fragment_check, union
 from hyperdox.modelio import hypergraph_to_json
 from hyperdox.proofcheck import ADMITTED, SCHEMES, SchemeId
 from hyperdox.workspace import Workspace
@@ -275,10 +275,15 @@ def test_letter_suite_matches_per_model_evaluation(monkeypatch):
     # formula masks on a union frame; its violations must be those of
     # evaluating every instance one model at a time, on runs where a
     # violating letter holds several formulas, a later chunk has more
-    # letters than every earlier one (so the cached letter program may
-    # need rebuilding at more letters) and a chunk has fewer letters than
-    # the program (so only a prefix of its roots is evaluated)
+    # letters than every earlier one (so the letter program is rebuilt
+    # within the call) and a chunk has fewer letters than the program (so
+    # only a prefix of its roots is evaluated)
     shared = rebuilt = fewer = False
+    builds = []
+    build = search._letter_program
+    monkeypatch.setattr(
+        search, "_letter_program", lambda *args: builds.append(args[2]) or build(*args)
+    )
     for system, cls, bounds, sizes in (
         (System.EDL, "all", (2, 2, 1), (1, 3)),
         (System.LOC_KD45, "H_su", (2, 2, 1), (2, 3)),
@@ -287,6 +292,7 @@ def test_letter_suite_matches_per_model_evaluation(monkeypatch):
         monkeypatch.setitem(search.SYSTEM_CLASS, system, cls)
         bounds = SearchBounds(*bounds)
         ws = bounds.workspace()
+        builds.clear()
         report = soundness_suite(system, cls, bounds, *sizes)
         instances, models, expected = _per_model_violations(system, cls, bounds, *sizes)
         assert report.violations == expected and report.instances_checked == len(instances)
@@ -296,7 +302,9 @@ def test_letter_suite_matches_per_model_evaluation(monkeypatch):
         frames = (union(frame_h(m) for m in models[c : c + search._CHUNK]) for c in chunks)
         masks = [evaluate(prog, frame) for frame in frames]
         letters = [len(set(m)) for m in masks]
-        rebuilt |= any(letters[c] > max(letters[:c]) for c in range(1, len(letters)))
+        # one build at the first chunk's letters, one more per new maximum
+        assert builds == [n for c, n in enumerate(letters) if n > max(letters[:c], default=0)]
+        rebuilt |= len(builds) > 1
         fewer |= any(letters[c] < max(letters[:c]) for c in range(1, len(letters)))
         formulas = FormulaSlots(ws.all_vars(), range(ws.n_agents), *sizes)
         _, origins = search.scheme_instances(system, ws, formulas.builder, formulas.slots)
@@ -326,10 +334,9 @@ def test_letter_suite_expands_two_letter_and_loc_roots(monkeypatch):
     assert {"K_B", "Loc"} <= {v["scheme"] for v in expected}
 
 
-def test_letter_program_cache_follows_schemes_and_admitted(monkeypatch):
-    # the letter program is cached per admitted schemes' patterns and
-    # workspace; a suite run after SCHEMES or ADMITTED changes, and again
-    # after they are restored, must check the schemes then in force
+def test_suite_follows_schemes_and_admitted(monkeypatch):
+    # a suite run after SCHEMES or ADMITTED changes, and again after they
+    # are restored, must check the schemes then in force
     bounds = SearchBounds(2, 1, 2)
 
     def violations():
@@ -352,16 +359,14 @@ def test_letter_program_cache_follows_schemes_and_admitted(monkeypatch):
 
 
 @pytest.mark.parametrize("system", list(System))
-def test_letter_program_prefixes_are_the_instances_over_fewer_letters(system, monkeypatch):
+def test_letter_program_prefixes_are_the_instances_over_fewer_letters(system):
     # Loc's instances come first, then group L holds those whose largest
     # letter is L - 1; so for every L the first ends[L] roots are the
     # instances over L letters, with the same masks, and evaluating only
     # them gives the full run's first ends[L] masks
-    monkeypatch.setattr(search, "_LETTER_PROGRAMS", {})
     bounds = SearchBounds(2, 2, 1)
     ws = bounds.workspace()
-    key = (search._admitted(system), ws)
-    prog, origins, ends = search._letters(key, 6)
+    prog, origins, ends = search._letter_program(system, ws, 6)
     assert len(ends) == 7 and len(prog.roots) == len(origins) == ends[-1]
     models = list(enumerate_models(search.SYSTEM_CLASS[system], bounds))
     frame = union(frame_h(m) for m in models[: search._CHUNK])
@@ -376,16 +381,30 @@ def test_letter_program_prefixes_are_the_instances_over_fewer_letters(system, mo
         masks = evaluate(prog, frame, end)
         assert masks == full[:end]
         assert dict(zip(origins[:end], masks)) == dict(zip(expected_origins, evaluate(expected, frame)))
-    # fewer letters reuse the cached program; more rebuild it, and the
-    # larger program begins with the smaller one
-    assert search._letters(key, 2)[0] is prog
-    grown, grown_origins, grown_ends = search._letters(key, 8)
+    # a program over more letters begins with the ops and roots of this one
+    grown, grown_origins, grown_ends = search._letter_program(system, ws, 8)
     assert grown_ends[:7] == ends and grown_origins[: ends[-1]] == origins
     assert list(grown.roots[: ends[-1]]) == list(prog.roots)
     assert all(col[: len(prog.op)] == ours for col, ours in zip(
         (grown.op, grown.a, grown.b), (prog.op, prog.a, prog.b)
     ))
-    assert search._letters(key, 7)[0] is grown
+
+
+def test_live_steps_drop_what_the_root_does_not_read():
+    # an implication compiles through ~~phi, which leaves the ~phi that the
+    # fold skipped; K_B's pattern has four such steps, and the live steps
+    # give the same instance on every letter
+    steps = {scheme: steps for scheme, steps, _ in search._patterns(System.EDL)}
+    assert (len(steps[SchemeId.K_B]), len(search._live(steps[SchemeId.K_B]))) == (16, 12)
+    for scheme, pattern in steps.items():
+        live = search._live(pattern)
+        builder = Builder()
+        x, y = builder.atom(0), builder.atom(1)
+        roots = [builder.replay(s, (x, y, x), [0, 1]) for s in (pattern, live)]
+        assert roots[0] == roots[1]
+        read = {a for op, a, _ in live if op in (NOT, AND)}
+        read |= {b for op, _, b in live if op in (AND, BOX)}
+        assert read == set(range(len(live) - 1))  # every step but the root is read
 
 
 @pytest.mark.parametrize("depth, size, instances", [(1, 0, 2), (0, 1, 18)])
