@@ -3,11 +3,15 @@
 Exit codes: 0 for success or a true/agreeing/accepted result, 1 for a
 false result, a found countermodel, a rejected proof or any reported
 violation, 2 for malformed input of any kind or a closed output pipe.
+
+One parser, built by build_parser at the first call, serves every call
+of main in a process; parsing keeps no state between calls.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -255,11 +259,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
     args = argparse.Namespace(json="--json" in (sys.argv[1:] if argv is None else argv))
     try:
         try:
-            args = build_parser().parse_args(argv)
+            args = _parser().parse_args(argv)
             return args.fn(args)
         except BrokenPipeError:
             raise

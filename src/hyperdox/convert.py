@@ -14,6 +14,7 @@ structural isomorphism.
 
 from __future__ import annotations
 
+from array import array
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 
@@ -209,45 +210,56 @@ class FormulaSlots(Sequence):
     """The stream of enumerate_formulas emitted into a program builder, in
     order, without building it: slots[i] is the i-th formula's slot, and
     self[i] builds the i-th Formula from its construction record (never
-    from its slot, which ~~x shares with x)."""
+    from its slot, which ~~x shares with x). The records are three int
+    columns: kind[i] indexes _KINDS, and first[i], second[i] are an
+    atom's index in vars, a negation's or a conjunction's operands, or a
+    modality's agent and operand."""
+
+    _KINDS = (Atom, Not, Believes, Knows, And)
 
     def __init__(self, vars, agents, max_depth: int, max_size: int):
         if max_depth < 0 or max_size < 0:
             raise PreconditionError("bounds must be nonnegative")
         self.builder = b = Builder()
-        self.slots, self._records = slots, records = [], []
+        self._vars = vars = tuple(vars)
+        self.slots = slots = array("i")
+        self._kind, self._first, self._second = kind, first, second = (
+            array("i"), array("i"), array("i")
+        )
         by_size: list[list] = [[]]  # (index, modal depth) per formula of each size
 
-        def add(record, slot, depth):
+        def add(k, x, y, slot, depth):
             layer.append((len(slots), depth))
-            records.append(record)
+            kind.append(k)
+            first.append(x)
+            second.append(y)
             slots.append(slot)
 
         for size in range(1, max_size + 1):
             layer: list = []
             if size == 1:
-                for v in vars:
-                    add((Atom, v), b.atom(v), 0)
+                for x, v in enumerate(vars):
+                    add(0, x, 0, b.atom(v), 0)
             for i, d in by_size[size - 1]:
-                add((Not, i), b.node(NOT, slots[i]), d)
-            for cls, kind in ((Believes, BELIEF), (Knows, KNOWLEDGE)):
+                add(1, i, 0, b.node(NOT, slots[i]), d)
+            for k, box in ((2, BELIEF), (3, KNOWLEDGE)):
                 for a in agents:
                     for i, d in by_size[size - 1]:
                         if d < max_depth:
-                            add((cls, a, i), b.node(BOX, b.modal(a, kind), slots[i]), d + 1)
+                            add(k, a, i, b.node(BOX, b.modal(a, box), slots[i]), d + 1)
             for left_size in range(1, size - 1):
                 for i, di in by_size[left_size]:
                     for j, dj in by_size[size - 1 - left_size]:
-                        add((And, i, j), b.node(AND, slots[i], slots[j]), max(di, dj))
+                        add(4, i, j, b.node(AND, slots[i], slots[j]), max(di, dj))
             by_size.append(layer)
 
     def __len__(self) -> int:
         return len(self.slots)
 
     def __getitem__(self, i: int) -> Formula:
-        cls, *args = self._records[i]
+        cls, x, y = self._KINDS[self._kind[i]], self._first[i], self._second[i]
         if cls is Atom:
-            return Atom(args[0])
+            return Atom(self._vars[x])
         if cls is And:
-            return And(self[args[0]], self[args[1]])
-        return Not(self[args[0]]) if cls is Not else cls(args[0], self[args[1]])
+            return And(self[x], self[y])
+        return Not(self[x]) if cls is Not else cls(x, self[y])

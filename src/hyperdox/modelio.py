@@ -8,7 +8,6 @@ require the blocks to be identical. Unknown keys are rejected.
 from __future__ import annotations
 
 import json
-from typing import Union
 
 from .errors import InputError, ValidationError, WorkspaceError
 from .formula import parse_formula
@@ -25,8 +24,6 @@ from .proofcheck import (
     Tautology,
 )
 from .workspace import Workspace
-
-Model = Union[KripkeModel, HypergraphModel]
 
 
 def _check_keys(obj: dict, allowed, what: str):
@@ -187,7 +184,7 @@ def hypergraph_to_json(m: HypergraphModel) -> dict:
     }
 
 
-def model_from_json(data) -> Model:
+def model_from_json(data) -> KripkeModel | HypergraphModel:
     if not isinstance(data, dict):
         raise InputError("model file must contain a JSON object")
     kind = data.get("kind")
@@ -198,17 +195,17 @@ def model_from_json(data) -> Model:
     raise InputError(f"unknown model kind {kind!r}; expected 'kripke' or 'hypergraph'")
 
 
-def model_to_json(m: Model) -> dict:
+def model_to_json(m: KripkeModel | HypergraphModel) -> dict:
     if isinstance(m, KripkeModel):
         return kripke_to_json(m)
     return hypergraph_to_json(m)
 
 
-def load_model(path: str) -> Model:
+def load_model(path: str) -> KripkeModel | HypergraphModel:
     return model_from_json(_read_json(path))
 
 
-def save_model(m: Model, path: str):
+def save_model(m: KripkeModel | HypergraphModel, path: str):
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(model_to_json(m), fh, indent=2)
         fh.write("\n")

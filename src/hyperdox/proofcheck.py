@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Union
+from typing import Optional
 
 from .errors import HyperdoxError
 from .formula import And, Atom, Believes, Formula, Knows, Not, f_imp, parse_formula
@@ -218,13 +218,10 @@ class NecB:
     premise: int
 
 
-Justification = Union[Tautology, Axiom, MP, NecK, NecB]
-
-
 @dataclass(frozen=True)
 class ProofStep:
     formula: Formula
-    by: Justification
+    by: Tautology | Axiom | MP | NecK | NecB
 
 
 @dataclass

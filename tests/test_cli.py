@@ -24,7 +24,7 @@ from hyperdox import (
     render_formula,
     satisfies_h,
 )
-from hyperdox import search
+from hyperdox import cli, search
 from hyperdox.cli import main
 from hyperdox.proofcheck import System
 from conftest import fixture_path
@@ -387,6 +387,44 @@ def test_deterministic_output_bytes(tmp_path, capsys):
         run(capsys, "convert", "k2h", fixture_path("five_worlds_k.json"), str(out_path))
         paths.append(out_path)
     assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def test_parser_keeps_no_state_between_calls(capsys):
+    """One parser serves every call in a process, and no parsed value, usage
+    error or output mode of one call shows in the next."""
+    model = fixture_path("chain4_h.json")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    fresh = subprocess.run(
+        [sys.executable, "-m", "hyperdox.cli", "--json", "validate", model],
+        capture_output=True, env=dict(os.environ, PYTHONPATH=src), text=True, timeout=60,
+    )
+    parser = cli._parser()
+
+    for usage_error in (["frobnicate"], ["search", "countermodel", "H_nope", "p_a_1"]):
+        code, out, _ = run(capsys, "--json", *usage_error, "--bounds", "agents=1,edges=2,vars=1")
+        assert code == 2
+        assert json.loads(out)["error"]["type"] == "InputError"
+        code, out, _ = run(capsys, "--json", "validate", model)
+        assert (code, out) == (fresh.returncode, fresh.stdout)
+
+    soundness = ["search", "soundness", "LocKD45", "--bounds", "agents=1,edges=1,vars=1"]
+    code, _, err = run(capsys, *soundness, "--class", "H_su")
+    assert code == 2 and "not H_su" in err
+    code, out, _ = run(capsys, *soundness, "--size", "2")
+    assert code == 0
+    assert out.startswith(f"LocKD45 over {search.SYSTEM_CLASS[System.LOC_KD45]}: 0 violations")
+
+    code, out, _ = run(capsys, "--json", "validate", model)
+    human = "".join(f"{key}: {json.dumps(value)}\n" for key, value in json.loads(out).items())
+    assert run(capsys, "validate", model) == (0, human, "")
+
+    countermodel = ["search", "countermodel", "H_su", "p_a_1", "--bounds", "agents=1,edges=2,vars=1"]
+    code, _, err = run(capsys, *countermodel, "--workers", "0")
+    assert code == 2 and "workers" in err
+    code, out, _ = run(capsys, *countermodel, "--workers", "1")
+    assert code == 1 and out.startswith("countermodel at edge")
+
+    assert cli._parser() is parser
 
 
 def test_deeply_nested_formula_is_a_parse_error(capsys):
