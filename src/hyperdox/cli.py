@@ -5,7 +5,10 @@ false result, a found countermodel, a rejected proof or any reported
 violation, 2 for malformed input of any kind or a closed output pipe.
 
 One parser, built by build_parser at the first call, serves every call
-of main in a process; parsing keeps no state between calls.
+of main in a process; parsing keeps no state between calls. A one-shot
+`hyperdox` process still builds it once, as before: only code that calls
+main more than once in a process (the tests, the benchmark) saves the
+build.
 """
 
 from __future__ import annotations

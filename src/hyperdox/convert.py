@@ -211,11 +211,12 @@ class FormulaSlots(Sequence):
     order, without building it: slots[i] is the i-th formula's slot, and
     self[i] builds the i-th Formula from its construction record (never
     from its slot, which ~~x shares with x). The records are three int
-    columns: kind[i] indexes _KINDS, and first[i], second[i] are an
-    atom's index in vars, a negation's or a conjunction's operands, or a
-    modality's agent and operand."""
+    columns: kind[i] indexes _KINDS (a class's code is _CODE[cls]), and
+    first[i], second[i] are an atom's index in vars, a negation's or a
+    conjunction's operands, or a modality's agent and operand."""
 
     _KINDS = (Atom, Not, Believes, Knows, And)
+    _CODE = {cls: k for k, cls in enumerate(_KINDS)}
 
     def __init__(self, vars, agents, max_depth: int, max_size: int):
         if max_depth < 0 or max_size < 0:
@@ -227,10 +228,11 @@ class FormulaSlots(Sequence):
             array("i"), array("i"), array("i")
         )
         by_size: list[list] = [[]]  # (index, modal depth) per formula of each size
+        code = self._CODE
 
-        def add(k, x, y, slot, depth):
+        def add(cls, x, y, slot, depth):
             layer.append((len(slots), depth))
-            kind.append(k)
+            kind.append(code[cls])
             first.append(x)
             second.append(y)
             slots.append(slot)
@@ -239,18 +241,18 @@ class FormulaSlots(Sequence):
             layer: list = []
             if size == 1:
                 for x, v in enumerate(vars):
-                    add(0, x, 0, b.atom(v), 0)
+                    add(Atom, x, 0, b.atom(v), 0)
             for i, d in by_size[size - 1]:
-                add(1, i, 0, b.node(NOT, slots[i]), d)
-            for k, box in ((2, BELIEF), (3, KNOWLEDGE)):
+                add(Not, i, 0, b.node(NOT, slots[i]), d)
+            for cls, box in ((Believes, BELIEF), (Knows, KNOWLEDGE)):
                 for a in agents:
                     for i, d in by_size[size - 1]:
                         if d < max_depth:
-                            add(k, a, i, b.node(BOX, b.modal(a, box), slots[i]), d + 1)
+                            add(cls, a, i, b.node(BOX, b.modal(a, box), slots[i]), d + 1)
             for left_size in range(1, size - 1):
                 for i, di in by_size[left_size]:
                     for j, dj in by_size[size - 1 - left_size]:
-                        add(4, i, j, b.node(AND, slots[i], slots[j]), max(di, dj))
+                        add(And, i, j, b.node(AND, slots[i], slots[j]), max(di, dj))
             by_size.append(layer)
 
     def __len__(self) -> int:
