@@ -2,13 +2,14 @@
 
 Formulas compile to a program: ops in topological order, where equal
 subformulas share a slot and double negations vanish. A Builder makes
-one; its node(op, a, b) interns the int triple for the length of one
-call, so any emitter can write into it. compile_formulas emits Formula
-trees. convert.FormulaSlots emits enumerated formulas as slots, keeping
-construction records to build a Formula from; search.scheme_instances
-replays each scheme's compiled pattern, one replay call per instance,
-with its metavariables bound to the slots it is given (formulas, or
-letter atoms). A slot cannot be read back, since ~~x has x's slot.
+one; its node(op, a, b) is the only code that interns an op, for the
+length of one call, so any emitter can write into it. compile_formulas
+emits Formula trees, folding ~~x on the tree, so that no op is emitted
+that the roots do not read. convert.FormulaSlots emits enumerated
+formulas as slots, keeping construction records to build a Formula
+from; search._letter_program replays each scheme's compiled pattern,
+one replay call per instance, with its metavariables bound to letter
+atoms or variables. A slot cannot be read back, since ~~x has x's slot.
 
 A program runs on a frame: the state count, a bitmask per atom (bit i =
 state i) and, per (agent, kind), a list of (span, reach) blocks. A box
@@ -60,8 +61,9 @@ class Builder:
     """A program under construction, for one call. node(op, a, b) interns
     the int triple, so equal subformulas share one slot whoever emits
     them (hash-consing keyed on slots, after Filliatre and Conchon,
-    "Type-safe modular hash-consing", ML 2006), and folds ~~x to x. A
-    slot cannot be decoded back into a Formula, since ~~x has x's slot."""
+    "Type-safe modular hash-consing", ML 2006), and folds ~~x to x; emit
+    folds a Formula's ~~x before its ~x is emitted. A slot cannot be
+    decoded back into a Formula, since ~~x has x's slot."""
 
     __slots__ = ("prog", "_slot", "_atom", "_modal")
 
@@ -86,27 +88,17 @@ class Builder:
 
     def replay(self, steps, leaves, modals) -> int:
         """The slot of the last of a compiled pattern's steps, emitted with
-        ATOM a bound to slot leaves[a] and BOX a to modality modals[a]:
-        node() per step, with its interning and ~~x fold inlined."""
-        prog, intern = self.prog, self._slot
-        ops, args_a, args_b = prog.op, prog.a, prog.b
+        ATOM a bound to slot leaves[a] and BOX a to modality modals[a],
+        one node() call per step."""
         env: list[int] = []
         for op, a, b in steps:
             if op == ATOM:
-                slot = leaves[a]
-            elif op == NOT and ops[env[a]] == NOT:  # ~~x is x
-                slot = args_a[env[a]]
-            else:  # NOT takes a slot, AND two slots, BOX a modality and a slot
-                a, b = (env[a], 0) if op == NOT else (env[a] if op == AND else modals[a], env[b])
-                key = (a << 32 | b) << 2 | op
-                slot = intern.get(key)
-                if slot is None:
-                    slot = intern[key] = len(ops)
-                    ops.append(op)
-                    args_a.append(a)
-                    args_b.append(b)
-            env.append(slot)
-        return slot
+                env.append(leaves[a])
+            elif op == BOX:
+                env.append(self.node(BOX, modals[a], env[b]))
+            else:  # NOT reads slot a, AND slots a and b
+                env.append(self.node(op, env[a], env[b] if op == AND else 0))
+        return env[-1]
 
     def atom(self, var) -> int:
         return self.node(ATOM, self._atom.setdefault(var, len(self._atom)))
@@ -136,6 +128,11 @@ class Builder:
                         stack.append(node.left)
                     continue
                 slot = self.node(AND, a, b)
+            elif cls is Not and type(node.sub) is Not:  # ~~x is x, and ~x is not emitted
+                slot = slot_of.get(id(node.sub.sub))
+                if slot is None:
+                    stack.append(node.sub.sub)
+                    continue
             elif leaf is not None and (cls is Atom or cls is Believes or cls is Knows):
                 slot = leaf(node)
             elif cls is Atom:

@@ -14,10 +14,11 @@ means "no countermodel within bounds" and never claims validity.
 soundness_suite lays chunks of the same frames side by side with
 kernel.union and checks each scheme once per tuple of distinct formula
 masks: formulas with one mask are one letter, and each scheme's pattern
-is replayed on letters. The letter program is built once per suite,
-and again only for a frame with more letters than it holds; it is
-ordered by largest letter, so a frame with L letters evaluates only a
-root prefix of it. A failing root expands to its formula tuples, and a
+is replayed on letters by _letter_program, the only code that emits
+scheme instances. The letter program is built once per suite, and
+again only for a frame with more letters than it holds; it is ordered
+by largest letter, so a frame with L letters evaluates only a root
+prefix of it. A failing root expands to its formula tuples, and a
 Formula is built only for a violating instance.
 """
 
@@ -34,19 +35,7 @@ from .convert import FormulaSlots
 from .errors import FragmentError, PreconditionError
 from .formula import Formula, render_formula
 from .hypergraph import DirectedEdge, HypergraphModel, Vertex
-from .kernel import (
-    AND,
-    ATOM,
-    BELIEF,
-    BOX,
-    KNOWLEDGE,
-    NOT,
-    Builder,
-    Frame,
-    compile_formulas,
-    evaluate,
-    union,
-)
+from .kernel import ATOM, BELIEF, KNOWLEDGE, Builder, Frame, compile_formulas, evaluate, union
 from .proofcheck import ADMITTED, SCHEME_ARITY, SCHEMES, SchemeId, System, instantiate_scheme
 from .workspace import Workspace, synthetic_workspace
 
@@ -407,13 +396,10 @@ class SoundnessReport:
         }
 
 
-_NO_PSI = (None, 0)  # (origin, slot) of psi in a scheme without psi
-
-
 def _patterns(system: System) -> list:
     """(scheme, steps, modal kinds) per scheme the system admits, in
-    SchemeId order: the steps of its compiled pattern up to the root,
-    with each atom renumbered to its metavariable (0 phi, 1 psi, 2 p)."""
+    SchemeId order: the steps of its compiled pattern, the root last, with
+    each atom renumbered to its metavariable (0 phi, 1 psi, 2 p)."""
     out = []
     for scheme in (s for s in SchemeId if s in ADMITTED[system]):
         pattern = compile_formulas([SCHEMES[scheme]])
@@ -421,104 +407,58 @@ def _patterns(system: System) -> list:
         steps = [
             (op, meta[a] if op == ATOM else a, b)
             for op, a, b in zip(pattern.op, pattern.a, pattern.b)
-        ][: pattern.roots[0] + 1]
+        ]
         out.append((scheme, steps, [kind for _, kind in pattern.modals]))
     return out
 
 
-def _live(steps) -> list:
-    """The steps that the root reads, renumbered. The ~y that a ~~y fold
-    left behind (an implication's ~phi, say) is dropped, so no instance
-    emits it."""
-    read = [False] * (len(steps) - 1) + [True]
-    for i in range(len(steps) - 1, -1, -1):
-        op, a, b = steps[i]
-        if read[i] and op != ATOM:
-            read[a] |= op != BOX  # NOT and AND read slot a
-            read[b] |= op != NOT  # AND and BOX read slot b
-    out, at = [], {}  # at: old index -> new
-    for i, (op, a, b) in enumerate(steps):
-        if read[i]:
-            at[i] = len(out)
-            a = a if op == ATOM or op == BOX else at[a]
-            out.append((op, a, at[b] if op == AND or op == BOX else b))
-    return out
-
-
-def _emit(builder: Builder, ws: Workspace, patterns, tuples_of, roots, origins):
-    """Replay each pattern per agent and per (phi, psi) pair that
-    tuples_of(arity, agent) gives, appending each root and its origin
-    (scheme, agent, phi, psi). phi and psi are (origin, slot) pairs, and
-    the pattern's phi and psi are bound to their slots, Loc's p to phi's."""
-    for scheme, steps, kinds in patterns:
-        for agent in range(ws.n_agents):
-            modals = [builder.modal(agent, kind) for kind in kinds]
-            for (phi, x), (psi, y) in tuples_of(SCHEME_ARITY[scheme], agent):
-                roots.append(builder.replay(steps, (x, y, x), modals))
-                origins.append((scheme, agent, phi, psi))
-
-
-def _loc_tuples(builder: Builder, ws: Workspace, agent: int) -> list:
-    """Loc's (p, no psi) pairs: each of the agent's own variables."""
-    return [((p, builder.atom(p)), _NO_PSI) for p in ws.vars_of(agent)]
-
-
-def scheme_instances(system: System, ws: Workspace, builder: Builder, values):
-    """Every instance of the system's schemes, emitted into the builder
-    with phi and psi bound to each of the value slots in turn and Loc's p
-    to each of the agent's own variables: (program, origins). Root j is
-    the instance origins[j] = (scheme, agent, phi, psi), where phi and
-    psi index values or are None, and Loc's phi is its variable p. Each
-    scheme's pattern is compiled and then replayed per instance, so no
-    Formula is built; over FormulaSlots, instance_formula builds one."""
-    every = list(enumerate(values))
-
-    def tuples_of(arity, agent):
-        if arity == "atom":
-            return _loc_tuples(builder, ws, agent)
-        return itertools.product(every, every) if arity == "two" else [(v, _NO_PSI) for v in every]
-
-    roots, origins = [], []
-    _emit(builder, ws, _patterns(system), tuples_of, roots, origins)
-    return builder.program(roots), origins
-
-
 def _letter_program(system: System, ws: Workspace, count: int):
-    """(program, origins, ends): the instances of scheme_instances over
-    count letters, in largest-letter order. Loc's instances come first;
+    """(program, origins, ends): every instance of the system's schemes
+    over count letters, each a replay of its scheme's compiled pattern.
+    Root j is the instance origins[j] = (scheme, agent, phi, psi): phi
+    and psi are letters or None, and Loc's phi is its variable p, bound
+    to each of the agent's own variables. Loc's instances come first;
     group L then holds every instance whose largest letter is L - 1, in
     scheme, agent, phi, psi order, and ends[L] is the root count after
     group L. The instances over L letters are thus the first ends[L]
     roots. Letter l is the atom keyed by the int l, never a PropVar, and
     is emitted with its group, so a program over more letters begins with
-    the ops and roots of this one. Each pattern is replayed from its live
-    steps, so the program holds no op that its roots do not read."""
+    the ops and roots of this one. A compiled pattern has no op that its
+    root does not read, and neither has this program."""
     builder = Builder()
-    patterns = [(scheme, _live(steps), kinds) for scheme, steps, kinds in _patterns(system)]
-    letters, roots, origins = [], [], []
-
-    def loc(arity, agent):
-        return _loc_tuples(builder, ws, agent) if arity == "atom" else ()
-
-    def largest(arity, agent):  # the pairs that hold the last letter
-        last = letters[-1]
-        if arity == "atom":
-            return ()
-        if arity == "one":
-            return [(last, _NO_PSI)]
-        return [(v, last) for v in letters[:-1]] + [(last, v) for v in letters]
-
-    _emit(builder, ws, patterns, loc, roots, origins)
+    replays = [  # (scheme, arity, agent, steps, modal indices) per scheme and agent
+        (scheme, SCHEME_ARITY[scheme], agent, steps, [builder.modal(agent, k) for k in kinds])
+        for scheme, steps, kinds in _patterns(system)
+        for agent in range(ws.n_agents)
+    ]
+    roots, origins, letters = [], [], []
+    for scheme, arity, agent, steps, modals in replays:
+        if arity == "atom":  # Loc's p: each of the agent's own variables
+            for p in ws.vars_of(agent):
+                x = builder.atom(p)
+                roots.append(builder.replay(steps, (x, None, x), modals))
+                origins.append((scheme, agent, p, None))
     ends = [len(roots)]
-    for letter in range(count):
-        letters.append((letter, builder.atom(letter)))
-        _emit(builder, ws, patterns, largest, roots, origins)
+    for last in range(count):
+        letters.append(builder.atom(last))
+        for scheme, arity, agent, steps, modals in replays:
+            if arity == "one":
+                pairs = [(last, None)]
+            elif arity == "two":  # the pairs that hold the last letter
+                pairs = [(x, last) for x in range(last)] + [(last, y) for y in range(last + 1)]
+            else:
+                continue
+            for x, y in pairs:
+                leaves = (letters[x], None if y is None else letters[y], letters[x])
+                roots.append(builder.replay(steps, leaves, modals))
+                origins.append((scheme, agent, x, y))
         ends.append(len(roots))
     return builder.program(roots), origins, ends
 
 
 def instance_formula(origin: tuple, formulas: FormulaSlots) -> Formula:
-    """The Formula of a scheme_instances origin, built from its record."""
+    """The Formula of a _letter_program origin whose letters stand for
+    the formulas of the same indices, built from their records."""
     scheme, agent, phi, psi = origin
     if SCHEME_ARITY[scheme] == "atom":
         return instantiate_scheme(scheme, agent, p=phi)

@@ -1,17 +1,14 @@
-import hashlib
 import itertools
-import json
 import random
 
 import pytest
 
 from hyperdox import search
-from hyperdox.convert import FormulaSlots
-from hyperdox.formula import And, Atom, Believes, Knows, Not
+from hyperdox.formula import And, Atom, Believes, Knows, Not, f_iff, f_imp
 from hyperdox.hypergraph import frame_h
 from hyperdox.kernel import AND, ATOM, BOX, NOT, Builder, Frame, compile_formulas, evaluate, union
-from hyperdox.proofcheck import System
-from hyperdox.search import SearchBounds, scheme_instances
+from hyperdox.proofcheck import SCHEMES, System
+from hyperdox.search import SearchBounds
 from hyperdox.workspace import Workspace
 from randgen import random_formula
 from oracles import naive_satisfies_h
@@ -56,11 +53,11 @@ def test_conjunction_with_double_negation_shares_the_plain_slot():
     assert b.emit(And(P, Not(Not(Q)))) == plain
     assert b.emit(Believes(0, And(Not(Not(P)), Q))) == b.emit(Believes(0, And(P, Q)))
     assert b.emit(Knows(0, And(P, Q))) != b.emit(Believes(0, And(P, Q)))
-    # one program over both formulas has one slot for them (the inner ~p
-    # is emitted on the way to ~~p, which folds onto p)
+    # one program over both formulas has one slot for them, and ~~p folds
+    # on the tree, so the inner ~p is never emitted
     prog = compile_formulas([And(Not(Not(P)), Q), And(P, Q)])
     assert prog.roots[0] == prog.roots[1]
-    assert list(prog.op) == [ATOM, NOT, ATOM, AND]
+    assert list(prog.op) == [ATOM, ATOM, AND]
 
 
 def test_emit_walks_a_shared_subtree_once():
@@ -93,21 +90,55 @@ def test_leaf_replaces_atoms_and_maximal_modal_subformulas():
 
 
 @pytest.mark.parametrize(
-    "system, ops, digest",
+    "system, six, fifty_seven, ends",
     [
-        (System.LOC_K45, 14894, "5e4e87588260489f22483554e23a6d626b7ba866a5c4a90c77fa0dc33d3a4045"),
-        (System.LOC_KD45, 15022, "d63193a8b0be1f3977366ae682c83732b095c6ad4fcc79bc4c677823a5da9d2a"),
-        (System.EDL, 28526, "968397aa408d3051db296a06c7ef165eee4c3fa3b62e469506b3d09885daf5c5"),
+        (System.EDL, (1090, 254), (62494, 14024), [2, 24, 54, 92]),
+        (System.LOC_KD45, (538, 110), (33994, 6842), [2, 10, 22, 38]),
+        (System.LOC_K45, (514, 98), (33766, 6728), [2, 8, 18, 32]),
     ],
+    ids=["EDL", "LocKD45", "LocK45"],
 )
-def test_suite_programs_pinned(system, ops, digest):
-    # the op columns and roots of the depth-1 suite programs at (2,2,1),
-    # recorded when each instance was replayed one node() call per step
+def test_letter_programs_pinned(system, six, fifty_seven, ends):
+    # the suite's letter programs at (2,2,1) over 6 letters and over 57
+    # (EDL's formula count at depth 2, size 5): their op and root counts,
+    # and the root counts after Loc's instances and the first three groups
     ws = SearchBounds(2, 2, 1).workspace()
-    formulas = FormulaSlots(ws.all_vars(), range(ws.n_agents), 1, 3)
-    prog, _ = scheme_instances(system, ws, formulas.builder, formulas.slots)
-    cols = json.dumps([list(col) for col in (prog.op, prog.a, prog.b, prog.roots)])
-    assert (len(prog.op), hashlib.sha256(cols.encode()).hexdigest()) == (ops, digest)
+    for count, sizes in ((6, six), (57, fifty_seven)):
+        prog, _, prog_ends = search._letter_program(system, ws, count)
+        assert (len(prog.op), len(prog.roots), prog_ends[:4]) == (*sizes, ends)
+
+
+def _unread_slots(prog) -> list:
+    """The slots that are neither a root nor read by a later op."""
+    read = set(prog.roots)
+    for op, a, b in zip(prog.op, prog.a, prog.b):
+        if op == NOT or op == AND:
+            read.add(a)
+        if op == AND or op == BOX:
+            read.add(b)
+    return [slot for slot in range(len(prog.op)) if slot not in read]
+
+
+def test_no_compiled_program_holds_an_unread_op():
+    # ~~x folds on the formula tree, so the ~x that it skips is never
+    # emitted: seeded formula lists, implication and biconditional chains,
+    # the scheme patterns and the suite's letter programs read every op
+    rng = random.Random(20261019)
+    for n in (1, 5, 20):
+        for _ in range(10):
+            batch = [random_formula(rng, WS.all_vars(), range(2), 3, 12) for _ in range(n)]
+            assert _unread_slots(compile_formulas(batch)) == []
+    imp = iff = P
+    for k in range(12):
+        imp = f_imp(imp, Believes(k % 2, Q if k % 3 else Not(P)))
+        iff = f_iff(Knows(k % 2, iff), Not(Q) if k % 2 else P)
+        assert _unread_slots(compile_formulas([imp, iff, Not(imp)])) == []
+    assert len(SCHEMES) == 12
+    for pattern in SCHEMES.values():
+        assert _unread_slots(compile_formulas([pattern])) == []
+    ws = SearchBounds(2, 2, 1).workspace()
+    for system in System:
+        assert _unread_slots(search._letter_program(system, ws, 6)[0]) == []
 
 
 def test_box_memo_holds_on_a_reused_frame():
@@ -164,7 +195,7 @@ def test_root_count_evaluates_a_prefix_of_the_roots():
         for n in (1, 5, 12)
     ]
     late = compile_formulas([And(p, q), q, Not(Not(p)), Believes(0, p)])
-    assert list(late.roots) == [2, 1, 0, 4]  # slot 3 is the ~p folded away
+    assert list(late.roots) == [2, 1, 0, 3]  # ~~p is interned onto p's slot
     for prog in programs + [late]:
         full = evaluate(prog, frame)
         n = len(prog.roots)

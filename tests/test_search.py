@@ -20,9 +20,9 @@ from hyperdox import (
 )
 from hyperdox import hypergraph, search
 from hyperdox.convert import FormulaSlots
-from hyperdox.formula import Not, render_formula
+from hyperdox.formula import Atom, Not, render_formula
 from hyperdox.hypergraph import frame_h
-from hyperdox.kernel import AND, BOX, NOT, Builder, compile_formulas, evaluate, fragment_check, union
+from hyperdox.kernel import AND, BOX, NOT, compile_formulas, evaluate, fragment_check, union
 from hyperdox.modelio import hypergraph_to_json
 from hyperdox.proofcheck import ADMITTED, SCHEMES, SchemeId
 from hyperdox.workspace import Workspace
@@ -306,8 +306,9 @@ def test_letter_suite_matches_per_model_evaluation(monkeypatch):
         assert builds == [n for c, n in enumerate(letters) if n > max(letters[:c], default=0)]
         rebuilt |= len(builds) > 1
         fewer |= any(letters[c] < max(letters[:c]) for c in range(1, len(letters)))
-        formulas = FormulaSlots(ws.all_vars(), range(ws.n_agents), *sizes)
-        _, origins = search.scheme_instances(system, ws, formulas.builder, formulas.slots)
+        # over one letter per formula, the letter program's origins are
+        # every instance's (scheme, agent, phi, psi)
+        _, origins, _ = build(system, ws, len(formulas))
         origin_of = {
             (o[0].value, render_formula(search.instance_formula(o, formulas), ws)): o
             for o in origins
@@ -373,14 +374,14 @@ def test_letter_program_prefixes_are_the_instances_over_fewer_letters(system):
     rng = random.Random(f"letters-{system.value}")
     frame.atoms.update((letter, rng.getrandbits(frame.size)) for letter in range(6))
     full = evaluate(prog, frame)
+    atoms = [Atom(letter) for letter in range(6)]
     for letters, end in enumerate(ends):
-        builder = Builder()
-        values = [builder.atom(letter) for letter in range(letters)]
-        expected, expected_origins = search.scheme_instances(system, ws, builder, values)
-        assert Counter(origins[:end]) == Counter(expected_origins)
+        naive = [inst for _, inst in naive_scheme_instances(system, ws, values=atoms[:letters])]
+        ours = [search.instance_formula(o, atoms) for o in origins[:end]]
+        assert Counter(ours) == Counter(naive)
         masks = evaluate(prog, frame, end)
         assert masks == full[:end]
-        assert dict(zip(origins[:end], masks)) == dict(zip(expected_origins, evaluate(expected, frame)))
+        assert dict(zip(ours, masks)) == dict(zip(naive, evaluate(compile_formulas(naive), frame)))
     # a program over more letters begins with the ops and roots of this one
     grown, grown_origins, grown_ends = search._letter_program(system, ws, 8)
     assert grown_ends[:7] == ends and grown_origins[: ends[-1]] == origins
@@ -390,21 +391,17 @@ def test_letter_program_prefixes_are_the_instances_over_fewer_letters(system):
     ))
 
 
-def test_live_steps_drop_what_the_root_does_not_read():
-    # an implication compiles through ~~phi, which leaves the ~phi that the
-    # fold skipped; K_B's pattern has four such steps, and the live steps
-    # give the same instance on every letter
+def test_pattern_steps_are_all_read():
+    # an implication compiles through ~~phi, which folds on the tree, so
+    # the ~phi it skips is never emitted: K_B's pattern has 12 steps, and
+    # in every pattern each step but the last, the root, is read by a
+    # later one
     steps = {scheme: steps for scheme, steps, _ in search._patterns(System.EDL)}
-    assert (len(steps[SchemeId.K_B]), len(search._live(steps[SchemeId.K_B]))) == (16, 12)
-    for scheme, pattern in steps.items():
-        live = search._live(pattern)
-        builder = Builder()
-        x, y = builder.atom(0), builder.atom(1)
-        roots = [builder.replay(s, (x, y, x), [0, 1]) for s in (pattern, live)]
-        assert roots[0] == roots[1]
-        read = {a for op, a, _ in live if op in (NOT, AND)}
-        read |= {b for op, _, b in live if op in (AND, BOX)}
-        assert read == set(range(len(live) - 1))  # every step but the root is read
+    assert len(steps) == len(SchemeId) and len(steps[SchemeId.K_B]) == 12
+    for pattern in steps.values():
+        read = {a for op, a, _ in pattern if op in (NOT, AND)}
+        read |= {b for op, _, b in pattern if op in (AND, BOX)}
+        assert read == set(range(len(pattern) - 1))
 
 
 @pytest.mark.parametrize("depth, size, instances", [(1, 0, 2), (0, 1, 18)])
@@ -547,22 +544,32 @@ def test_suite_counts_and_forced_violations_pinned(monkeypatch):
     [(System.LOC_K45, 1, 3), (System.LOC_KD45, 1, 3), (System.EDL, 1, 3), (System.EDL, 2, 3)],
 )
 def test_emitted_instances_match_naive_instances(system, depth, size):
-    # the replayed patterns against Formula trees built by instantiate_scheme:
-    # the same instances in the same order, rebuilt with their ~~ shapes
-    # intact, and the same mask per root on every union frame of the class
+    # the letter program over one letter per formula against Formula trees
+    # built by instantiate_scheme: each root is an instance of the suite's
+    # numbering, found through its instance over letter atoms; every
+    # instance index is one root, rebuilt with its ~~ shapes intact; and
+    # each root has its instance's mask on every union frame of the class
     bounds = SearchBounds(2, 2, 1)
     ws = bounds.workspace()
     formulas = FormulaSlots(ws.all_vars(), range(ws.n_agents), depth, size)
-    prog, origins = search.scheme_instances(system, ws, formulas.builder, formulas.slots)
+    prog, origins, _ = search._letter_program(system, ws, len(formulas))
+    atoms = [Atom(letter) for letter in range(len(formulas))]
+    over_atoms = naive_scheme_instances(system, ws, values=atoms)
+    index = {inst: j for j, (_, inst) in enumerate(over_atoms)}
     naive = naive_scheme_instances(system, ws, depth, size)
-    assert len(prog.roots) == len(origins) == len(naive)
-    for origin, (scheme, inst) in zip(origins, naive, strict=True):
-        assert origin[0] is scheme
-        assert search.instance_formula(origin, formulas) == inst
+    assert len(prog.roots) == len(origins) == len(index) == len(naive)
+    at = [index[search.instance_formula(origin, atoms)] for origin in origins]
+    assert sorted(at) == list(range(len(naive)))
+    for origin, j in zip(origins, at):
+        assert origin[0] is naive[j][0]
+        assert search.instance_formula(origin, formulas) == naive[j][1]
     phis = (formulas[o[2]] for o in origins if type(o[2]) is int)
     assert any(type(f) is Not and type(f.sub) is Not for f in phis)  # phi = ~~x occurs
     expected = compile_formulas(inst for _, inst in naive)
+    masks_of = formulas.builder.program(formulas.slots)
     models = list(enumerate_models(search.SYSTEM_CLASS[system], bounds))
     for start in range(0, len(models), search._CHUNK):
         frame = union(frame_h(m) for m in models[start : start + search._CHUNK])
-        assert evaluate(prog, frame) == evaluate(expected, frame)
+        want = evaluate(expected, frame)
+        frame.atoms.update(enumerate(evaluate(masks_of, frame)))
+        assert evaluate(prog, frame) == [want[j] for j in at]
