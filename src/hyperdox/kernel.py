@@ -7,14 +7,17 @@ length of one call, so any emitter can write into it. compile_formulas
 emits Formula trees, folding ~~x on the tree, so that no op is emitted
 that the roots do not read. convert.FormulaSlots emits enumerated
 formulas as slots, keeping construction records to build a Formula
-from; search._letter_program replays each scheme's compiled pattern,
-one replay call per instance, with its metavariables bound to letter
-atoms or variables. A slot cannot be read back, since ~~x has x's slot.
+from. A slot cannot be read back, since ~~x has x's slot.
 
-A program runs on a frame: the state count, a bitmask per atom (bit i =
-state i) and, per (agent, kind), a list of (span, reach) blocks. A box
-fails exactly on the spans of the blocks whose reach meets the states
-where its argument fails. Hypergraph frames have one block per vertex
+run() is the one op loop: it gives the mask of every op from the masks
+of the atoms and the memo and blocks of each modality's box. evaluate() runs a program on
+a frame; search._instance_masks runs each scheme's compiled pattern on
+it, with the metavariables bound to masks.
+
+A frame is the state count, a bitmask per atom (bit i = state i) and,
+per (agent, kind), a list of (span, reach) blocks. A box fails exactly
+on the spans of the blocks whose reach meets the states where its
+argument fails. Hypergraph frames have one block per vertex
 (hypergraph.frame_h), Kripke frames one per world for B and one per
 class for K (KripkeModel.frame). Modal truth is invariant under disjoint
 union, so union() lays frames side by side; it alone shifts masks, and
@@ -22,12 +25,12 @@ union, so union() lays frames side by side; it alone shifts masks, and
 search._frames yields must be read before its stream advances.
 
 A frame memoises its boxes: `boxes` maps (agent, kind) to {argument
-mask: box mask}, filled as programs run (the computed table of BDD
-packages; Bryant, IEEE TC 1986). A box reads only the blocks and the
-size, never the atoms, so the memo holds while the atom masks are
-reassigned (search._frames does so per placement) and while other
-programs run on the frame; it lives and dies with the frame. A frame's
-blocks and size are therefore fixed once it has been evaluated.
+mask: box mask}, filled as ops run (the computed table of BDD packages;
+Bryant, IEEE TC 1986). A box reads only the blocks and the size, never
+the atoms, so the memo holds while the atom masks are reassigned
+(search._frames does so per placement) and while other programs run on
+the frame; it lives and dies with the frame. A frame's blocks and size
+are therefore fixed once it has been evaluated.
 
 Structural facts are read off the program too: fragment_check from its
 atoms and (agent, kind) modalities, modal_depth from its op columns.
@@ -35,10 +38,8 @@ atoms and (agent, kind) modalities, modal_depth from its op columns.
 
 from __future__ import annotations
 
-import itertools
 from array import array
 from dataclasses import dataclass, field
-from typing import Optional
 
 from .formula import And, Atom, Believes, Formula, Knows, Not
 
@@ -85,20 +86,6 @@ class Builder:
             prog.a.append(a)
             prog.b.append(b)
         return slot
-
-    def replay(self, steps, leaves, modals) -> int:
-        """The slot of the last of a compiled pattern's steps, emitted with
-        ATOM a bound to slot leaves[a] and BOX a to modality modals[a],
-        one node() call per step."""
-        env: list[int] = []
-        for op, a, b in steps:
-            if op == ATOM:
-                env.append(leaves[a])
-            elif op == BOX:
-                env.append(self.node(BOX, modals[a], env[b]))
-            else:  # NOT reads slot a, AND slots a and b
-                env.append(self.node(op, env[a], env[b] if op == AND else 0))
-        return env[-1]
 
     def atom(self, var) -> int:
         return self.node(ATOM, self._atom.setdefault(var, len(self._atom)))
@@ -219,6 +206,10 @@ class Frame:
     def full(self) -> int:
         return (1 << self.size) - 1
 
+    def box(self, key) -> tuple:
+        """(memo, blocks) of the (agent, kind) box."""
+        return self.boxes.setdefault(key, {}), self.blocks.get(key, ())
+
     def failures(self, mask: int):
         """(part index, first failing state in the part) for each member
         model on which mask is not everywhere true, in order."""
@@ -243,18 +234,9 @@ def union(frames) -> Frame:
     return out
 
 
-def evaluate(prog: Program, frame: Frame, count: Optional[int] = None) -> list:
-    """The satisfaction mask of every compiled formula, in compile order.
-    Given a root count, the masks of the first count roots only, and only
-    the ops up to the largest of their slots run: interning can give a
-    later root an earlier slot, so the count-th root's slot is no bound."""
-    ops, roots = zip(prog.op, prog.a, prog.b), prog.roots
-    if count is not None:
-        roots = roots[:count]
-        ops = itertools.islice(ops, max(roots, default=-1) + 1)
-    full = frame.full
-    atom_masks = [frame.atoms.get(p, 0) for p in prog.atoms]
-    box_memo = [frame.boxes.setdefault(key, {}) for key in prog.modals]
+def run(ops, atom_masks, boxes, full: int) -> list:
+    """The mask of every op of (op, a, b) triples, in order: ATOM a is
+    atom_masks[a], and BOX a reads boxes[a], a Frame.box pair."""
     vals: list[int] = []
     push = vals.append
     for op, a, b in ops:
@@ -263,19 +245,31 @@ def evaluate(prog: Program, frame: Frame, count: Optional[int] = None) -> list:
         elif op == NOT:
             push(full ^ vals[a])
         elif op == BOX:
+            memo, blocks = boxes[a]
             arg = vals[b]
-            box = box_memo[a].get(arg)
+            box = memo.get(arg)
             if box is None:  # a miss: only now are the box's blocks read
                 bad, fail = full ^ arg, 0
                 if bad:
-                    for span, reach in frame.blocks.get(prog.modals[a], ()):
+                    for span, reach in blocks:
                         if reach & bad:
                             fail |= span
-                box = box_memo[a][arg] = full ^ fail
+                box = memo[arg] = full ^ fail
             push(box)
         else:
             push(atom_masks[a])
-    return [vals[r] for r in roots]
+    return vals
+
+
+def evaluate(prog: Program, frame: Frame) -> list:
+    """The satisfaction mask of every compiled formula, in compile order."""
+    vals = run(
+        zip(prog.op, prog.a, prog.b),
+        [frame.atoms.get(p, 0) for p in prog.atoms],
+        [frame.box(key) for key in prog.modals],
+        frame.full,
+    )
+    return [vals[r] for r in prog.roots]
 
 
 def sat_mask(frame: Frame, f: Formula) -> int:

@@ -13,13 +13,11 @@ means "no countermodel within bounds" and never claims validity.
 
 soundness_suite lays chunks of the same frames side by side with
 kernel.union and checks each scheme once per tuple of distinct formula
-masks: formulas with one mask are one letter, and each scheme's pattern
-is replayed on letters by _letter_program, the only code that emits
-scheme instances. The letter program is built once per suite, and
-again only for a frame with more letters than it holds; it is ordered
-by largest letter, so a frame with L letters evaluates only a root
-prefix of it. A failing root expands to its formula tuples, and a
-Formula is built only for a violating instance.
+masks: formulas with one mask are one letter, and _instance_masks runs
+each scheme's compiled pattern through kernel.run with its
+metavariables bound to letter masks. No program is emitted for
+instances. A failing tuple expands to its formula tuples, and a Formula
+is built only for a violating instance.
 """
 
 from __future__ import annotations
@@ -35,7 +33,7 @@ from .convert import FormulaSlots
 from .errors import FragmentError, PreconditionError
 from .formula import Formula, render_formula
 from .hypergraph import DirectedEdge, HypergraphModel, Vertex
-from .kernel import ATOM, BELIEF, KNOWLEDGE, Builder, Frame, compile_formulas, evaluate, union
+from .kernel import ATOM, BELIEF, KNOWLEDGE, Frame, compile_formulas, evaluate, run, union
 from .proofcheck import ADMITTED, SCHEME_ARITY, SCHEMES, SchemeId, System, instantiate_scheme
 from .workspace import Workspace, synthetic_workspace
 
@@ -412,53 +410,34 @@ def _patterns(system: System) -> list:
     return out
 
 
-def _letter_program(system: System, ws: Workspace, count: int):
-    """(program, origins, ends): every instance of the system's schemes
-    over count letters, each a replay of its scheme's compiled pattern.
-    Root j is the instance origins[j] = (scheme, agent, phi, psi): phi
-    and psi are letters or None, and Loc's phi is its variable p, bound
-    to each of the agent's own variables. Loc's instances come first;
-    group L then holds every instance whose largest letter is L - 1, in
-    scheme, agent, phi, psi order, and ends[L] is the root count after
-    group L. The instances over L letters are thus the first ends[L]
-    roots. Letter l is the atom keyed by the int l, never a PropVar, and
-    is emitted with its group, so a program over more letters begins with
-    the ops and roots of this one. A compiled pattern has no op that its
-    root does not read, and neither has this program."""
-    builder = Builder()
-    replays = [  # (scheme, arity, agent, steps, modal indices) per scheme and agent
-        (scheme, SCHEME_ARITY[scheme], agent, steps, [builder.modal(agent, k) for k in kinds])
-        for scheme, steps, kinds in _patterns(system)
-        for agent in range(ws.n_agents)
-    ]
-    roots, origins, letters = [], [], []
-    for scheme, arity, agent, steps, modals in replays:
-        if arity == "atom":  # Loc's p: each of the agent's own variables
-            for p in ws.vars_of(agent):
-                x = builder.atom(p)
-                roots.append(builder.replay(steps, (x, None, x), modals))
-                origins.append((scheme, agent, p, None))
-    ends = [len(roots)]
-    for last in range(count):
-        letters.append(builder.atom(last))
-        for scheme, arity, agent, steps, modals in replays:
-            if arity == "one":
-                pairs = [(last, None)]
-            elif arity == "two":  # the pairs that hold the last letter
-                pairs = [(x, last) for x in range(last)] + [(last, y) for y in range(last + 1)]
+def _instance_masks(patterns, ws: Workspace, frame: Frame, letters: list):
+    """(scheme, agent, phi, psi, mask) for every instance of the patterns
+    over the letters, in instance order (scheme, agent, phi, psi): each
+    pattern runs on the frame with phi and psi bound to masks of the
+    letters, which they index, and Loc's p to each of the agent's own
+    variables, which phi then is. psi is None unless the scheme has two."""
+    full = frame.full
+    for scheme, steps, kinds in patterns:
+        arity = SCHEME_ARITY[scheme]
+        for agent in range(ws.n_agents):
+            boxes = [frame.box((agent, kind)) for kind in kinds]
+            if arity == "atom":
+                for p in ws.vars_of(agent):
+                    mask = frame.atoms.get(p, 0)
+                    yield scheme, agent, p, None, run(steps, (0, 0, mask), boxes, full)[-1]
+            elif arity == "one":
+                for x, phi in enumerate(letters):
+                    yield scheme, agent, x, None, run(steps, (phi, 0, 0), boxes, full)[-1]
             else:
-                continue
-            for x, y in pairs:
-                leaves = (letters[x], None if y is None else letters[y], letters[x])
-                roots.append(builder.replay(steps, leaves, modals))
-                origins.append((scheme, agent, x, y))
-        ends.append(len(roots))
-    return builder.program(roots), origins, ends
+                for x, phi in enumerate(letters):
+                    for y, psi in enumerate(letters):
+                        yield scheme, agent, x, y, run(steps, (phi, psi, 0), boxes, full)[-1]
 
 
 def instance_formula(origin: tuple, formulas: FormulaSlots) -> Formula:
-    """The Formula of a _letter_program origin whose letters stand for
-    the formulas of the same indices, built from their records."""
+    """The Formula of an instance (scheme, agent, phi, psi) whose phi and
+    psi are indices of the formulas, built from their records; Loc's phi
+    is its variable p."""
     scheme, agent, phi, psi = origin
     if SCHEME_ARITY[scheme] == "atom":
         return instantiate_scheme(scheme, agent, p=phi)
@@ -485,11 +464,9 @@ def soundness_suite(
     metavariables' values (the substitution lemma; Blackburn, de Rijke
     and Venema, Modal Logic, 2001, 1.3). So on each union frame the
     enumerated formulas are grouped by mask, each group is one letter,
-    and the schemes are checked once per tuple of letters; a failing
-    root stands for every tuple of formulas its letters hold. The letter
-    program is built at the first frame's letter count and rebuilt when
-    a frame has more; a frame with L letters evaluates its first ends[L]
-    roots, the tuples over those letters.
+    and each scheme's pattern runs once per tuple of letters, with the
+    frame's box memo shared by all; a failing tuple stands for every
+    tuple of formulas its letters hold.
     """
     if SYSTEM_CLASS[system] != cls:
         raise PreconditionError(
@@ -501,34 +478,36 @@ def soundness_suite(
         ws.all_vars(), range(ws.n_agents), instantiation_depth, instantiation_size
     )
     n, masks_of = len(formulas), formulas.builder.program(formulas.slots)
-    base, checked = {}, 0  # each (scheme, agent)'s first instance over the formulas
-    for scheme in (s for s in SchemeId if s in ADMITTED[system]):
-        for agent in range(ws.n_agents):
-            base[scheme, agent] = checked
-            arity = SCHEME_ARITY[scheme]
-            checked += len(ws.vars_of(agent)) if arity == "atom" else n ** (1 + (arity == "two"))
-    ends: list = []  # no letter program yet
+    patterns = _patterns(system)
+
+    def count(scheme, agent) -> int:  # the instances of (scheme, agent) over the formulas
+        arity = SCHEME_ARITY[scheme]
+        return len(ws.vars_of(agent)) if arity == "atom" else n ** (1 + (arity == "two"))
+
+    checked = sum(count(scheme, agent) for scheme, _, _ in patterns for agent in range(ws.n_agents))
     violations, visited = [], 0
     stream = (frame for _, _, frame in _frames(_stream(cls, bounds, seed)))
     while (frame := union(itertools.islice(stream, _CHUNK))).parts:
         groups: dict[int, list] = {}  # mask -> its formulas, in first-occurrence order
         for f, mask in enumerate(evaluate(masks_of, frame)):
             groups.setdefault(mask, []).append(f)
-        if len(groups) >= len(ends):  # built at the first chunk, rebuilt at more letters
-            prog, origins, ends = _letter_program(system, ws, len(groups))
         members = list(groups.values())
-        frame.atoms.update(enumerate(groups))
         full, failures, origin_of = frame.full, [], {}
-        for (scheme, agent, x, y), m in zip(origins, evaluate(prog, frame, ends[len(groups)])):
+        base, block = 0, None  # the first instance of the current (scheme, agent)
+        for scheme, agent, x, y, m in _instance_masks(patterns, ws, frame, list(groups)):
+            if block != (scheme, agent):  # a (scheme, agent) that yields nothing counts none
+                base += count(*block) if block else 0
+                block = scheme, agent
             if m == full:
                 continue
-            b = base[scheme, agent]
             if y is not None:
-                found = [(b + phi * n + psi, phi, psi) for phi in members[x] for psi in members[y]]
+                found = [
+                    (base + phi * n + psi, phi, psi) for phi in members[x] for psi in members[y]
+                ]
             elif type(x) is int:
-                found = [(b + phi, phi, None) for phi in members[x]]
+                found = [(base + phi, phi, None) for phi in members[x]]
             else:  # Loc's p, at its position among the agent's variables
-                found = [(b + ws.vars_of(agent).index(x), x, None)]
+                found = [(base + x.index, x, None)]
             fails = list(frame.failures(m))
             for j, phi, psi in found:
                 origin_of[j] = (scheme, agent, phi, psi)

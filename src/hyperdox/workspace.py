@@ -8,10 +8,15 @@ a name determines its owner.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import WorkspaceError
+
+# The formula grammar's identifiers. A variable may not be one of its
+# constants either, so that every atom renders to text that parses back.
+_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
 @dataclass(frozen=True)
@@ -34,9 +39,14 @@ class Workspace:
             raise WorkspaceError("agent names must be unique")
         if len(self.vars) != len(self.agents):
             raise WorkspaceError("vars must declare one list per agent")
+        for name in (*self.agents, *(name for names in self.vars for name in names)):
+            if not isinstance(name, str) or not _NAME_RE.fullmatch(name):
+                raise WorkspaceError(f"name {name!r} is not an identifier [A-Za-z_][A-Za-z0-9_]*")
         seen: set[str] = set()
         for names in self.vars:
             for name in names:
+                if name in ("true", "false"):
+                    raise WorkspaceError(f"variable name {name!r} is a formula constant")
                 if name in seen:
                     raise WorkspaceError(f"variable name declared twice: {name!r}")
                 seen.add(name)

@@ -1,3 +1,4 @@
+import json
 import os
 
 import pytest
@@ -9,6 +10,12 @@ FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
 def fixture_path(name):
     return os.path.join(FIXTURES, name)
+
+
+def fixture_json(name):
+    """The parsed JSON of a fixture file, read through a closed handle."""
+    with open(fixture_path(name)) as f:
+        return json.load(f)
 
 
 @pytest.fixture

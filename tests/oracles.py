@@ -266,18 +266,16 @@ def naive_enumerate_formulas(vars, agents, max_depth, max_size):
             yield f
 
 
-def naive_scheme_instances(system, ws, instantiation_depth=0, instantiation_size=3, values=None):
+def naive_scheme_instances(system, ws, instantiation_depth=0, instantiation_size=3):
     """All (scheme, instance formula) pairs for the system's schemes, each
     instance a Formula tree built by instantiate_scheme, in the order in
     which soundness_suite numbers its instances: by scheme, agent, phi,
-    then psi. phi and psi range over values if given, else over the
-    formulas enumerated within the instantiation bounds."""
+    then psi. phi and psi range over the formulas enumerated within the
+    instantiation bounds."""
     formulas = list(
         naive_enumerate_formulas(
             ws.all_vars(), range(ws.n_agents), instantiation_depth, instantiation_size
         )
-        if values is None
-        else values
     )
     out = []
     for scheme in SchemeId:

@@ -27,7 +27,7 @@ from hyperdox import (
 from hyperdox import cli, search
 from hyperdox.cli import main
 from hyperdox.proofcheck import System
-from conftest import fixture_path
+from conftest import fixture_json, fixture_path
 from oracles import naive_fragment_check, naive_modal_depth
 
 
@@ -53,7 +53,7 @@ def test_validate_kripke_fixture_json(capsys):
 
 
 def test_validate_rejects_bad_model(tmp_path, capsys):
-    bad = json.load(open(fixture_path("pair2_h.json")))
+    bad = fixture_json("pair2_h.json")
     bad["edges"][0]["head"].append("c1")  # overlaps its own tail
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(bad))
@@ -64,8 +64,20 @@ def test_validate_rejects_bad_model(tmp_path, capsys):
     assert any("overlap" in v for v in data["error"]["violations"])
 
 
+@pytest.mark.parametrize("name", ["true", "p-q"])
+def test_validate_rejects_a_variable_name_the_grammar_cannot_read(tmp_path, capsys, name):
+    bad = fixture_json("pair2_h.json")
+    bad["vars"]["a"] = [name]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(bad))
+    code, out, _ = run(capsys, "--json", "validate", str(path))
+    assert code == 2
+    error = json.loads(out)["error"]  # the loader reports a WorkspaceError as bad input
+    assert error["type"] == "InputError" and repr(name) in error["message"]
+
+
 def test_validate_rejects_unknown_key(tmp_path, capsys):
-    bad = json.load(open(fixture_path("pair2_h.json")))
+    bad = fixture_json("pair2_h.json")
     bad["mystery"] = 1
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(bad))
@@ -190,7 +202,7 @@ def test_equiv_keys_recorded_with_formula_trees(tmp_path, capsys):
 
 
 def test_equiv_workspace_mismatch(tmp_path, capsys):
-    other = json.load(open(fixture_path("five_worlds_h.json")))
+    other = fixture_json("five_worlds_h.json")
     other["vars"]["a"] = ["p_a_1", "p_a_2"]
     path = tmp_path / "other.json"
     path.write_text(json.dumps(other))
@@ -221,7 +233,7 @@ def test_prove_ok(capsys):
 
 
 def test_prove_swapped_mp(tmp_path, capsys):
-    data = json.load(open(fixture_path("proof_edl_ok.json")))
+    data = fixture_json("proof_edl_ok.json")
     data["steps"][2]["by"] = {"mp": [2, 1]}
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(data))

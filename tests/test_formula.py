@@ -252,3 +252,26 @@ def test_variable_disjointness():
     assert PropVar(0, 1) != PropVar(1, 1)
     with pytest.raises(WorkspaceError, match="twice"):
         Workspace(("a", "b"), (("p",), ("p",)))
+
+
+@pytest.mark.parametrize(
+    "agents, vars_, match",
+    [
+        (("a",), (("true",),), "constant"),
+        (("a",), (("false",),), "constant"),
+        (("a",), (("p-q",),), "identifier"),
+        (("a",), (("1p",),), "identifier"),
+        (("a",), (("",),), "identifier"),
+        (("a b",), ((),), "identifier"),
+        (("a-1",), (("p",),), "identifier"),
+    ],
+)
+def test_workspace_rejects_names_the_grammar_cannot_read_back(agents, vars_, match):
+    with pytest.raises(WorkspaceError, match=match):
+        Workspace(agents, vars_)
+
+
+def test_every_declared_atom_renders_to_text_that_parses_back():
+    ws = Workspace(("_A", "true"), (("_p0", "True"), ("x_1",)))
+    for var in ws.all_vars():
+        assert parse_formula(render_formula(Atom(var), ws), ws) == Atom(var)

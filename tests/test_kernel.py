@@ -1,13 +1,10 @@
-import itertools
 import random
-
-import pytest
 
 from hyperdox import search
 from hyperdox.formula import And, Atom, Believes, Knows, Not, f_iff, f_imp
 from hyperdox.hypergraph import frame_h
-from hyperdox.kernel import AND, ATOM, BOX, NOT, Builder, Frame, compile_formulas, evaluate, union
-from hyperdox.proofcheck import SCHEMES, System
+from hyperdox.kernel import AND, ATOM, BOX, NOT, Builder, Frame, compile_formulas, evaluate, run
+from hyperdox.proofcheck import SCHEMES
 from hyperdox.search import SearchBounds
 from hyperdox.workspace import Workspace
 from randgen import random_formula
@@ -89,25 +86,6 @@ def test_leaf_replaces_atoms_and_maximal_modal_subformulas():
     assert BOX not in b.prog.op
 
 
-@pytest.mark.parametrize(
-    "system, six, fifty_seven, ends",
-    [
-        (System.EDL, (1090, 254), (62494, 14024), [2, 24, 54, 92]),
-        (System.LOC_KD45, (538, 110), (33994, 6842), [2, 10, 22, 38]),
-        (System.LOC_K45, (514, 98), (33766, 6728), [2, 8, 18, 32]),
-    ],
-    ids=["EDL", "LocKD45", "LocK45"],
-)
-def test_letter_programs_pinned(system, six, fifty_seven, ends):
-    # the suite's letter programs at (2,2,1) over 6 letters and over 57
-    # (EDL's formula count at depth 2, size 5): their op and root counts,
-    # and the root counts after Loc's instances and the first three groups
-    ws = SearchBounds(2, 2, 1).workspace()
-    for count, sizes in ((6, six), (57, fifty_seven)):
-        prog, _, prog_ends = search._letter_program(system, ws, count)
-        assert (len(prog.op), len(prog.roots), prog_ends[:4]) == (*sizes, ends)
-
-
 def _unread_slots(prog) -> list:
     """The slots that are neither a root nor read by a later op."""
     read = set(prog.roots)
@@ -121,8 +99,8 @@ def _unread_slots(prog) -> list:
 
 def test_no_compiled_program_holds_an_unread_op():
     # ~~x folds on the formula tree, so the ~x that it skips is never
-    # emitted: seeded formula lists, implication and biconditional chains,
-    # the scheme patterns and the suite's letter programs read every op
+    # emitted: seeded formula lists, implication and biconditional chains
+    # and the scheme patterns read every op
     rng = random.Random(20261019)
     for n in (1, 5, 20):
         for _ in range(10):
@@ -136,9 +114,6 @@ def test_no_compiled_program_holds_an_unread_op():
     assert len(SCHEMES) == 12
     for pattern in SCHEMES.values():
         assert _unread_slots(compile_formulas([pattern])) == []
-    ws = SearchBounds(2, 2, 1).workspace()
-    for system in System:
-        assert _unread_slots(search._letter_program(system, ws, 6)[0]) == []
 
 
 def test_box_memo_holds_on_a_reused_frame():
@@ -179,28 +154,16 @@ def test_box_memo_holds_on_a_reused_frame():
     assert 0 < memoised < box_runs
 
 
-def test_root_count_evaluates_a_prefix_of_the_roots():
-    # evaluate(prog, frame, k) gives the full run's first k masks on seeded
-    # programs; the last one interns its later roots onto earlier slots, so
-    # its ops must run up to the largest slot of the first k roots, and a
-    # box past that bound must not be evaluated
-    rng = random.Random(20261019)
-    bounds = SearchBounds(2, 2, 1)
-    ws = bounds.workspace()
-    frames = (frame for _, _, frame in search._frames(search._stream("all", bounds, 0)))
-    frame = union(itertools.islice(frames, search._CHUNK))
-    p, q = (Atom(v) for v in ws.all_vars())
-    programs = [
-        compile_formulas([random_formula(rng, ws.all_vars(), range(2), 3, 9) for _ in range(n)])
-        for n in (1, 5, 12)
+def test_run_computes_a_box_on_its_first_argument_only():
+    # evaluate and the suite's patterns share one op loop and the frame's
+    # memo per (agent, kind): a box is computed from the blocks at its
+    # first argument, and later runs on that argument only read the memo
+    frame = Frame(3, {P.var: 0b011}, {(0, "B"): [(0b001, 0b010), (0b110, 0b100)]})
+    assert evaluate(compile_formulas([Believes(0, P)]), frame) == [0b001]
+    assert frame.boxes == {(0, "B"): {0b011: 0b001}}
+    frame.blocks[0, "B"] = []  # a hit must not read them
+    steps = [(ATOM, 0, 0), (BOX, 0, 0), (NOT, 1, 0), (ATOM, 1, 0), (BOX, 0, 3)]
+    assert run(steps, [0b011, 0b111], [frame.box((0, "B"))], frame.full) == [
+        0b011, 0b001, 0b110, 0b111, 0b111
     ]
-    late = compile_formulas([And(p, q), q, Not(Not(p)), Believes(0, p)])
-    assert list(late.roots) == [2, 1, 0, 3]  # ~~p is interned onto p's slot
-    for prog in programs + [late]:
-        full = evaluate(prog, frame)
-        n = len(prog.roots)
-        for k in (0, 1, n // 2, n):
-            assert evaluate(prog, frame, k) == full[:k]
-    fresh = Frame(frame.size, dict(frame.atoms), frame.blocks)
-    assert evaluate(late, fresh, 3) == full[:3]
-    assert fresh.boxes == {(0, "B"): {}}
+    assert frame.boxes == {(0, "B"): {0b011: 0b001, 0b111: 0b111}}

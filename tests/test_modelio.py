@@ -1,5 +1,3 @@
-import json
-
 import pytest
 
 from hyperdox import InputError, ValidationError, load_model
@@ -9,20 +7,20 @@ from hyperdox.modelio import (
     model_from_json,
     proof_from_json,
 )
-from conftest import fixture_path
+from conftest import fixture_json
 
 
 def _kripke_data():
-    return json.load(open(fixture_path("five_worlds_k.json")))
+    return fixture_json("five_worlds_k.json")
 
 
 def _hyper_data():
-    return json.load(open(fixture_path("chain4_h.json")))
+    return fixture_json("chain4_h.json")
 
 
 def test_fixtures_round_trip():
     for name in ("five_worlds_k.json", "chain4_h.json", "pair2_h.json", "five_worlds_h.json"):
-        data = json.load(open(fixture_path(name)))
+        data = fixture_json(name)
         model = model_from_json(data)
         dumped = kripke_to_json(model) if data["kind"] == "kripke" else hypergraph_to_json(model)
         assert model_from_json(dumped) is not None
@@ -91,14 +89,14 @@ def test_missing_kind():
 
 
 def test_proof_requires_known_scheme():
-    data = json.load(open(fixture_path("proof_edl_ok.json")))
+    data = fixture_json("proof_edl_ok.json")
     data["steps"][0]["by"] = {"axiom": "T_B"}
     with pytest.raises(InputError, match="unknown scheme"):
         proof_from_json(data)
 
 
 def test_proof_justification_single_key():
-    data = json.load(open(fixture_path("proof_edl_ok.json")))
+    data = fixture_json("proof_edl_ok.json")
     data["steps"][0]["by"] = {"axiom": "K_IB", "mp": [1, 2]}
     with pytest.raises(InputError, match="exactly one"):
         proof_from_json(data)
@@ -110,14 +108,14 @@ def test_proof_justification_single_key():
     ids=["mp", "nec_k", "nec_b"],
 )
 def test_proof_step_numbers_are_not_booleans(by):
-    data = json.load(open(fixture_path("proof_edl_ok.json")))
+    data = fixture_json("proof_edl_ok.json")
     data["steps"][-1]["by"] = by
     with pytest.raises(InputError, match="step number"):
         proof_from_json(data)
 
 
 def test_proof_formula_parse_error_surfaces():
-    data = json.load(open(fixture_path("proof_edl_ok.json")))
+    data = fixture_json("proof_edl_ok.json")
     data["steps"][0]["formula"] = "B{a} ("
     from hyperdox import ParseError
 

@@ -1,4 +1,3 @@
-import json
 import random
 
 import pytest
@@ -27,7 +26,7 @@ from hyperdox import (
 from hyperdox.modelio import load_proof, proof_from_json
 from hyperdox.proofcheck import SCHEME_ARITY, Axiom, NecB, NecK, ProofResult, TautologyTooLarge
 from randgen import random_formula
-from conftest import fixture_path
+from conftest import fixture_json, fixture_path
 from oracles import naive_is_tautology
 
 
@@ -354,7 +353,7 @@ def test_proof_fixture_loads_and_checks():
 
 
 def test_proof_json_roundtrip_of_justifications():
-    data = json.load(open(fixture_path("proof_edl_ok.json")))
+    data = fixture_json("proof_edl_ok.json")
     data["steps"].append(
         {"formula": "K{a}(K{a} p_a_1 -> B{a} p_a_1)", "by": {"nec_k": {"agent": "a", "from": 1}}}
     )

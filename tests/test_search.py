@@ -20,9 +20,9 @@ from hyperdox import (
 )
 from hyperdox import hypergraph, search
 from hyperdox.convert import FormulaSlots
-from hyperdox.formula import Atom, Not, render_formula
+from hyperdox.formula import Not, render_formula
 from hyperdox.hypergraph import frame_h
-from hyperdox.kernel import AND, BOX, NOT, compile_formulas, evaluate, fragment_check, union
+from hyperdox.kernel import AND, BOX, NOT, Frame, compile_formulas, evaluate, fragment_check, union
 from hyperdox.modelio import hypergraph_to_json
 from hyperdox.proofcheck import ADMITTED, SCHEMES, SchemeId
 from hyperdox.workspace import Workspace
@@ -274,16 +274,8 @@ def test_letter_suite_matches_per_model_evaluation(monkeypatch):
     # the suite checks each scheme once per tuple of letters, the distinct
     # formula masks on a union frame; its violations must be those of
     # evaluating every instance one model at a time, on runs where a
-    # violating letter holds several formulas, a later chunk has more
-    # letters than every earlier one (so the letter program is rebuilt
-    # within the call) and a chunk has fewer letters than the program (so
-    # only a prefix of its roots is evaluated)
-    shared = rebuilt = fewer = False
-    builds = []
-    build = search._letter_program
-    monkeypatch.setattr(
-        search, "_letter_program", lambda *args: builds.append(args[2]) or build(*args)
-    )
+    # violating letter holds several formulas
+    shared = False
     for system, cls, bounds, sizes in (
         (System.EDL, "all", (2, 2, 1), (1, 3)),
         (System.LOC_KD45, "H_su", (2, 2, 1), (2, 3)),
@@ -292,7 +284,6 @@ def test_letter_suite_matches_per_model_evaluation(monkeypatch):
         monkeypatch.setitem(search.SYSTEM_CLASS, system, cls)
         bounds = SearchBounds(*bounds)
         ws = bounds.workspace()
-        builds.clear()
         report = soundness_suite(system, cls, bounds, *sizes)
         instances, models, expected = _per_model_violations(system, cls, bounds, *sizes)
         assert report.violations == expected and report.instances_checked == len(instances)
@@ -301,14 +292,11 @@ def test_letter_suite_matches_per_model_evaluation(monkeypatch):
         chunks = range(0, len(models), search._CHUNK)
         frames = (union(frame_h(m) for m in models[c : c + search._CHUNK]) for c in chunks)
         masks = [evaluate(prog, frame) for frame in frames]
-        letters = [len(set(m)) for m in masks]
-        # one build at the first chunk's letters, one more per new maximum
-        assert builds == [n for c, n in enumerate(letters) if n > max(letters[:c], default=0)]
-        rebuilt |= len(builds) > 1
-        fewer |= any(letters[c] < max(letters[:c]) for c in range(1, len(letters)))
-        # over one letter per formula, the letter program's origins are
-        # every instance's (scheme, agent, phi, psi)
-        _, origins, _ = build(system, ws, len(formulas))
+        # over one letter per formula, the instances are every
+        # (scheme, agent, phi, psi)
+        letters = [0] * len(formulas)
+        yielded = search._instance_masks(search._patterns(system), ws, Frame(1), letters)
+        origins = (i[:4] for i in yielded)
         origin_of = {
             (o[0].value, render_formula(search.instance_formula(o, formulas), ws)): o
             for o in origins
@@ -317,18 +305,20 @@ def test_letter_suite_matches_per_model_evaluation(monkeypatch):
             _, _, phi, psi = origin_of[v["scheme"], v["instance"]]
             chunk = masks[(v["model_index"] - 1) // search._CHUNK]
             shared |= any(type(x) is int and chunk.count(chunk[x]) > 1 for x in (phi, psi))
-    assert shared and rebuilt and fewer
+    assert shared
 
 
-def test_letter_suite_expands_two_letter_and_loc_roots(monkeypatch):
+@pytest.mark.parametrize("bounds", [(2, 1, 2), (2, 1, 3)], ids=["vars2", "vars3"])
+def test_letter_suite_expands_two_letter_and_loc_roots(monkeypatch, bounds):
     # K_B, K_K and Loc hold on every model of every class, so no suite
-    # fails a root of two letters or one of Loc's; falsifiable stand-ins
-    # with the same metavariables check that such roots expand in instance
-    # order, with Loc's p at its position among two variables
+    # fails a tuple of two letters or one of Loc's; falsifiable stand-ins
+    # with the same metavariables check that such tuples expand in
+    # instance order, with Loc's p at its position among the agent's
+    # variables; three variables per agent take the sampled placements
     meta = Workspace(("a",), (("phi", "psi", "p"),))
     monkeypatch.setitem(SCHEMES, SchemeId.K_B, parse_formula("B{a}phi -> psi", meta))
     monkeypatch.setitem(SCHEMES, SchemeId.LOC, parse_formula("B{a}p", meta))
-    bounds = SearchBounds(2, 1, 2)
+    bounds = SearchBounds(*bounds)
     report = soundness_suite(System.LOC_K45, "H_su", bounds, 1, 2)
     instances, _, expected = _per_model_violations(System.LOC_K45, "H_su", bounds, 1, 2)
     assert report.violations == expected and report.instances_checked == len(instances)
@@ -357,38 +347,6 @@ def test_suite_follows_schemes_and_admitted(monkeypatch):
         patched.setitem(ADMITTED, System.LOC_K45, ADMITTED[System.LOC_K45] | {SchemeId.D_B})
         assert violations() == 1536
     assert violations() == 0
-
-
-@pytest.mark.parametrize("system", list(System))
-def test_letter_program_prefixes_are_the_instances_over_fewer_letters(system):
-    # Loc's instances come first, then group L holds those whose largest
-    # letter is L - 1; so for every L the first ends[L] roots are the
-    # instances over L letters, with the same masks, and evaluating only
-    # them gives the full run's first ends[L] masks
-    bounds = SearchBounds(2, 2, 1)
-    ws = bounds.workspace()
-    prog, origins, ends = search._letter_program(system, ws, 6)
-    assert len(ends) == 7 and len(prog.roots) == len(origins) == ends[-1]
-    models = list(enumerate_models(search.SYSTEM_CLASS[system], bounds))
-    frame = union(frame_h(m) for m in models[: search._CHUNK])
-    rng = random.Random(f"letters-{system.value}")
-    frame.atoms.update((letter, rng.getrandbits(frame.size)) for letter in range(6))
-    full = evaluate(prog, frame)
-    atoms = [Atom(letter) for letter in range(6)]
-    for letters, end in enumerate(ends):
-        naive = [inst for _, inst in naive_scheme_instances(system, ws, values=atoms[:letters])]
-        ours = [search.instance_formula(o, atoms) for o in origins[:end]]
-        assert Counter(ours) == Counter(naive)
-        masks = evaluate(prog, frame, end)
-        assert masks == full[:end]
-        assert dict(zip(ours, masks)) == dict(zip(naive, evaluate(compile_formulas(naive), frame)))
-    # a program over more letters begins with the ops and roots of this one
-    grown, grown_origins, grown_ends = search._letter_program(system, ws, 8)
-    assert grown_ends[:7] == ends and grown_origins[: ends[-1]] == origins
-    assert list(grown.roots[: ends[-1]]) == list(prog.roots)
-    assert all(col[: len(prog.op)] == ours for col, ours in zip(
-        (grown.op, grown.a, grown.b), (prog.op, prog.a, prog.b)
-    ))
 
 
 def test_pattern_steps_are_all_read():
@@ -544,32 +502,24 @@ def test_suite_counts_and_forced_violations_pinned(monkeypatch):
     [(System.LOC_K45, 1, 3), (System.LOC_KD45, 1, 3), (System.EDL, 1, 3), (System.EDL, 2, 3)],
 )
 def test_emitted_instances_match_naive_instances(system, depth, size):
-    # the letter program over one letter per formula against Formula trees
-    # built by instantiate_scheme: each root is an instance of the suite's
-    # numbering, found through its instance over letter atoms; every
-    # instance index is one root, rebuilt with its ~~ shapes intact; and
-    # each root has its instance's mask on every union frame of the class
+    # the suite's instances over one letter per formula against Formula
+    # trees built by instantiate_scheme: the j-th instance _instance_masks
+    # yields is the j-th naive one, rebuilt with its ~~ shapes intact, and
+    # has its mask on every union frame of the class
     bounds = SearchBounds(2, 2, 1)
     ws = bounds.workspace()
     formulas = FormulaSlots(ws.all_vars(), range(ws.n_agents), depth, size)
-    prog, origins, _ = search._letter_program(system, ws, len(formulas))
-    atoms = [Atom(letter) for letter in range(len(formulas))]
-    over_atoms = naive_scheme_instances(system, ws, values=atoms)
-    index = {inst: j for j, (_, inst) in enumerate(over_atoms)}
     naive = naive_scheme_instances(system, ws, depth, size)
-    assert len(prog.roots) == len(origins) == len(index) == len(naive)
-    at = [index[search.instance_formula(origin, atoms)] for origin in origins]
-    assert sorted(at) == list(range(len(naive)))
-    for origin, j in zip(origins, at):
-        assert origin[0] is naive[j][0]
-        assert search.instance_formula(origin, formulas) == naive[j][1]
-    phis = (formulas[o[2]] for o in origins if type(o[2]) is int)
-    assert any(type(f) is Not and type(f.sub) is Not for f in phis)  # phi = ~~x occurs
     expected = compile_formulas(inst for _, inst in naive)
     masks_of = formulas.builder.program(formulas.slots)
+    patterns = search._patterns(system)
     models = list(enumerate_models(search.SYSTEM_CLASS[system], bounds))
     for start in range(0, len(models), search._CHUNK):
         frame = union(frame_h(m) for m in models[start : start + search._CHUNK])
         want = evaluate(expected, frame)
-        frame.atoms.update(enumerate(evaluate(masks_of, frame)))
-        assert evaluate(prog, frame) == [want[j] for j in at]
+        ours = list(search._instance_masks(patterns, ws, frame, evaluate(masks_of, frame)))
+        assert [(o[0], o[4]) for o in ours] == [(scheme, w) for (scheme, _), w in zip(naive, want)]
+    for origin, (_, inst) in zip(ours, naive):  # the instances do not depend on the frame
+        assert search.instance_formula(origin[:4], formulas) == inst
+    phis = (formulas[o[2]] for o in ours if type(o[2]) is int)
+    assert any(type(f) is Not and type(f.sub) is Not for f in phis)  # phi = ~~x occurs
