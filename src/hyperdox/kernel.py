@@ -10,9 +10,9 @@ formulas as slots, keeping construction records to build a Formula
 from. A slot cannot be read back, since ~~x has x's slot.
 
 run() is the one op loop: it gives the mask of every op from the masks
-of the atoms and the memo and blocks of each modality's box. evaluate() runs a program on
-a frame; search._instance_masks runs each scheme's compiled pattern on
-it, with the metavariables bound to masks.
+of the atoms and the memo, blocks and lane width of each modality's box.
+evaluate() runs a program on a frame; search._instance_masks runs each
+scheme's compiled pattern on it, with the metavariables bound to masks.
 
 A frame is the state count, a bitmask per atom (bit i = state i) and,
 per (agent, kind), a list of (span, reach) blocks. A box fails exactly
@@ -22,15 +22,27 @@ argument fails. Hypergraph frames have one block per vertex
 class for K (KripkeModel.frame). Modal truth is invariant under disjoint
 union, so union() lays frames side by side; it alone shifts masks, and
 `parts` records each member's (offset, size). A frame that
-search._frames yields must be read before its stream advances.
+search._frames or search._lane_frames yields must be read before its
+stream advances.
+
+A lane frame holds many models of one structure at once, laid out
+edge-major: with lane width W, state e·W + k is edge e of model k (bit
+slicing; Biham, FSE 1997). Its blocks are shared by the W models: a span
+has bit e·W of each of its edges, and a reach all W lanes of each.
+run's box step then folds reach & bad into the W-bit set of lanes that
+fail and multiplies it by the span, which puts those lanes on every span
+edge. Every other frame has width 1, where that step is span-or-nothing.
+search._lane_frames lays out a structure's placements this way for
+countermodel, and failures() reads a frame without parts by lane.
 
 A frame memoises its boxes: `boxes` maps (agent, kind) to {argument
 mask: box mask}, filled as ops run (the computed table of BDD packages;
-Bryant, IEEE TC 1986). A box reads only the blocks and the size, never
-the atoms, so the memo holds while the atom masks are reassigned
-(search._frames does so per placement) and while other programs run on
-the frame; it lives and dies with the frame. A frame's blocks and size
-are therefore fixed once it has been evaluated.
+Bryant, IEEE TC 1986). A box reads only the blocks, the size and the
+width, never the atoms, so the memo holds while the atom masks are
+reassigned (search._frames does so per placement, search._lane_frames
+per window of placements) and while other programs run on the frame; it
+lives and dies with the frame. A frame's blocks, size and width are
+therefore fixed once it has been evaluated.
 
 Structural facts are read off the program too: fragment_check from its
 atoms and (agent, kind) modalities, modal_depth from its op columns.
@@ -194,6 +206,16 @@ def bits(mask: int):
         mask ^= low
 
 
+def fold(mask: int, width: int) -> int:
+    """The OR of the width-bit slices of mask (lane k is set when bit k of
+    any slice is)."""
+    out = 0
+    while mask:
+        out |= mask
+        mask >>= width
+    return out & ((1 << width) - 1)
+
+
 @dataclass
 class Frame:
     size: int
@@ -201,23 +223,36 @@ class Frame:
     blocks: dict = field(default_factory=dict)  # (agent, kind) -> [(span, reach)]
     boxes: dict = field(default_factory=dict)  # (agent, kind) -> {argument mask: box mask}
     parts: list = field(default_factory=list)  # (offset, size) per member model
+    width: int = 1  # lanes per state of a lane frame; 1 in every other frame
 
     @property
     def full(self) -> int:
         return (1 << self.size) - 1
 
     def box(self, key) -> tuple:
-        """(memo, blocks) of the (agent, kind) box."""
-        return self.boxes.setdefault(key, {}), self.blocks.get(key, ())
+        """(memo, blocks, lane width) of the (agent, kind) box."""
+        return self.boxes.setdefault(key, {}), self.blocks.get(key, ()), self.width
 
     def failures(self, mask: int):
-        """(part index, first failing state in the part) for each member
-        model on which mask is not everywhere true, in order."""
+        """(member, first failing state of the member) for each member
+        model on which mask is not everywhere true, in order. The members
+        are the parts, or, in a frame without parts, the lanes: lane k
+        holds the states k, width + k, 2·width + k, ..."""
         bad = self.full ^ mask
-        for k, (offset, size) in enumerate(self.parts if bad else ()):
-            s = bad >> offset & ((1 << size) - 1)
-            if s:
-                yield k, (s & -s).bit_length() - 1
+        if not bad:
+            return
+        if self.parts:
+            for k, (offset, size) in enumerate(self.parts):
+                s = bad >> offset & ((1 << size) - 1)
+                if s:
+                    yield k, (s & -s).bit_length() - 1
+            return
+        width = self.width
+        for k in bits(fold(bad, width)):
+            s, i = bad >> k, 0
+            while not s >> i * width & 1:
+                i += 1
+            yield k, i
 
 
 def union(frames) -> Frame:
@@ -236,7 +271,7 @@ def union(frames) -> Frame:
 
 def run(ops, atom_masks, boxes, full: int) -> list:
     """The mask of every op of (op, a, b) triples, in order: ATOM a is
-    atom_masks[a], and BOX a reads boxes[a], a Frame.box pair."""
+    atom_masks[a], and BOX a reads boxes[a], a Frame.box triple."""
     vals: list[int] = []
     push = vals.append
     for op, a, b in ops:
@@ -245,15 +280,20 @@ def run(ops, atom_masks, boxes, full: int) -> list:
         elif op == NOT:
             push(full ^ vals[a])
         elif op == BOX:
-            memo, blocks = boxes[a]
             arg = vals[b]
-            box = memo.get(arg)
+            box = boxes[a][0].get(arg)
             if box is None:  # a miss: only now are the box's blocks read
+                memo, blocks, width = boxes[a]
                 bad, fail = full ^ arg, 0
-                if bad:
+                if bad and width == 1:
                     for span, reach in blocks:
                         if reach & bad:
                             fail |= span
+                elif bad:  # lanes: the lanes where reach meets bad fail on every span state
+                    for span, reach in blocks:
+                        hit = reach & bad
+                        if hit:
+                            fail |= fold(hit, width) * span
                 box = memo[arg] = full ^ fail
             push(box)
         else:

@@ -6,10 +6,12 @@ renamings), so isomorphic duplicates never appear. Structures are
 generated in order rather than filtered: only descriptors the class
 admits are combined, depth-first, and a prefix is cut as soon as it
 cannot lead to a canonical structure of the class (orderly generation).
-Each structure then carries every atom placement. countermodel builds a
-structure's kernel frame once and sets only the atom masks per
-placement, and equal queries share their witness. An exhausted search
-means "no countermodel within bounds" and never claims validity.
+Each structure then carries every atom placement (_placements).
+countermodel runs its query once per structure, on a lane frame that
+holds the structure's placements side by side (_lane_frames, bitsliced
+with placements as the lanes), and takes the first failing lane as the
+witness; equal queries share their witness. An exhausted search means
+"no countermodel within bounds" and never claims validity.
 
 soundness_suite lays chunks of the same frames side by side with
 kernel.union and checks each scheme once per tuple of distinct formula
@@ -22,6 +24,7 @@ is built only for a violating instance.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import random
@@ -160,6 +163,8 @@ def _structures(bounds: SearchBounds, cls: str) -> Iterator[tuple]:
     Contiguity and tail-completeness are mask tests on the finished
     structure, made before its canonicity test.
     """
+    if cls not in CLASSES:
+        raise PreconditionError(f"unknown class {cls!r}; expected one of {CLASSES}")
     uniform, complete = cls != "all", cls == "H_sut"
     t = _tables(bounds.n_agents, bounds.vertex_cap, uniform)
     descs, spans, tails, first = t.descs, t.span, t.tail, t.first
@@ -194,12 +199,11 @@ def _structures(bounds: SearchBounds, cls: str) -> Iterator[tuple]:
 
 def _slots(structure) -> tuple:
     """(agent, vertex) for every vertex the structure uses, by agent then
-    vertex."""
-    counts = [0] * len(structure[0])
-    for edge in structure:
-        for a, code in enumerate(edge):
-            counts[a] = max(counts[a], _code_vertex(code) + 1)
-    return tuple((a, v) for a, k in enumerate(counts) for v in range(k))
+    vertex. An agent's codes grow with its vertex, so its greatest code
+    names its last vertex."""
+    return tuple(
+        (a, v) for a, codes in enumerate(zip(*structure)) for v in range((max(codes) + 1) // 2)
+    )
 
 
 def _subsets(items):
@@ -210,30 +214,42 @@ def _subsets(items):
 _SAMPLED_PLACEMENTS = 32
 
 
+def _choices(ws: Workspace) -> list:
+    """(variables, their subsets in _subsets order) for each agent."""
+    return [(vs, list(_subsets(vs))) for vs in map(ws.vars_of, range(ws.n_agents))]
+
+
+def _placements(choices: list, structure, slots, bounds: SearchBounds, seed: int):
+    """The atom placements of the structure, in stream order; placement[j]
+    is the atom set of vertex slots[j], and choices is _choices(workspace).
+
+    For vars_per_agent <= 2 they are exhaustive: the product, in
+    itertools.product order, of each slot's subsets of its agent's
+    variables, where subset m holds variable i when bit i of m is set.
+    Every slot's radix is then 2**vars, a power of two, so placement k
+    holds variable i at slot j exactly when bit (len(slots) - 1 - j) *
+    vars + i of k is set; _lane_frames's atom patterns rely on that.
+    Beyond two variables a list replaces exhaustion: up to
+    _SAMPLED_PLACEMENTS seeded draws, each first occurrence kept in order.
+    """
+    if bounds.vars_per_agent <= 2:
+        return itertools.product(*(choices[a][1] for a, _ in slots))
+    rng = random.Random(repr((seed, structure)))
+    draws = (
+        tuple(frozenset(p for p in choices[a][0] if rng.random() < 0.5) for a, _ in slots)
+        for _ in range(_SAMPLED_PLACEMENTS)
+    )
+    return list(dict.fromkeys(draws))
+
+
 def _stream(cls: str, bounds: SearchBounds, seed: int):
     """(structure, slots, placement) for every model of the canonical
     stream, in order; placement[j] is the atom set of vertex slots[j]."""
-    if cls not in CLASSES:
-        raise PreconditionError(f"unknown class {cls!r}; expected one of {CLASSES}")
-    ws = bounds.workspace()
-    choices = [list(_subsets(ws.vars_of(a))) for a in range(ws.n_agents)]
+    choices = _choices(bounds.workspace())
     for structure in _structures(bounds, cls):
         slots = _slots(structure)
-        if bounds.vars_per_agent <= 2:
-            for placement in itertools.product(*(choices[a] for a, _ in slots)):
-                yield structure, slots, placement
-        else:
-            rng = random.Random((seed, structure).__repr__())
-            seen = set()
-            for _ in range(_SAMPLED_PLACEMENTS):
-                placement = tuple(
-                    frozenset(p for p in ws.vars_of(a) if rng.random() < 0.5)
-                    for a, _ in slots
-                )
-                if placement in seen:
-                    continue
-                seen.add(placement)
-                yield structure, slots, placement
+        for placement in _placements(choices, structure, slots, bounds, seed):
+            yield structure, slots, placement
 
 
 def _edge_name(i: int) -> str:
@@ -297,6 +313,80 @@ def _frames(stream):
         yield structure, placement, frame
 
 
+# Placements per lane frame in countermodel. A power of two, so that an
+# exhaustive window starts at a multiple of its width, and each bit of the
+# placement index above the window's own bits is constant on it.
+_LANES = 4096
+
+
+def _lane_frames(choices: list, structure, slots, placements):
+    """(offset, frame) for each window of up to _LANES consecutive
+    placements of the structure, in order; choices is _choices(workspace).
+
+    In a frame of width W, state e·W + k is edge e under placement
+    offset + k (bitslicing, Biham, FSE 1997, with placements as the
+    lanes). A vertex gives frame_h's blocks with the span spread to bit
+    e·W of each edge e and the reach to all W lanes of each edge, so the W
+    placements share them; kernel.run folds the lanes where a reach fails
+    and multiplies them back onto the span. An atom's mask is a W-bit lane
+    pattern times its vertex's spread span: exhaustive patterns follow
+    from the placement index (see _placements), sampled ones are read off
+    the list. Windows of equal width are one frame, whose atoms are
+    reassigned and whose box memo is kept, so a frame is read before the
+    next comes."""
+    n_slots, sampled = len(slots), type(placements) is list
+    # agent a's slots are first[a] .. first[a + 1] - 1, since slots are sorted
+    first = [bisect.bisect_left(slots, (a,)) for a in range(len(choices) + 1)]
+    shift, bit = [0] * n_slots, 0  # shift[j]: the index bit of slot j's first variable
+    for j in range(n_slots - 1, -1, -1):
+        shift[j] = bit
+        bit += len(choices[slots[j][0]][0])
+    total = len(placements) if sampled else 1 << bit
+    frame = None
+    for offset in range(0, total, _LANES):
+        width = min(_LANES, total - offset)
+        if frame is None or frame.width != width:
+            lanes = (1 << width) - 1
+            span, fill, tail = [0] * n_slots, [0] * n_slots, [0] * n_slots
+            for e, edge in enumerate(structure):
+                one, row = 1 << e * width, lanes << e * width
+                for a, code in enumerate(edge):
+                    if code:
+                        j = first[a] + (code - 1 >> 1)  # the slot of vertex _code_vertex(code)
+                        span[j] |= one
+                        fill[j] |= row
+                        if code & 1:
+                            tail[j] |= row
+            frame = Frame(len(structure) * width, width=width)
+            for a in range(len(choices)):
+                lo, hi = first[a], first[a + 1]
+                if lo < hi:
+                    frame.blocks[a, KNOWLEDGE] = list(zip(span[lo:hi], fill[lo:hi]))
+                    believed = [(s, t) for s, t in zip(span[lo:hi], tail[lo:hi]) if t]
+                    if believed:
+                        frame.blocks[a, BELIEF] = believed
+            # the lanes whose index has bit b < log2(width): runs of 2**b
+            # lanes without it, then 2**b with it
+            periodic = [
+                lanes // ((1 << (2 << b)) - 1) * (((1 << (1 << b)) - 1) << (1 << b))
+                for b in range(width.bit_length() - 1)
+            ]
+        if sampled:
+            window = placements[offset:offset + width]
+        else:  # the higher index bits are constant on the window
+            lane_of = periodic + [lanes * (offset >> b & 1) for b in range(len(periodic), bit)]
+        atoms = frame.atoms = {}
+        for j, (a, _) in enumerate(slots):
+            for i, p in enumerate(choices[a][0]):
+                if sampled:
+                    lane = sum(1 << k for k, placement in enumerate(window) if p in placement[j])
+                else:
+                    lane = lane_of[shift[j] + i]
+                if lane:
+                    atoms[p] = atoms.get(p, 0) | lane * span[j]
+        yield offset, frame
+
+
 @dataclass(frozen=True, slots=True)
 class SearchResult:
     """What a countermodel search found. Equal queries that end at the same
@@ -341,11 +431,13 @@ def countermodel(
 
     The witness is minimal in the canonical enumeration order, and
     models_visited counts the stream consumed up to and including the
-    witness. Each structure's frame is built once, and each placement
-    only sets its atom masks; a model is built for the witness alone, and
-    equal queries share it. Models are evaluated one at a time, since a
-    witness usually comes within the first few. `workers` is accepted for
-    compatibility; the stream is evaluated serially whatever its value.
+    witness. The query compiles once and runs once per structure, on a
+    lane frame that holds all of the structure's placements side by side
+    (_lane_frames; a window of at most _LANES of them at a time). The
+    witness is the first failing lane and its first failing edge; a
+    model is built for the witness alone, and equal queries share it.
+    Nothing is read past the witness's structure. `workers` is accepted
+    for compatibility; the stream is evaluated serially whatever its value.
     """
     if workers < 1:
         raise PreconditionError("workers must be at least 1")
@@ -353,13 +445,22 @@ def countermodel(
     if cls == "H_su" and any(kind == KNOWLEDGE for _, kind in prog.modals):
         raise FragmentError("knowledge modalities are only admitted over the tail-complete class")
     ws = bounds.workspace()
+    choices = _choices(ws)
     visited = 0
-    for structure, placement, frame in _frames(_stream(cls, bounds, seed)):
-        visited += 1
-        root = evaluate(prog, frame)[0]
-        if root != frame.full:
-            _, edge = next(frame.failures(root))
-            return _witness(ws, structure, placement, visited, edge)
+    for structure in _structures(bounds, cls):
+        slots = _slots(structure)
+        placements = _placements(choices, structure, slots, bounds, seed)
+        for offset, frame in _lane_frames(choices, structure, slots, placements):
+            root = evaluate(prog, frame)[0]
+            if root != frame.full:
+                k, edge = next(frame.failures(root))
+                k += offset
+                if type(placements) is list:
+                    placement = placements[k]
+                else:  # the exhaustive product, not yet read
+                    placement = next(itertools.islice(placements, k, None))
+                return _witness(ws, structure, placement, visited + k + 1, edge)
+        visited += offset + frame.width  # the last window ends at the last placement
     return SearchResult("exhausted", visited)
 
 

@@ -3,7 +3,7 @@ import random
 from hyperdox import search
 from hyperdox.formula import And, Atom, Believes, Knows, Not, f_iff, f_imp
 from hyperdox.hypergraph import frame_h
-from hyperdox.kernel import AND, ATOM, BOX, NOT, Builder, Frame, compile_formulas, evaluate, run
+from hyperdox.kernel import AND, ATOM, BOX, NOT, Builder, Frame, compile_formulas, evaluate, fold, run
 from hyperdox.proofcheck import SCHEMES
 from hyperdox.search import SearchBounds
 from hyperdox.workspace import Workspace
@@ -167,3 +167,49 @@ def test_run_computes_a_box_on_its_first_argument_only():
         0b011, 0b001, 0b110, 0b111, 0b111
     ]
     assert frame.boxes == {(0, "B"): {0b011: 0b001, 0b111: 0b111}}
+
+
+def test_lane_frame_runs_every_lane_as_its_own_frame():
+    # W frames of one size and blocks, laid out edge-major (state e·W + k is
+    # state e of frame k) with shared blocks, give on lane k the masks and
+    # first failing state of frame k; run folds the lanes where a reach
+    # fails and multiplies them onto the span
+    rng = random.Random(20261019)
+    size, width = 4, 5
+    lanes = (1 << width) - 1
+
+    def spread(mask, fill):
+        return sum(fill << e * width for e in range(size) if mask >> e & 1)
+
+    blocks = {
+        (agent, kind): [(rng.getrandbits(size), rng.getrandbits(size)) for _ in range(3)]
+        for agent in range(2)
+        for kind in ("B", "K")
+    }
+    singles = [
+        Frame(size, {p: rng.getrandbits(size) for p in WS.all_vars()}, blocks) for _ in range(width)
+    ]
+    frame = Frame(size * width, width=width)
+    frame.blocks = {
+        key: [(spread(span, 1), spread(reach, lanes)) for span, reach in pairs]
+        for key, pairs in blocks.items()
+    }
+    frame.atoms = {
+        p: sum(spread(single.atoms[p], 1 << k) for k, single in enumerate(singles))
+        for p in WS.all_vars()
+    }
+    prog = compile_formulas(random_formula(rng, WS.all_vars(), range(2), 3, 9) for _ in range(40))
+    masks = evaluate(prog, frame)
+    for k, single in enumerate(singles):
+        assert [spread(m, 1 << k) for m in evaluate(prog, single)] == [
+            m & spread(single.full, 1 << k) for m in masks
+        ]
+    for mask in masks:
+        expected = {}
+        for k, single in enumerate(singles):
+            lane = sum((mask >> e * width + k & 1) << e for e in range(size))
+            for _, i in single.failures(lane):
+                expected[k] = i
+        assert dict(frame.failures(mask)) == expected
+    assert fold(0b10110_00001_00000, width) == 0b10111
+    assert list(Frame(3).failures(0b010)) == [(0, 0)]  # no parts: one lane of width 1

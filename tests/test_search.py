@@ -434,21 +434,38 @@ def test_structure_frames_equal_model_frames(cls):
     assert chunks > 1
 
 
-@pytest.mark.parametrize("cls", ["H_su", "H_sut"])
-def test_countermodel_frames_match_naive_walk(cls):
-    # per-structure frames against a walk of enumerate_models on the oracle
-    bounds = SearchBounds(2, 3, 1)
+# (bounds, seed, test id suffix) of the naive walk. The seed only moves the
+# placements that (2, 2, 3) samples. The first case keeps the bare class as
+# its test id.
+WALK_CASES = (((2, 3, 1), 0, ""), ((2, 2, 2), 0, "-2,2,2"), ((2, 2, 3), 0, "-2,2,3-seed0"),
+              ((2, 2, 3), 5, "-2,2,3-seed5"))
+
+
+@pytest.mark.parametrize(
+    "cls, bounds, seed",
+    [
+        pytest.param(cls, b, seed, id=cls + suffix)
+        for b, seed, suffix in WALK_CASES
+        for cls in search.CLASSES
+    ],
+)
+def test_countermodel_frames_match_naive_walk(monkeypatch, cls, bounds, seed):
+    # lane frames against a walk of enumerate_models on the oracle, with
+    # windows of _LANES placements and of 1 and 4
+    bounds = SearchBounds(*bounds)
     ws = bounds.workspace()
     rng = random.Random(f"frames-{cls}")
-    formulas = [parse_formula("B{a}p_a_1 -> B{a}B{a}p_a_1", ws)]
+    formulas = [
+        parse_formula("B{a}p_a_1 -> B{a}B{a}p_a_1", ws),
+        parse_formula("B{b}(p_a_1 & p_b_1) -> B{b}p_b_1", ws),  # valid on every frame
+    ]
     while len(formulas) < 30:
         f = random_formula(rng, ws.all_vars(), [0, 1], 2, 7)
-        if cls == "H_sut" or fragment_check(f).in_doxastic_fragment:
+        if cls != "H_su" or fragment_check(f).in_doxastic_fragment:
             formulas.append(f)
-    models = list(enumerate_models(cls, bounds))
+    models = list(enumerate_models(cls, bounds, seed))
     outcomes = set()
     for f in formulas:
-        result = countermodel(cls, f, bounds)
         expected = ("exhausted", len(models), None, None)
         for index, model in enumerate(models, 1):
             bad = [i for i in range(model.n_edges) if not naive_satisfies_h(model, i, f)]
@@ -456,12 +473,52 @@ def test_countermodel_frames_match_naive_walk(cls):
                 witness = hypergraph_to_json(model)
                 expected = ("countermodel", index, model.edges[bad[0]].name, witness)
                 break
-        witness = None if result.model is None else hypergraph_to_json(result.model)
-        assert (result.outcome, result.models_visited, result.edge, witness) == expected
-        again = countermodel(cls, f, bounds)
-        assert again.model is result.model
+        for lanes in (search._LANES, 1, 4):
+            monkeypatch.setattr(search, "_LANES", lanes)
+            result = countermodel(cls, f, bounds, seed)
+            witness = None if result.model is None else hypergraph_to_json(result.model)
+            assert (result.outcome, result.models_visited, result.edge, witness) == expected
+            again = countermodel(cls, f, bounds, seed)
+            assert again.model is result.model
         outcomes.add(result.outcome)
     assert outcomes == {"countermodel", "exhausted"}
+
+
+@pytest.mark.parametrize("lanes", [None, 4], ids=["lanes_default", "lanes_4"])
+@pytest.mark.parametrize("bounds", [(2, 3, 1), (2, 2, 3)], ids=["2,3,1", "2,2,3"])
+def test_lane_k_is_the_kth_placement(monkeypatch, bounds, lanes):
+    # lane k of a structure's lane frames is the frame that _frames gives
+    # the k-th placement of _stream: the same atom masks, and the same
+    # first failing edge of each formula
+    if lanes is not None:
+        monkeypatch.setattr(search, "_LANES", lanes)
+    bounds = SearchBounds(*bounds)
+    ws = bounds.workspace()
+    choices = search._choices(ws)
+    rng = random.Random("lanes")
+    prog = compile_formulas(random_formula(rng, ws.all_vars(), [0, 1], 2, 7) for _ in range(12))
+    for cls in search.CLASSES:
+        singles = search._frames(search._stream(cls, bounds, 5))
+        for structure in search._structures(bounds, cls):
+            slots = search._slots(structure)
+            placements = search._placements(choices, structure, slots, bounds, 5)
+            for offset, frame in search._lane_frames(choices, structure, slots, placements):
+                width, edges = frame.width, range(len(structure))
+                assert frame.size == len(structure) * width and not frame.parts
+                fails = [dict(frame.failures(mask)) for mask in evaluate(prog, frame)]
+                for k in range(width):
+                    s, _, single = next(singles)
+                    assert s == structure
+                    lane = {
+                        p: sum((mask >> e * width + k & 1) << e for e in edges)
+                        for p, mask in frame.atoms.items()
+                    }
+                    assert {p: m for p, m in lane.items() if m} == {
+                        p: m for p, m in single.atoms.items() if m
+                    }
+                    first = [dict(single.failures(mask)).get(0) for mask in evaluate(prog, single)]
+                    assert first == [fail.get(k) for fail in fails]
+        assert next(singles, None) is None
 
 
 # (system, class, models_visited, instances_checked) of the three suites at
