@@ -46,9 +46,11 @@ def _parse_bounds(text: str) -> SearchBounds:
     for part in text.split(","):
         if "=" not in part:
             raise InputError(f"bad bounds entry {part!r}; expected key=value")
-        key, value = part.split("=", 1)
+        key, value = (x.strip() for x in part.split("=", 1))
+        if key in fields:
+            raise InputError(f"bounds key {key!r} is given twice")
         try:
-            fields[key.strip()] = int(value)
+            fields[key] = int(value)
         except ValueError:
             raise InputError(f"bounds value for {key!r} must be an integer") from None
     unknown = set(fields) - {"agents", "edges", "vars", "verts"}

@@ -197,7 +197,7 @@ def frame_h(m: HypergraphModel) -> Frame:
         tail = tail_of.get(vid)
         if tail:
             blocks.setdefault((v.color, BELIEF), []).append((span, tail))
-    return Frame(m.n_edges, atoms, blocks, parts=[(0, m.n_edges)])
+    return Frame(m.n_edges, atoms, blocks)
 
 
 def sat_mask_h(m: HypergraphModel, f: Formula) -> int:

@@ -19,11 +19,7 @@ per (agent, kind), a list of (span, reach) blocks. A box fails exactly
 on the spans of the blocks whose reach meets the states where its
 argument fails. Hypergraph frames have one block per vertex
 (hypergraph.frame_h), Kripke frames one per world for B and one per
-class for K (KripkeModel.frame). Modal truth is invariant under disjoint
-union, so union() lays frames side by side; it alone shifts masks, and
-`parts` records each member's (offset, size). A frame that
-search._frames or search._lane_frames yields must be read before its
-stream advances.
+class for K (KripkeModel.frame).
 
 A lane frame holds many models of one structure at once, laid out
 edge-major: with lane width W, state e·W + k is edge e of model k (bit
@@ -32,17 +28,19 @@ has bit e·W of each of its edges, and a reach all W lanes of each.
 run's box step then folds reach & bad into the W-bit set of lanes that
 fail and multiplies it by the span, which puts those lanes on every span
 edge. Every other frame has width 1, where that step is span-or-nothing.
-search._lane_frames lays out a structure's placements this way for
-countermodel, and failures() reads a frame without parts by lane.
+search._lane_frames lays out a structure's placements this way, for
+countermodel and soundness_suite alike, and a frame it yields must be
+read before its stream advances. failures() reads every frame by lane;
+a width-1 frame is one lane.
 
 A frame memoises its boxes: `boxes` maps (agent, kind) to {argument
 mask: box mask}, filled as ops run (the computed table of BDD packages;
 Bryant, IEEE TC 1986). A box reads only the blocks, the size and the
 width, never the atoms, so the memo holds while the atom masks are
-reassigned (search._frames does so per placement, search._lane_frames
-per window of placements) and while other programs run on the frame; it
-lives and dies with the frame. A frame's blocks, size and width are
-therefore fixed once it has been evaluated.
+reassigned (search._lane_frames does so per window of placements) and
+while other programs run on the frame; it lives and dies with the
+frame. A frame's blocks, size and width are therefore fixed once it has
+been evaluated.
 
 Structural facts are read off the program too: fragment_check from its
 atoms and (agent, kind) modalities, modal_depth from its op columns.
@@ -222,7 +220,6 @@ class Frame:
     atoms: dict = field(default_factory=dict)  # PropVar -> mask
     blocks: dict = field(default_factory=dict)  # (agent, kind) -> [(span, reach)]
     boxes: dict = field(default_factory=dict)  # (agent, kind) -> {argument mask: box mask}
-    parts: list = field(default_factory=list)  # (offset, size) per member model
     width: int = 1  # lanes per state of a lane frame; 1 in every other frame
 
     @property
@@ -234,39 +231,16 @@ class Frame:
         return self.boxes.setdefault(key, {}), self.blocks.get(key, ()), self.width
 
     def failures(self, mask: int):
-        """(member, first failing state of the member) for each member
-        model on which mask is not everywhere true, in order. The members
-        are the parts, or, in a frame without parts, the lanes: lane k
-        holds the states k, width + k, 2·width + k, ..."""
-        bad = self.full ^ mask
-        if not bad:
-            return
-        if self.parts:
-            for k, (offset, size) in enumerate(self.parts):
-                s = bad >> offset & ((1 << size) - 1)
-                if s:
-                    yield k, (s & -s).bit_length() - 1
-            return
-        width = self.width
+        """(lane k, the least i whose state i·width + k fails) for each lane
+        on which mask is not everywhere true, in order. Lane k holds the
+        states k, width + k, 2·width + k, ..., so a width-1 frame is one
+        lane, and i is the failing state itself."""
+        width, bad = self.width, self.full ^ mask
         for k in bits(fold(bad, width)):
             s, i = bad >> k, 0
             while not s >> i * width & 1:
                 i += 1
             yield k, i
-
-
-def union(frames) -> Frame:
-    """The frames side by side in order, each read as it is yielded."""
-    out = Frame(0)
-    for frame in frames:
-        offset = out.size
-        for p, mask in frame.atoms.items():
-            out.atoms[p] = out.atoms.get(p, 0) | mask << offset
-        for key, pairs in frame.blocks.items():
-            out.blocks.setdefault(key, []).extend((s << offset, r << offset) for s, r in pairs)
-        out.parts.append((offset, frame.size))
-        out.size += frame.size
-    return out
 
 
 def run(ops, atom_masks, boxes, full: int) -> list:

@@ -155,8 +155,7 @@ class KripkeModel:
         """The model as a kernel frame: per agent, one belief block
         (world, successors) per world with successors and one knowledge
         block (class, class) per equivalence class."""
-        n = self.n_worlds
-        frame = Frame(n, parts=[(0, n)])
+        frame = Frame(self.n_worlds)
         atoms = frame.atoms
         for u, vals in enumerate(self.valuation):
             for p in vals:

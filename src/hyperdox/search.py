@@ -7,17 +7,18 @@ generated in order rather than filtered: only descriptors the class
 admits are combined, depth-first, and a prefix is cut as soon as it
 cannot lead to a canonical structure of the class (orderly generation).
 Each structure then carries every atom placement (_placements).
-countermodel runs its query once per structure, on a lane frame that
-holds the structure's placements side by side (_lane_frames, bitsliced
-with placements as the lanes), and takes the first failing lane as the
-witness; equal queries share their witness. An exhausted search means
-"no countermodel within bounds" and never claims validity.
+countermodel and soundness_suite read the same frames (_lanes): per
+structure, a lane frame that holds its placements side by side
+(_lane_frames, bitsliced with placements as the lanes), a window of at
+most _LANES of them at a time. countermodel runs its query once per
+frame and takes the first failing lane as the witness; equal queries
+share their witness. An exhausted search means "no countermodel within
+bounds" and never claims validity.
 
-soundness_suite lays chunks of the same frames side by side with
-kernel.union and checks each scheme once per tuple of distinct formula
-masks: formulas with one mask are one letter, and _instance_masks runs
-each scheme's compiled pattern through kernel.run with its
-metavariables bound to letter masks. No program is emitted for
+soundness_suite checks each scheme once per frame and tuple of distinct
+formula masks: formulas with one mask are one letter, and
+_instance_masks runs each scheme's compiled pattern through kernel.run
+with its metavariables bound to letter masks. No program is emitted for
 instances. A failing tuple expands to its formula tuples, and a Formula
 is built only for a violating instance.
 """
@@ -36,7 +37,7 @@ from .convert import FormulaSlots
 from .errors import FragmentError, PreconditionError
 from .formula import Formula, render_formula
 from .hypergraph import DirectedEdge, HypergraphModel, Vertex
-from .kernel import ATOM, BELIEF, KNOWLEDGE, Frame, compile_formulas, evaluate, run, union
+from .kernel import ATOM, BELIEF, KNOWLEDGE, Frame, compile_formulas, evaluate, run
 from .proofcheck import ADMITTED, SCHEME_ARITY, SCHEMES, SchemeId, System, instantiate_scheme
 from .workspace import Workspace, synthetic_workspace
 
@@ -283,39 +284,9 @@ def enumerate_models(cls: str, bounds: SearchBounds, seed: int = 0) -> Iterator[
         yield _build_model(ws, structure, slots, placement)
 
 
-def _frames(stream):
-    """(structure, placement, frame) for each model of the stream, where
-    frame is what hypergraph.frame_h gives that model. A structure's
-    blocks are built once; each placement only sets the atom masks, in a
-    frame that the next step reuses."""
-    current = None
-    for structure, slots, placement in stream:
-        if structure is not current:
-            current = structure
-            span, tail = {}, {}
-            for i, edge in enumerate(structure):
-                for a, code in enumerate(edge):
-                    if code:
-                        key = (a, _code_vertex(code))
-                        span[key] = span.get(key, 0) | 1 << i
-                        if code % 2:
-                            tail[key] = tail.get(key, 0) | 1 << i
-            frame = Frame(len(structure), parts=[(0, len(structure))])
-            for key in slots:
-                frame.blocks.setdefault((key[0], KNOWLEDGE), []).append((span[key], span[key]))
-                if key in tail:
-                    frame.blocks.setdefault((key[0], BELIEF), []).append((span[key], tail[key]))
-            slot_spans = [span[key] for key in slots]
-        atoms = frame.atoms = {}
-        for vertex_span, vals in zip(slot_spans, placement):
-            for p in vals:
-                atoms[p] = atoms.get(p, 0) | vertex_span
-        yield structure, placement, frame
-
-
-# Placements per lane frame in countermodel. A power of two, so that an
-# exhaustive window starts at a multiple of its width, and each bit of the
-# placement index above the window's own bits is constant on it.
+# Placements per lane frame. A power of two, so that an exhaustive window
+# starts at a multiple of its width, and each bit of the placement index
+# above the window's own bits is constant on it.
 _LANES = 4096
 
 
@@ -387,6 +358,19 @@ def _lane_frames(choices: list, structure, slots, placements):
         yield offset, frame
 
 
+def _lanes(ws: Workspace, cls: str, bounds: SearchBounds, seed: int):
+    """(structure, placements, offset, frame) for each window of the
+    canonical stream, in order: each structure of the class with its
+    placements, laid out by _lane_frames. Lane k of the frame is the
+    structure's placement offset + k, so the lanes follow the stream."""
+    choices = _choices(ws)
+    for structure in _structures(bounds, cls):
+        slots = _slots(structure)
+        placements = _placements(choices, structure, slots, bounds, seed)
+        for offset, frame in _lane_frames(choices, structure, slots, placements):
+            yield structure, placements, offset, frame
+
+
 @dataclass(frozen=True, slots=True)
 class SearchResult:
     """What a countermodel search found. Equal queries that end at the same
@@ -431,9 +415,8 @@ def countermodel(
 
     The witness is minimal in the canonical enumeration order, and
     models_visited counts the stream consumed up to and including the
-    witness. The query compiles once and runs once per structure, on a
-    lane frame that holds all of the structure's placements side by side
-    (_lane_frames; a window of at most _LANES of them at a time). The
+    witness. The query compiles once and runs once per frame of _lanes,
+    which holds up to _LANES of a structure's placements side by side. The
     witness is the first failing lane and its first failing edge; a
     model is built for the witness alone, and equal queries share it.
     Nothing is read past the witness's structure. `workers` is accepted
@@ -445,28 +428,19 @@ def countermodel(
     if cls == "H_su" and any(kind == KNOWLEDGE for _, kind in prog.modals):
         raise FragmentError("knowledge modalities are only admitted over the tail-complete class")
     ws = bounds.workspace()
-    choices = _choices(ws)
     visited = 0
-    for structure in _structures(bounds, cls):
-        slots = _slots(structure)
-        placements = _placements(choices, structure, slots, bounds, seed)
-        for offset, frame in _lane_frames(choices, structure, slots, placements):
-            root = evaluate(prog, frame)[0]
-            if root != frame.full:
-                k, edge = next(frame.failures(root))
-                k += offset
-                if type(placements) is list:
-                    placement = placements[k]
-                else:  # the exhaustive product, not yet read
-                    placement = next(itertools.islice(placements, k, None))
-                return _witness(ws, structure, placement, visited + k + 1, edge)
-        visited += offset + frame.width  # the last window ends at the last placement
+    for structure, placements, offset, frame in _lanes(ws, cls, bounds, seed):
+        root = evaluate(prog, frame)[0]
+        if root != frame.full:
+            k, edge = next(frame.failures(root))
+            if type(placements) is list:
+                placement = placements[offset + k]
+            else:  # the exhaustive product, not yet read
+                placement = next(itertools.islice(placements, offset + k, None))
+            return _witness(ws, structure, placement, visited + k + 1, edge)
+        visited += frame.width
     return SearchResult("exhausted", visited)
 
-
-# Models per union frame in soundness_suite, framed by _frames: one program
-# run covers a whole chunk (modal truth is invariant under disjoint union).
-_CHUNK = 32
 
 SYSTEM_CLASS = {
     System.EDL: "H_sut",
@@ -563,11 +537,11 @@ def soundness_suite(
 
     An instance's mask on a frame depends only on the masks of its
     metavariables' values (the substitution lemma; Blackburn, de Rijke
-    and Venema, Modal Logic, 2001, 1.3). So on each union frame the
-    enumerated formulas are grouped by mask, each group is one letter,
-    and each scheme's pattern runs once per tuple of letters, with the
-    frame's box memo shared by all; a failing tuple stands for every
-    tuple of formulas its letters hold.
+    and Venema, Modal Logic, 2001, 1.3). So on each frame of _lanes, one
+    model per lane, the enumerated formulas are grouped by mask, each
+    group is one letter, and each scheme's pattern runs once per tuple of
+    letters, with the frame's box memo shared by all; a failing tuple
+    stands for every tuple of formulas its letters hold.
     """
     if SYSTEM_CLASS[system] != cls:
         raise PreconditionError(
@@ -581,26 +555,23 @@ def soundness_suite(
     n, masks_of = len(formulas), formulas.builder.program(formulas.slots)
     patterns = _patterns(system)
 
-    def count(scheme, agent) -> int:  # the instances of (scheme, agent) over the formulas
+    bases, checked = {}, 0  # (scheme, agent) -> the index of its first instance
+    for scheme, _, _ in patterns:
         arity = SCHEME_ARITY[scheme]
-        return len(ws.vars_of(agent)) if arity == "atom" else n ** (1 + (arity == "two"))
-
-    checked = sum(count(scheme, agent) for scheme, _, _ in patterns for agent in range(ws.n_agents))
+        for agent in range(ws.n_agents):
+            bases[scheme, agent] = checked
+            checked += len(ws.vars_of(agent)) if arity == "atom" else n ** (1 + (arity == "two"))
     violations, visited = [], 0
-    stream = (frame for _, _, frame in _frames(_stream(cls, bounds, seed)))
-    while (frame := union(itertools.islice(stream, _CHUNK))).parts:
+    for _, _, _, frame in _lanes(ws, cls, bounds, seed):
         groups: dict[int, list] = {}  # mask -> its formulas, in first-occurrence order
         for f, mask in enumerate(evaluate(masks_of, frame)):
             groups.setdefault(mask, []).append(f)
         members = list(groups.values())
         full, failures, origin_of = frame.full, [], {}
-        base, block = 0, None  # the first instance of the current (scheme, agent)
         for scheme, agent, x, y, m in _instance_masks(patterns, ws, frame, list(groups)):
-            if block != (scheme, agent):  # a (scheme, agent) that yields nothing counts none
-                base += count(*block) if block else 0
-                block = scheme, agent
             if m == full:
                 continue
+            base = bases[scheme, agent]
             if y is not None:
                 found = [
                     (base + phi * n + psi, phi, psi) for phi in members[x] for psi in members[y]
@@ -613,7 +584,7 @@ def soundness_suite(
             for j, phi, psi in found:
                 origin_of[j] = (scheme, agent, phi, psi)
                 failures.extend((k, j, i) for k, i in fails)
-        # (model k, instance j, first failing edge i), in (model, instance) order
+        # (lane k, instance j, first failing edge i), in (model, instance) order
         for k, j, i in sorted(failures):
             violations.append(
                 {
@@ -623,6 +594,6 @@ def soundness_suite(
                     "edge": _edge_name(i),
                 }
             )
-        visited += len(frame.parts)
+        visited += frame.width
     elapsed = time.perf_counter() - start
     return SoundnessReport(system, cls, violations, visited, checked, elapsed)

@@ -377,6 +377,23 @@ def test_bad_bounds_rejected(capsys):
     assert "bounds" in err
 
 
+@pytest.mark.parametrize(
+    "bounds",
+    [
+        "agents=2,edges=2,vars=1,agents=3",
+        "agents=2,edges=2,vars",
+        "agents=2,edges=two",
+        "agents=2,edges=2,depth=1",
+        "edges=2,vars=1",
+    ],
+    ids=["repeated_key", "no_equals", "non_integer", "unknown_key", "no_agents"],
+)
+def test_malformed_bounds_are_input_errors(capsys, bounds):
+    code, out, _ = run(capsys, "--json", "search", "soundness", "EDL", "--bounds", bounds)
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "InputError"
+
+
 def test_missing_file_exit_two(capsys):
     code, _, err = run(capsys, "validate", "no_such_file.json")
     assert code == 2

@@ -27,7 +27,7 @@ from hyperdox import (
 from hyperdox.convert import FormulaSlots
 from hyperdox.formula import And, Not
 from hyperdox.hypergraph import frame_h
-from hyperdox.kernel import compile_formulas, evaluate, union
+from hyperdox.kernel import compile_formulas, evaluate
 from hyperdox.kripke import equivalence_classes
 from hyperdox.modelio import model_from_json
 from randgen import random_local_kripke, random_uniform_model
@@ -299,10 +299,11 @@ def test_formula_slots_rebuild_the_enumerated_stream():
     assert len(slots) == len(slots.slots) == len(naive) == count_formulas(2, 2, 2, 4)
     assert list(slots) == naive
     assert list(enumerate_formulas(ws.all_vars(), range(2), 2, 4)) == naive
-    # every slot has its formula's mask, on the union of 52 models
-    frame = union(frame_h(m) for m in enumerate_models("H_sut", SearchBounds(2, 2, 1)))
-    masks = evaluate(slots.builder.program(slots.slots), frame)
-    assert masks == evaluate(compile_formulas(naive), frame)
+    # every slot has its formula's mask, on each of 52 models
+    prog, expected = slots.builder.program(slots.slots), compile_formulas(naive)
+    for m in enumerate_models("H_sut", SearchBounds(2, 2, 1)):
+        frame = frame_h(m)
+        assert evaluate(prog, frame) == evaluate(expected, frame)
     with pytest.raises(PreconditionError):
         FormulaSlots(ws.all_vars(), range(2), -1, 4)
 

@@ -21,7 +21,7 @@ from hyperdox import (
 )
 from hyperdox.formula import Believes, Knows
 from hyperdox.hypergraph import frame_h
-from hyperdox.kernel import compile_formulas, evaluate, union
+from hyperdox.kernel import compile_formulas, evaluate
 from randgen import random_formula, random_uniform_model
 from oracles import _naive_succ, naive_satisfies_h
 
@@ -332,9 +332,9 @@ WS3 = Workspace(("a", "b", "c"), (("p_a_1",), ("p_b_1",), ("p_c_1",)))
 
 @settings(max_examples=150, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n_models=st.integers(1, 6))
-def test_union_frame_agrees_with_oracle_per_model(seed, n_models):
-    # every member of a disjoint-union frame keeps its own truth values,
-    # although the members reuse the same vertex ids
+def test_frame_agrees_with_oracle_on_random_models(seed, n_models):
+    # the frame of each of several uniform and ragged models over three
+    # agents gives the oracle's truth values at every edge
     rng = random.Random(seed)
     models = []
     while len(models) < n_models:
@@ -349,14 +349,13 @@ def test_union_frame_agrees_with_oracle_per_model(seed, n_models):
     for _ in range(4):
         f = random_formula(rng, vars_, range(3), 2, 7)
         formulas += [f, Believes(rng.randrange(3), f), Knows(rng.randrange(3), f)]
-    frame = union(frame_h(m) for m in models)
-    assert frame.size == sum(m.n_edges for m in models)
-    masks = evaluate(compile_formulas(formulas), frame)
-    for m, (offset, size) in zip(models, frame.parts):
-        assert size == m.n_edges
-        for f, mask in zip(formulas, masks):
-            for i in range(size):
-                assert bool(mask >> (offset + i) & 1) == naive_satisfies_h(m, i, f)
+    prog = compile_formulas(formulas)
+    for m in models:
+        frame = frame_h(m)
+        assert (frame.size, frame.width) == (m.n_edges, 1)
+        for f, mask in zip(formulas, evaluate(prog, frame)):
+            for i in range(m.n_edges):
+                assert bool(mask >> i & 1) == naive_satisfies_h(m, i, f)
 
 
 def test_deep_formula_evaluates_without_recursion(chain4):

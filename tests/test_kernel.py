@@ -116,11 +116,13 @@ def test_no_compiled_program_holds_an_unread_op():
         assert _unread_slots(compile_formulas([pattern])) == []
 
 
-def test_box_memo_holds_on_a_reused_frame():
-    # search._frames keeps one frame per structure and reassigns its atom
-    # masks per placement; programs run on it in a seeded order must give
-    # the masks of a fresh frame and of the oracle, and every memoised box
-    # must be the box of its argument under the frame's blocks
+def test_box_memo_holds_on_a_reused_frame(monkeypatch):
+    # with four lanes per window, search._lanes keeps one frame per
+    # structure and reassigns its atom masks per window; programs run on it
+    # in a seeded order must give, on each lane, the masks of the model's
+    # own frame and of the oracle, and every memoised box must be the box
+    # of its argument under the frame's blocks
+    monkeypatch.setattr(search, "_LANES", 4)
     rng = random.Random(20261018)
     bounds = SearchBounds(2, 2, 1)
     ws = bounds.workspace()
@@ -128,19 +130,24 @@ def test_box_memo_holds_on_a_reused_frame():
         [random_formula(rng, ws.all_vars(), range(2), 3, 9) for _ in range(4)] for _ in range(3)
     ]
     progs = [compile_formulas(batch) for batch in batches]
-    frames, box_runs = {}, 0
-    for structure, placement, frame in search._frames(search._stream("all", bounds, 0)):
-        frames[id(frame)] = frame
-        model = search._build_model(ws, structure, search._slots(structure), placement)
+    models = search.enumerate_models("all", bounds)
+    frames, windows, box_runs = {}, 0, 0
+    for structure, _, _, frame in search._lanes(ws, "all", bounds, 0):
+        frames[id(frame)], windows = frame, windows + 1
+        width, edges = frame.width, range(len(structure))
+        window = [next(models) for _ in range(width)]
         for k in rng.sample(range(len(progs)), len(progs)):
             masks = evaluate(progs[k], frame)
             box_runs += list(progs[k].op).count(BOX)
-            assert masks == evaluate(progs[k], frame_h(model))
-            for f, mask in zip(batches[k], masks):
-                assert [mask >> i & 1 == 1 for i in range(model.n_edges)] == [
-                    naive_satisfies_h(model, i, f) for i in range(model.n_edges)
-                ]
-    assert len(frames) == 96
+            for lane, model in enumerate(window):
+                own = [sum((m >> e * width + lane & 1) << e for e in edges) for m in masks]
+                assert own == evaluate(progs[k], frame_h(model))
+                for f, mask in zip(batches[k], own):
+                    assert [mask >> i & 1 == 1 for i in edges] == [
+                        naive_satisfies_h(model, i, f) for i in edges
+                    ]
+    assert next(models, None) is None
+    assert len(frames) == 96 < windows
     memoised = 0
     for frame in frames.values():
         for key, memo in frame.boxes.items():
@@ -148,7 +155,7 @@ def test_box_memo_holds_on_a_reused_frame():
                 bad = frame.full ^ arg
                 fail = 0
                 for span, reach in frame.blocks.get(key, ()):
-                    fail |= span if reach & bad else 0
+                    fail |= fold(reach & bad, frame.width) * span
                 assert box == frame.full ^ fail
             memoised += len(memo)
     assert 0 < memoised < box_runs
@@ -212,4 +219,4 @@ def test_lane_frame_runs_every_lane_as_its_own_frame():
                 expected[k] = i
         assert dict(frame.failures(mask)) == expected
     assert fold(0b10110_00001_00000, width) == 0b10111
-    assert list(Frame(3).failures(0b010)) == [(0, 0)]  # no parts: one lane of width 1
+    assert list(Frame(3).failures(0b010)) == [(0, 0)]  # a width-1 frame is one lane

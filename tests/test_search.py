@@ -1,3 +1,4 @@
+import bisect
 import hashlib
 import itertools
 import json
@@ -22,7 +23,7 @@ from hyperdox import hypergraph, search
 from hyperdox.convert import FormulaSlots
 from hyperdox.formula import Not, render_formula
 from hyperdox.hypergraph import frame_h
-from hyperdox.kernel import AND, BOX, NOT, Frame, compile_formulas, evaluate, fragment_check, union
+from hyperdox.kernel import AND, BOX, NOT, Frame, compile_formulas, evaluate, fragment_check
 from hyperdox.modelio import hypergraph_to_json
 from hyperdox.proofcheck import ADMITTED, SCHEMES, SchemeId
 from hyperdox.workspace import Workspace
@@ -236,14 +237,18 @@ def _per_model_violations(system, cls, bounds, *sizes):
 
 def test_chunked_suite_matches_per_model_evaluation(monkeypatch):
     # LocKD45 over H_su is unsound (D_B fails where a vertex lies in no
-    # tail), so the suite reports violations from many union frames;
+    # tail), so the suite reports violations from many lane frames;
     # they must be exactly those of evaluating one model at a time
     monkeypatch.setitem(search.SYSTEM_CLASS, System.LOC_KD45, "H_su")
     bounds = SearchBounds(2, 2, 1)
     ws = bounds.workspace()
     report = soundness_suite(System.LOC_KD45, "H_su", bounds, 1)
     instances, models, expected = _per_model_violations(System.LOC_KD45, "H_su", bounds, 1)
-    assert report.models_visited == len(models) > search._CHUNK
+    assert report.models_visited == len(models)
+    # the last model index of each frame, and the frames with a violation
+    ends = list(itertools.accumulate(f.width for *_, f in search._lanes(ws, "H_su", bounds, 0)))
+    assert ends[-1] == len(models)
+    assert len({bisect.bisect_left(ends, v["model_index"]) for v in report.violations}) > 1
     assert len(report.violations) == 13600
     assert report.violations == expected
     # spot-check the reported first failing edges on the oracle
@@ -257,7 +262,7 @@ def test_chunked_suite_matches_per_model_evaluation(monkeypatch):
 
 
 def test_suite_reports_an_instance_failing_at_the_first_state_alone(monkeypatch):
-    # EDL over every hypergraph: some instance of the first union frame
+    # EDL over every hypergraph: some instance of the first lane frame
     # fails at its state 0 and nowhere else, so a suite that skipped a
     # root by a wrong test on its mask would miss that violation
     monkeypatch.setitem(search.SYSTEM_CLASS, System.EDL, "all")
@@ -265,14 +270,17 @@ def test_suite_reports_an_instance_failing_at_the_first_state_alone(monkeypatch)
     report = soundness_suite(System.EDL, "all", bounds, 1, 2)
     _, _, expected = _per_model_violations(System.EDL, "all", bounds, 1, 2)
     assert report.violations == expected and len(expected) == 370
-    # every model has one edge, so each violation is one state of its frame
-    in_first = Counter(v["instance"] for v in expected if v["model_index"] <= search._CHUNK)
+    # every model has one edge, so each violation is one state (lane) of
+    # its frame
+    width = next(search._lanes(bounds.workspace(), "all", bounds, 0))[3].width
+    assert width > 1
+    in_first = Counter(v["instance"] for v in expected if v["model_index"] <= width)
     assert any(in_first[v["instance"]] == 1 for v in expected if v["model_index"] == 1)
 
 
 def test_letter_suite_matches_per_model_evaluation(monkeypatch):
     # the suite checks each scheme once per tuple of letters, the distinct
-    # formula masks on a union frame; its violations must be those of
+    # formula masks on a lane frame; its violations must be those of
     # evaluating every instance one model at a time, on runs where a
     # violating letter holds several formulas
     shared = False
@@ -289,9 +297,10 @@ def test_letter_suite_matches_per_model_evaluation(monkeypatch):
         assert report.violations == expected and report.instances_checked == len(instances)
         formulas = FormulaSlots(ws.all_vars(), range(ws.n_agents), *sizes)
         prog = formulas.builder.program(formulas.slots)
-        chunks = range(0, len(models), search._CHUNK)
-        frames = (union(frame_h(m) for m in models[c : c + search._CHUNK]) for c in chunks)
-        masks = [evaluate(prog, frame) for frame in frames]
+        masks = []  # per model, the formula masks on the suite's frame of it
+        for _, _, _, frame in search._lanes(ws, cls, bounds, 0):
+            masks += [evaluate(prog, frame)] * frame.width
+        assert len(masks) == len(models)
         # over one letter per formula, the instances are every
         # (scheme, agent, phi, psi)
         letters = [0] * len(formulas)
@@ -303,8 +312,8 @@ def test_letter_suite_matches_per_model_evaluation(monkeypatch):
         }
         for v in expected:
             _, _, phi, psi = origin_of[v["scheme"], v["instance"]]
-            chunk = masks[(v["model_index"] - 1) // search._CHUNK]
-            shared |= any(type(x) is int and chunk.count(chunk[x]) > 1 for x in (phi, psi))
+            on_frame = masks[v["model_index"] - 1]
+            shared |= any(type(x) is int and on_frame.count(on_frame[x]) > 1 for x in (phi, psi))
     assert shared
 
 
@@ -402,36 +411,21 @@ def test_orderly_stream_pinned_at_larger_bounds(bounds, cls):
     assert (len(stream), digest) == PINNED_STREAMS[bounds, cls]
 
 
-def _assert_same_frame(frame, expected):
-    assert frame.atoms == expected.atoms
-    assert (frame.size, frame.parts) == (expected.size, expected.parts)
-    assert {k: sorted(v) for k, v in frame.blocks.items()} == {
-        k: sorted(v) for k, v in expected.blocks.items()
-    }
-
-
 @pytest.mark.parametrize("cls", search.CLASSES)
-def test_structure_frames_equal_model_frames(cls):
-    # the frame countermodel builds per structure, with a placement's atom
-    # masks set, is the frame of the model enumerate_models builds there
+def test_structure_frames_equal_model_frames(monkeypatch, cls):
+    # with one lane per window, each frame the suite and countermodel read,
+    # with that placement's atom masks set, is the frame of the model
+    # enumerate_models builds there
+    monkeypatch.setattr(search, "_LANES", 1)
     bounds = SearchBounds(2, 3, 1)
-    frames = search._frames(search._stream(cls, bounds, 0))
-    models = enumerate_models(cls, bounds)
-    for (_, _, frame), model in zip(frames, models, strict=True):
-        _assert_same_frame(frame, frame_h(model))
-    # and soundness_suite's union of each chunk of the reused per-structure
-    # frames is the union of the chunk's model frames
-    frames = search._frames(search._stream(cls, bounds, 0))
-    models = enumerate_models(cls, bounds)
-    chunks = 0
-    while True:
-        frame = union(f for _, _, f in itertools.islice(frames, search._CHUNK))
-        expected = union(frame_h(m) for m in itertools.islice(models, search._CHUNK))
-        _assert_same_frame(frame, expected)
-        if not frame.parts:
-            break
-        chunks += 1
-    assert chunks > 1
+    frames = search._lanes(bounds.workspace(), cls, bounds, 0)
+    for (_, _, _, frame), model in zip(frames, enumerate_models(cls, bounds), strict=True):
+        expected = frame_h(model)
+        assert frame.atoms == expected.atoms
+        assert (frame.size, frame.width) == (expected.size, expected.width) == (model.n_edges, 1)
+        assert {k: sorted(v) for k, v in frame.blocks.items()} == {
+            k: sorted(v) for k, v in expected.blocks.items()
+        }
 
 
 # (bounds, seed, test id suffix) of the naive walk. The seed only moves the
@@ -487,38 +481,37 @@ def test_countermodel_frames_match_naive_walk(monkeypatch, cls, bounds, seed):
 @pytest.mark.parametrize("lanes", [None, 4], ids=["lanes_default", "lanes_4"])
 @pytest.mark.parametrize("bounds", [(2, 3, 1), (2, 2, 3)], ids=["2,3,1", "2,2,3"])
 def test_lane_k_is_the_kth_placement(monkeypatch, bounds, lanes):
-    # lane k of a structure's lane frames is the frame that _frames gives
-    # the k-th placement of _stream: the same atom masks, and the same
-    # first failing edge of each formula
+    # lane k of the window at offset of a structure is the frame_h of the
+    # model at the structure's placement offset + k: the same atom masks,
+    # and the same first failing edge of each formula
     if lanes is not None:
         monkeypatch.setattr(search, "_LANES", lanes)
     bounds = SearchBounds(*bounds)
     ws = bounds.workspace()
-    choices = search._choices(ws)
     rng = random.Random("lanes")
     prog = compile_formulas(random_formula(rng, ws.all_vars(), [0, 1], 2, 7) for _ in range(12))
     for cls in search.CLASSES:
-        singles = search._frames(search._stream(cls, bounds, 5))
-        for structure in search._structures(bounds, cls):
-            slots = search._slots(structure)
-            placements = search._placements(choices, structure, slots, bounds, 5)
-            for offset, frame in search._lane_frames(choices, structure, slots, placements):
-                width, edges = frame.width, range(len(structure))
-                assert frame.size == len(structure) * width and not frame.parts
-                fails = [dict(frame.failures(mask)) for mask in evaluate(prog, frame)]
-                for k in range(width):
-                    s, _, single = next(singles)
-                    assert s == structure
-                    lane = {
-                        p: sum((mask >> e * width + k & 1) << e for e in edges)
-                        for p, mask in frame.atoms.items()
-                    }
-                    assert {p: m for p, m in lane.items() if m} == {
-                        p: m for p, m in single.atoms.items() if m
-                    }
-                    first = [dict(single.failures(mask)).get(0) for mask in evaluate(prog, single)]
-                    assert first == [fail.get(k) for fail in fails]
-        assert next(singles, None) is None
+        models = zip(search._stream(cls, bounds, 5), enumerate_models(cls, bounds, 5))
+        seen = {}  # structure -> its placements read so far
+        for structure, _, offset, frame in search._lanes(ws, cls, bounds, 5):
+            width, edges = frame.width, range(len(structure))
+            assert frame.size == len(structure) * width and offset == seen.get(structure, 0)
+            seen[structure] = offset + width
+            fails = [dict(frame.failures(mask)) for mask in evaluate(prog, frame)]
+            for k in range(width):
+                (s, _, _), model = next(models)
+                assert s == structure
+                single = frame_h(model)
+                lane = {
+                    p: sum((mask >> e * width + k & 1) << e for e in edges)
+                    for p, mask in frame.atoms.items()
+                }
+                assert {p: m for p, m in lane.items() if m} == {
+                    p: m for p, m in single.atoms.items() if m
+                }
+                first = [dict(single.failures(mask)).get(0) for mask in evaluate(prog, single)]
+                assert first == [fail.get(k) for fail in fails]
+        assert next(models, None) is None
 
 
 # (system, class, models_visited, instances_checked) of the three suites at
@@ -533,8 +526,13 @@ SUITE_COUNTS = (
 FORCED_VIOLATIONS = (13600, "bece632194a15d731c1a9ca8d3202581a580296050e0e7916538adc7ea44a1fe")
 
 
-def test_suite_counts_and_forced_violations_pinned(monkeypatch):
-    # the suite frames the stream from per-structure blocks, with no model
+@pytest.mark.parametrize("lanes", [None, 4, 1], ids=["lanes_default", "lanes_4", "lanes_1"])
+def test_suite_counts_and_forced_violations_pinned(monkeypatch, lanes):
+    # the suite frames the stream from per-structure blocks, with no model,
+    # and gives the same report whether or not its windows split structures
+    if lanes is not None:
+        monkeypatch.setattr(search, "_LANES", lanes)
+
     def unused(*args):
         raise AssertionError("soundness_suite builds a model or a model frame")
 
@@ -562,7 +560,7 @@ def test_emitted_instances_match_naive_instances(system, depth, size):
     # the suite's instances over one letter per formula against Formula
     # trees built by instantiate_scheme: the j-th instance _instance_masks
     # yields is the j-th naive one, rebuilt with its ~~ shapes intact, and
-    # has its mask on every union frame of the class
+    # has its mask on every frame the suite reads
     bounds = SearchBounds(2, 2, 1)
     ws = bounds.workspace()
     formulas = FormulaSlots(ws.all_vars(), range(ws.n_agents), depth, size)
@@ -570,9 +568,7 @@ def test_emitted_instances_match_naive_instances(system, depth, size):
     expected = compile_formulas(inst for _, inst in naive)
     masks_of = formulas.builder.program(formulas.slots)
     patterns = search._patterns(system)
-    models = list(enumerate_models(search.SYSTEM_CLASS[system], bounds))
-    for start in range(0, len(models), search._CHUNK):
-        frame = union(frame_h(m) for m in models[start : start + search._CHUNK])
+    for _, _, _, frame in search._lanes(ws, search.SYSTEM_CLASS[system], bounds, 0):
         want = evaluate(expected, frame)
         ours = list(search._instance_masks(patterns, ws, frame, evaluate(masks_of, frame)))
         assert [(o[0], o[4]) for o in ours] == [(scheme, w) for (scheme, _), w in zip(naive, want)]
