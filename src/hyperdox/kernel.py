@@ -204,6 +204,19 @@ def bits(mask: int):
         mask ^= low
 
 
+def index_bits(k: int) -> list:
+    """For each bit b < k, the mask of the indices 0 .. 2**k - 1 that have
+    bit b set (column b of a truth table), doubled up from bits 0 .. 2**(b+1) - 1."""
+    out = []
+    for b in range(k):
+        mask, width = ((1 << (1 << b)) - 1) << (1 << b), 2 << b
+        while width < 1 << k:
+            mask |= mask << width
+            width <<= 1
+        out.append(mask)
+    return out
+
+
 def fold(mask: int, width: int) -> int:
     """The OR of the width-bit slices of mask (lane k is set when bit k of
     any slice is)."""

@@ -23,7 +23,7 @@ from typing import Optional
 
 from .errors import HyperdoxError
 from .formula import And, Atom, Believes, Formula, Knows, Not, f_imp, parse_formula
-from .kernel import Builder, Frame, compile_formulas, evaluate, fragment_check
+from .kernel import Builder, Frame, compile_formulas, evaluate, fragment_check, index_bits
 from .workspace import PropVar, Workspace
 
 
@@ -181,12 +181,7 @@ def is_tautology_instance(f: Formula) -> bool:
             f"tautology check abstracts {k} letters, more than the supported {_MAX_LETTERS}"
         )
     frame = Frame(1 << k)
-    for i in range(k):
-        column, width = ((1 << (1 << i)) - 1) << (1 << i), 2 << i
-        while width < frame.size:
-            column |= column << width
-            width <<= 1
-        frame.atoms[PropVar(0, i)] = column
+    frame.atoms = {PropVar(0, i): column for i, column in enumerate(index_bits(k))}
     return evaluate(builder.program([root]), frame)[0] == frame.full
 
 

@@ -6,14 +6,17 @@ renamings), so isomorphic duplicates never appear. Structures are
 generated in order rather than filtered: only descriptors the class
 admits are combined, depth-first, and a prefix is cut as soon as it
 cannot lead to a canonical structure of the class (orderly generation).
-Each structure then carries every atom placement (_placements).
-countermodel and soundness_suite read the same frames (_lanes): per
-structure, a lane frame that holds its placements side by side
-(_lane_frames, bitsliced with placements as the lanes), a window of at
-most _LANES of them at a time. countermodel runs its query once per
-frame and takes the first failing lane as the witness; equal queries
-share their witness. An exhausted search means "no countermodel within
-bounds" and never claims validity.
+Each structure then carries every atom placement, an int with one bit
+per vertex and variable (_placements): a range when exhaustive, a list
+when sampled. countermodel and soundness_suite read the same frames
+(_lanes), made from the bounds alone: per structure, a lane frame that
+holds its placements side by side (_lane_frames, bitsliced with
+placements as the lanes), a window of at most _LANES of them at a time.
+countermodel runs its query once per frame and takes the first failing
+lane k as the witness, placements[offset + k], for which alone it builds
+a workspace and a model; equal queries share their witness. An
+exhausted search means "no countermodel within bounds" and never claims
+validity.
 
 soundness_suite checks each scheme once per frame and tuple of distinct
 formula masks: formulas with one mask are one letter, and
@@ -37,9 +40,9 @@ from .convert import FormulaSlots
 from .errors import FragmentError, PreconditionError
 from .formula import Formula, render_formula
 from .hypergraph import DirectedEdge, HypergraphModel, Vertex
-from .kernel import ATOM, BELIEF, KNOWLEDGE, Frame, compile_formulas, evaluate, run
+from .kernel import ATOM, BELIEF, KNOWLEDGE, Frame, compile_formulas, evaluate, index_bits, run
 from .proofcheck import ADMITTED, SCHEME_ARITY, SCHEMES, SchemeId, System, instantiate_scheme
-from .workspace import Workspace, synthetic_workspace
+from .workspace import PropVar, Workspace, synthetic_workspace
 
 CLASSES = ("H_su", "H_sut", "all")
 
@@ -207,61 +210,53 @@ def _slots(structure) -> tuple:
     )
 
 
-def _subsets(items):
-    for mask in range(1 << len(items)):
-        yield frozenset(items[i] for i in range(len(items)) if mask >> i & 1)
-
-
 _SAMPLED_PLACEMENTS = 32
 
 
-def _choices(ws: Workspace) -> list:
-    """(variables, their subsets in _subsets order) for each agent."""
-    return [(vs, list(_subsets(vs))) for vs in map(ws.vars_of, range(ws.n_agents))]
+def _placements(structure, n_slots: int, bounds: SearchBounds, seed: int):
+    """The atom placements of the structure, in stream order. A placement
+    is an int: with V variables per agent, bit (n_slots - 1 - j)·V + i is
+    set when the vertex of slot j (see _slots) holds its agent's variable
+    i, so the last slot takes the lowest V bits.
 
-
-def _placements(choices: list, structure, slots, bounds: SearchBounds, seed: int):
-    """The atom placements of the structure, in stream order; placement[j]
-    is the atom set of vertex slots[j], and choices is _choices(workspace).
-
-    For vars_per_agent <= 2 they are exhaustive: the product, in
-    itertools.product order, of each slot's subsets of its agent's
-    variables, where subset m holds variable i when bit i of m is set.
-    Every slot's radix is then 2**vars, a power of two, so placement k
-    holds variable i at slot j exactly when bit (len(slots) - 1 - j) *
-    vars + i of k is set; _lane_frames's atom patterns rely on that.
-    Beyond two variables a list replaces exhaustion: up to
-    _SAMPLED_PLACEMENTS seeded draws, each first occurrence kept in order.
+    For V <= 2 they are exhaustive, range(2 ** (n_slots·V)). Beyond two
+    variables a list replaces exhaustion: up to _SAMPLED_PLACEMENTS seeded
+    draws, one rng.random() per slot and variable in that order, each
+    first occurrence kept in order.
     """
-    if bounds.vars_per_agent <= 2:
-        return itertools.product(*(choices[a][1] for a, _ in slots))
+    n_vars = bounds.vars_per_agent
+    if n_vars <= 2:
+        return range(1 << n_slots * n_vars)
     rng = random.Random(repr((seed, structure)))
     draws = (
-        tuple(frozenset(p for p in choices[a][0] if rng.random() < 0.5) for a, _ in slots)
+        sum(
+            (rng.random() < 0.5) << (n_slots - 1 - j) * n_vars + i
+            for j in range(n_slots) for i in range(n_vars)
+        )
         for _ in range(_SAMPLED_PLACEMENTS)
     )
     return list(dict.fromkeys(draws))
-
-
-def _stream(cls: str, bounds: SearchBounds, seed: int):
-    """(structure, slots, placement) for every model of the canonical
-    stream, in order; placement[j] is the atom set of vertex slots[j]."""
-    choices = _choices(bounds.workspace())
-    for structure in _structures(bounds, cls):
-        slots = _slots(structure)
-        for placement in _placements(choices, structure, slots, bounds, seed):
-            yield structure, slots, placement
 
 
 def _edge_name(i: int) -> str:
     return f"e{i + 1}"
 
 
-def _build_model(ws: Workspace, structure, slots, placement) -> HypergraphModel:
-    vertices = [
-        Vertex(f"{ws.agents[a]}{v + 1}", a, atoms)
-        for (a, v), atoms in zip(slots, placement)
-    ]
+def _vars_of(bounds: SearchBounds) -> list:
+    """Each agent's variables: PropVars made once per stream, not per model."""
+    return [[PropVar(a, i) for i in range(bounds.vars_per_agent)] for a in range(bounds.n_agents)]
+
+
+def _build_model(ws: Workspace, vars_of, structure, slots, placement: int) -> HypergraphModel:
+    """The model of the structure under the placement (see _placements);
+    vars_of is _vars_of(bounds)."""
+    vertices = []
+    for j, (a, v) in enumerate(slots):
+        own = vars_of[a]
+        atoms = placement >> (len(slots) - 1 - j) * len(own)
+        vertices.append(
+            Vertex(f"{ws.agents[a]}{v + 1}", a, frozenset(p for p in own if atoms >> p.index & 1))
+        )
     edges = []
     for i, edge in enumerate(structure):
         tail, head = set(), set()
@@ -279,9 +274,11 @@ def enumerate_models(cls: str, bounds: SearchBounds, seed: int = 0) -> Iterator[
     Atom placements are exhaustive for vars_per_agent <= 2; beyond that a
     fixed-seed sample of placements replaces exhaustion.
     """
-    ws = bounds.workspace()
-    for structure, slots, placement in _stream(cls, bounds, seed):
-        yield _build_model(ws, structure, slots, placement)
+    ws, vars_of = bounds.workspace(), _vars_of(bounds)
+    for structure in _structures(bounds, cls):
+        slots = _slots(structure)
+        for placement in _placements(structure, len(slots), bounds, seed):
+            yield _build_model(ws, vars_of, structure, slots, placement)
 
 
 # Placements per lane frame. A power of two, so that an exhaustive window
@@ -290,9 +287,10 @@ def enumerate_models(cls: str, bounds: SearchBounds, seed: int = 0) -> Iterator[
 _LANES = 4096
 
 
-def _lane_frames(choices: list, structure, slots, placements):
+def _lane_frames(vars_of: list, structure, slots, placements):
     """(offset, frame) for each window of up to _LANES consecutive
-    placements of the structure, in order; choices is _choices(workspace).
+    placements of the structure, in order; vars_of is _vars_of(bounds),
+    and placements is _placements(structure, ...).
 
     In a frame of width W, state e·W + k is edge e under placement
     offset + k (bitslicing, Biham, FSE 1997, with placements as the
@@ -300,22 +298,18 @@ def _lane_frames(choices: list, structure, slots, placements):
     e·W of each edge e and the reach to all W lanes of each edge, so the W
     placements share them; kernel.run folds the lanes where a reach fails
     and multiplies them back onto the span. An atom's mask is a W-bit lane
-    pattern times its vertex's spread span: exhaustive patterns follow
-    from the placement index (see _placements), sampled ones are read off
-    the list. Windows of equal width are one frame, whose atoms are
-    reassigned and whose box memo is kept, so a frame is read before the
-    next comes."""
-    n_slots, sampled = len(slots), type(placements) is list
+    pattern times its vertex's spread span. The pattern of placement bit b
+    is, for a range, the lanes whose index has bit b set (kernel.index_bits)
+    below log2(W) and all or none of them above, where the bit is constant
+    on the window; for a list it is read off the window's placements.
+    Windows of equal width are one frame, whose atoms are reassigned and
+    whose box memo is kept, so a frame is read before the next comes."""
+    n_slots, n_vars = len(slots), len(vars_of[0])
     # agent a's slots are first[a] .. first[a + 1] - 1, since slots are sorted
-    first = [bisect.bisect_left(slots, (a,)) for a in range(len(choices) + 1)]
-    shift, bit = [0] * n_slots, 0  # shift[j]: the index bit of slot j's first variable
-    for j in range(n_slots - 1, -1, -1):
-        shift[j] = bit
-        bit += len(choices[slots[j][0]][0])
-    total = len(placements) if sampled else 1 << bit
+    first = [bisect.bisect_left(slots, (a,)) for a in range(len(vars_of) + 1)]
     frame = None
-    for offset in range(0, total, _LANES):
-        width = min(_LANES, total - offset)
+    for offset in range(0, len(placements), _LANES):
+        width = min(_LANES, len(placements) - offset)
         if frame is None or frame.width != width:
             lanes = (1 << width) - 1
             span, fill, tail = [0] * n_slots, [0] * n_slots, [0] * n_slots
@@ -329,45 +323,41 @@ def _lane_frames(choices: list, structure, slots, placements):
                         if code & 1:
                             tail[j] |= row
             frame = Frame(len(structure) * width, width=width)
-            for a in range(len(choices)):
+            for a in range(len(vars_of)):
                 lo, hi = first[a], first[a + 1]
                 if lo < hi:
                     frame.blocks[a, KNOWLEDGE] = list(zip(span[lo:hi], fill[lo:hi]))
                     believed = [(s, t) for s, t in zip(span[lo:hi], tail[lo:hi]) if t]
                     if believed:
                         frame.blocks[a, BELIEF] = believed
-            # the lanes whose index has bit b < log2(width): runs of 2**b
-            # lanes without it, then 2**b with it
-            periodic = [
-                lanes // ((1 << (2 << b)) - 1) * (((1 << (1 << b)) - 1) << (1 << b))
-                for b in range(width.bit_length() - 1)
-            ]
-        if sampled:
+        if type(placements) is range:  # the bits above the window's own are constant on it
+            lane_of = index_bits(width.bit_length() - 1)
+            lane_of += [lanes * (offset >> b & 1) for b in range(len(lane_of), n_slots * n_vars)]
+        else:
             window = placements[offset:offset + width]
-        else:  # the higher index bits are constant on the window
-            lane_of = periodic + [lanes * (offset >> b & 1) for b in range(len(periodic), bit)]
+            lane_of = [
+                sum(1 << k for k, placement in enumerate(window) if placement >> b & 1)
+                for b in range(n_slots * n_vars)
+            ]
         atoms = frame.atoms = {}
         for j, (a, _) in enumerate(slots):
-            for i, p in enumerate(choices[a][0]):
-                if sampled:
-                    lane = sum(1 << k for k, placement in enumerate(window) if p in placement[j])
-                else:
-                    lane = lane_of[shift[j] + i]
+            for p in vars_of[a]:
+                lane = lane_of[(n_slots - 1 - j) * n_vars + p.index]
                 if lane:
                     atoms[p] = atoms.get(p, 0) | lane * span[j]
         yield offset, frame
 
 
-def _lanes(ws: Workspace, cls: str, bounds: SearchBounds, seed: int):
+def _lanes(cls: str, bounds: SearchBounds, seed: int):
     """(structure, placements, offset, frame) for each window of the
     canonical stream, in order: each structure of the class with its
-    placements, laid out by _lane_frames. Lane k of the frame is the
-    structure's placement offset + k, so the lanes follow the stream."""
-    choices = _choices(ws)
+    placements, laid out by _lane_frames. Lane k of the frame holds
+    placements[offset + k], so the lanes follow the stream."""
+    vars_of = _vars_of(bounds)
     for structure in _structures(bounds, cls):
         slots = _slots(structure)
-        placements = _placements(choices, structure, slots, bounds, seed)
-        for offset, frame in _lane_frames(choices, structure, slots, placements):
+        placements = _placements(structure, len(slots), bounds, seed)
+        for offset, frame in _lane_frames(vars_of, structure, slots, placements):
             yield structure, placements, offset, frame
 
 
@@ -399,8 +389,9 @@ class SearchResult:
 # Bounded, so that a caller keeping many results keeps one witness model
 # per distinct (stream position, falsifying edge).
 @functools.lru_cache(maxsize=64)
-def _witness(ws: Workspace, structure, placement, visited: int, edge: int) -> SearchResult:
-    model = _build_model(ws, structure, _slots(structure), placement)
+def _witness(bounds: SearchBounds, structure, placement, visited: int, edge: int) -> SearchResult:
+    ws, slots = bounds.workspace(), _slots(structure)
+    model = _build_model(ws, _vars_of(bounds), structure, slots, placement)
     return SearchResult("countermodel", visited, model, model.edges[edge].name)
 
 
@@ -417,27 +408,23 @@ def countermodel(
     models_visited counts the stream consumed up to and including the
     witness. The query compiles once and runs once per frame of _lanes,
     which holds up to _LANES of a structure's placements side by side. The
-    witness is the first failing lane and its first failing edge; a
-    model is built for the witness alone, and equal queries share it.
-    Nothing is read past the witness's structure. `workers` is accepted
-    for compatibility; the stream is evaluated serially whatever its value.
+    witness is the first failing lane k and its first failing edge, under
+    placements[offset + k]. A workspace and a model are built for the
+    witness alone, and equal queries share them. Nothing is read past the
+    witness's structure. `workers` is accepted for compatibility; the
+    stream is evaluated serially whatever its value.
     """
     if workers < 1:
         raise PreconditionError("workers must be at least 1")
     prog = compile_formulas([f])
     if cls == "H_su" and any(kind == KNOWLEDGE for _, kind in prog.modals):
         raise FragmentError("knowledge modalities are only admitted over the tail-complete class")
-    ws = bounds.workspace()
     visited = 0
-    for structure, placements, offset, frame in _lanes(ws, cls, bounds, seed):
+    for structure, placements, offset, frame in _lanes(cls, bounds, seed):
         root = evaluate(prog, frame)[0]
         if root != frame.full:
             k, edge = next(frame.failures(root))
-            if type(placements) is list:
-                placement = placements[offset + k]
-            else:  # the exhaustive product, not yet read
-                placement = next(itertools.islice(placements, offset + k, None))
-            return _witness(ws, structure, placement, visited + k + 1, edge)
+            return _witness(bounds, structure, placements[offset + k], visited + k + 1, edge)
         visited += frame.width
     return SearchResult("exhausted", visited)
 
@@ -562,7 +549,7 @@ def soundness_suite(
             bases[scheme, agent] = checked
             checked += len(ws.vars_of(agent)) if arity == "atom" else n ** (1 + (arity == "two"))
     violations, visited = [], 0
-    for _, _, _, frame in _lanes(ws, cls, bounds, seed):
+    for _, _, _, frame in _lanes(cls, bounds, seed):
         groups: dict[int, list] = {}  # mask -> its formulas, in first-occurrence order
         for f, mask in enumerate(evaluate(masks_of, frame)):
             groups.setdefault(mask, []).append(f)

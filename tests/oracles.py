@@ -9,9 +9,11 @@ depth by walking the formula tree, enumeration counts by brute force
 over labeled structures, and the canonical structure stream by filtering
 every combination of descriptors. The formula stream and the scheme
 instances are built as Formula trees, one constructor call per node.
+Atom placements are tuples of atom sets, one per vertex slot.
 """
 
 import itertools
+import random
 
 from hyperdox.formula import And, Atom, Believes, Knows, Not
 from hyperdox.kernel import FragmentInfo
@@ -379,3 +381,25 @@ def naive_structures(n_agents, max_edges, vertex_cap, cls):
             if _structure_in_class(structure, n_agents, cls):
                 out.append(structure)
     return out
+
+
+def naive_placements(ws, structure, slots, vars_per_agent, seed):
+    """The atom placements of the structure in stream order, each a tuple
+    whose j-th entry is the atom set of the vertex slots[j]. Up to two
+    variables per agent they are the itertools.product of each slot's
+    subsets of its agent's variables, where subset m holds variable i when
+    bit i of m is set. Beyond that they are up to 32 seeded draws of
+    one such tuple, each first occurrence kept in order."""
+    own = [ws.vars_of(a) for a in range(ws.n_agents)]
+    if vars_per_agent <= 2:
+        subsets = [
+            [frozenset(p for i, p in enumerate(vs) if m >> i & 1) for m in range(1 << len(vs))]
+            for vs in own
+        ]
+        return list(itertools.product(*(subsets[a] for a, _ in slots)))
+    rng = random.Random(repr((seed, structure)))
+    draws = (
+        tuple(frozenset(p for p in own[a] if rng.random() < 0.5) for a, _ in slots)
+        for _ in range(32)
+    )
+    return list(dict.fromkeys(draws))

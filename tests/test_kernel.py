@@ -3,7 +3,9 @@ import random
 from hyperdox import search
 from hyperdox.formula import And, Atom, Believes, Knows, Not, f_iff, f_imp
 from hyperdox.hypergraph import frame_h
-from hyperdox.kernel import AND, ATOM, BOX, NOT, Builder, Frame, compile_formulas, evaluate, fold, run
+from hyperdox.kernel import (
+    AND, ATOM, BOX, NOT, Builder, Frame, compile_formulas, evaluate, fold, index_bits, run
+)
 from hyperdox.proofcheck import SCHEMES
 from hyperdox.search import SearchBounds
 from hyperdox.workspace import Workspace
@@ -132,7 +134,7 @@ def test_box_memo_holds_on_a_reused_frame(monkeypatch):
     progs = [compile_formulas(batch) for batch in batches]
     models = search.enumerate_models("all", bounds)
     frames, windows, box_runs = {}, 0, 0
-    for structure, _, _, frame in search._lanes(ws, "all", bounds, 0):
+    for structure, _, _, frame in search._lanes("all", bounds, 0):
         frames[id(frame)], windows = frame, windows + 1
         width, edges = frame.width, range(len(structure))
         window = [next(models) for _ in range(width)]
@@ -220,3 +222,11 @@ def test_lane_frame_runs_every_lane_as_its_own_frame():
         assert dict(frame.failures(mask)) == expected
     assert fold(0b10110_00001_00000, width) == 0b10111
     assert list(Frame(3).failures(0b010)) == [(0, 0)]  # a width-1 frame is one lane
+
+
+def test_index_bits_are_the_truth_table_columns():
+    # mask b of index_bits(k) holds the indices below 2**k with bit b set
+    for k in range(9):
+        assert index_bits(k) == [
+            sum(1 << s for s in range(1 << k) if s >> b & 1) for b in range(k)
+        ]

@@ -28,7 +28,13 @@ from hyperdox.modelio import hypergraph_to_json
 from hyperdox.proofcheck import ADMITTED, SCHEMES, SchemeId
 from hyperdox.workspace import Workspace
 from randgen import random_formula
-from oracles import count_structures_naive, naive_satisfies_h, naive_scheme_instances, naive_structures
+from oracles import (
+    count_structures_naive,
+    naive_placements,
+    naive_satisfies_h,
+    naive_scheme_instances,
+    naive_structures,
+)
 
 
 def test_hand_enumerated_two_model_space():
@@ -152,6 +158,54 @@ def test_sampled_placements_beyond_two_vars():
         assert hashlib.sha256(json.dumps(stream, sort_keys=True).encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "bounds, seed",
+    [
+        pytest.param(b, seed, id=",".join(map(str, b)) + f"-seed{seed}")
+        for b, seed in (((2, 3, 1), 0), ((2, 2, 2), 0), ((3, 2, 1), 0), ((2, 2, 3), 0),
+                        ((2, 2, 3), 5), ((1, 3, 4), 0), ((1, 3, 4), 5))
+    ],
+)
+def test_int_placements_build_the_oracle_models(bounds, seed):
+    # each int placement is exhaustive below three variables and sampled
+    # from three on, and _build_model gives each vertex the atoms of the
+    # tuple-of-sets placement the oracle lists at the same position
+    bounds = SearchBounds(*bounds)
+    ws, vars_of = bounds.workspace(), search._vars_of(bounds)
+    for cls in search.CLASSES:
+        for structure in search._structures(bounds, cls):
+            slots = search._slots(structure)
+            placements = search._placements(structure, len(slots), bounds, seed)
+            naive = naive_placements(ws, structure, slots, bounds.vars_per_agent, seed)
+            if bounds.vars_per_agent <= 2:
+                assert placements == range(len(naive))
+            else:
+                assert type(placements) is list and len(set(placements)) == len(placements)
+            assert len(placements) == len(naive)
+            for placement, sets in zip(placements, naive):
+                model = search._build_model(ws, vars_of, structure, slots, placement)
+                assert [(v.id, v.color, v.atoms) for v in model.vertices.values()] == [
+                    (f"{ws.agents[a]}{v + 1}", a, atoms) for (a, v), atoms in zip(slots, sets)
+                ]
+
+
+def test_exhausting_countermodel_builds_no_workspace(monkeypatch):
+    # the lane frames need only the bounds; a workspace is built for a
+    # witness the cache does not hold, and not for an exhausted search
+    bounds = SearchBounds(2, 2, 1)
+    ws = bounds.workspace()
+    valid = parse_formula("B{a}p_a_1 -> B{a}B{a}p_a_1", ws)
+    falsifiable = parse_formula("B{a} p_b_1 -> p_b_1", ws)
+    found = countermodel("H_sut", falsifiable, bounds)
+
+    def unused(*args):
+        raise AssertionError("countermodel built a workspace")
+
+    monkeypatch.setattr(search, "synthetic_workspace", unused)
+    assert countermodel("H_sut", valid, bounds).outcome == "exhausted"
+    assert countermodel("H_sut", falsifiable, bounds) is found
+
+
 def test_unknown_class_rejected():
     bounds = SearchBounds(1, 1, 0)
     with pytest.raises(PreconditionError):
@@ -246,7 +300,7 @@ def test_chunked_suite_matches_per_model_evaluation(monkeypatch):
     instances, models, expected = _per_model_violations(System.LOC_KD45, "H_su", bounds, 1)
     assert report.models_visited == len(models)
     # the last model index of each frame, and the frames with a violation
-    ends = list(itertools.accumulate(f.width for *_, f in search._lanes(ws, "H_su", bounds, 0)))
+    ends = list(itertools.accumulate(f.width for *_, f in search._lanes("H_su", bounds, 0)))
     assert ends[-1] == len(models)
     assert len({bisect.bisect_left(ends, v["model_index"]) for v in report.violations}) > 1
     assert len(report.violations) == 13600
@@ -272,7 +326,7 @@ def test_suite_reports_an_instance_failing_at_the_first_state_alone(monkeypatch)
     assert report.violations == expected and len(expected) == 370
     # every model has one edge, so each violation is one state (lane) of
     # its frame
-    width = next(search._lanes(bounds.workspace(), "all", bounds, 0))[3].width
+    width = next(search._lanes("all", bounds, 0))[3].width
     assert width > 1
     in_first = Counter(v["instance"] for v in expected if v["model_index"] <= width)
     assert any(in_first[v["instance"]] == 1 for v in expected if v["model_index"] == 1)
@@ -298,7 +352,7 @@ def test_letter_suite_matches_per_model_evaluation(monkeypatch):
         formulas = FormulaSlots(ws.all_vars(), range(ws.n_agents), *sizes)
         prog = formulas.builder.program(formulas.slots)
         masks = []  # per model, the formula masks on the suite's frame of it
-        for _, _, _, frame in search._lanes(ws, cls, bounds, 0):
+        for _, _, _, frame in search._lanes(cls, bounds, 0):
             masks += [evaluate(prog, frame)] * frame.width
         assert len(masks) == len(models)
         # over one letter per formula, the instances are every
@@ -418,7 +472,7 @@ def test_structure_frames_equal_model_frames(monkeypatch, cls):
     # enumerate_models builds there
     monkeypatch.setattr(search, "_LANES", 1)
     bounds = SearchBounds(2, 3, 1)
-    frames = search._lanes(bounds.workspace(), cls, bounds, 0)
+    frames = search._lanes(cls, bounds, 0)
     for (_, _, _, frame), model in zip(frames, enumerate_models(cls, bounds), strict=True):
         expected = frame_h(model)
         assert frame.atoms == expected.atoms
@@ -491,16 +545,21 @@ def test_lane_k_is_the_kth_placement(monkeypatch, bounds, lanes):
     rng = random.Random("lanes")
     prog = compile_formulas(random_formula(rng, ws.all_vars(), [0, 1], 2, 7) for _ in range(12))
     for cls in search.CLASSES:
-        models = zip(search._stream(cls, bounds, 5), enumerate_models(cls, bounds, 5))
+        stream = (
+            (s, p)
+            for s in search._structures(bounds, cls)
+            for p in search._placements(s, len(search._slots(s)), bounds, 5)
+        )
+        models = zip(stream, enumerate_models(cls, bounds, 5))
         seen = {}  # structure -> its placements read so far
-        for structure, _, offset, frame in search._lanes(ws, cls, bounds, 5):
+        for structure, placements, offset, frame in search._lanes(cls, bounds, 5):
             width, edges = frame.width, range(len(structure))
             assert frame.size == len(structure) * width and offset == seen.get(structure, 0)
             seen[structure] = offset + width
             fails = [dict(frame.failures(mask)) for mask in evaluate(prog, frame)]
             for k in range(width):
-                (s, _, _), model = next(models)
-                assert s == structure
+                (s, placement), model = next(models)
+                assert s == structure and placement == placements[offset + k]
                 single = frame_h(model)
                 lane = {
                     p: sum((mask >> e * width + k & 1) << e for e in edges)
@@ -568,7 +627,7 @@ def test_emitted_instances_match_naive_instances(system, depth, size):
     expected = compile_formulas(inst for _, inst in naive)
     masks_of = formulas.builder.program(formulas.slots)
     patterns = search._patterns(system)
-    for _, _, _, frame in search._lanes(ws, search.SYSTEM_CLASS[system], bounds, 0):
+    for _, _, _, frame in search._lanes(search.SYSTEM_CLASS[system], bounds, 0):
         want = evaluate(expected, frame)
         ours = list(search._instance_masks(patterns, ws, frame, evaluate(masks_of, frame)))
         assert [(o[0], o[4]) for o in ours] == [(scheme, w) for (scheme, _), w in zip(naive, want)]
