@@ -23,7 +23,7 @@ from typing import Optional
 
 from .errors import HyperdoxError
 from .formula import And, Atom, Believes, Formula, Knows, Not, f_imp, parse_formula
-from .kernel import Builder, Frame, compile_formulas, evaluate, fragment_check, index_bits
+from .kernel import Builder, Frame, evaluate, fragment_check, index_bits
 from .workspace import PropVar, Workspace
 
 
@@ -82,14 +82,6 @@ SCHEMES = {
         SchemeId.LOC: "(p -> B{a}p) & (~p -> B{a}~p)",
     }.items()
 }
-
-
-def _arity(pattern: Formula) -> str:
-    names = {_META.var_name(v) for v in compile_formulas([pattern]).atoms}
-    return "atom" if "p" in names else "two" if "psi" in names else "one"
-
-
-SCHEME_ARITY = {scheme: _arity(pattern) for scheme, pattern in SCHEMES.items()}
 
 
 def instantiate_scheme(

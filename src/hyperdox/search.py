@@ -18,12 +18,13 @@ a workspace and a model; equal queries share their witness. An
 exhausted search means "no countermodel within bounds" and never claims
 validity.
 
-soundness_suite checks each scheme once per frame and tuple of distinct
-formula masks: formulas with one mask are one letter, and
-_instance_masks runs each scheme's compiled pattern through kernel.run
-with its metavariables bound to letter masks. No program is emitted for
-instances. A failing tuple expands to its formula tuples, and a Formula
-is built only for a violating instance.
+soundness_suite checks each (scheme, agent) pattern once per frame and
+tuple in the product of its metavariables' domains, each a dict from
+mask to the indices of the values with that mask (_groups): the formulas
+for phi and psi, the agent's own variables for Loc's p. No program is
+emitted for instances. A failing tuple expands to the instances
+(pattern, values) it stands for, and a Formula is built only for a
+violating instance.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from __future__ import annotations
 import bisect
 import functools
 import itertools
+import math
 import random
 import time
 from dataclasses import dataclass
@@ -41,7 +43,7 @@ from .errors import FragmentError, PreconditionError
 from .formula import Formula, render_formula
 from .hypergraph import DirectedEdge, HypergraphModel, Vertex
 from .kernel import ATOM, BELIEF, KNOWLEDGE, Frame, compile_formulas, evaluate, index_bits, run
-from .proofcheck import ADMITTED, SCHEME_ARITY, SCHEMES, SchemeId, System, instantiate_scheme
+from .proofcheck import _META, ADMITTED, SCHEMES, SchemeId, System, instantiate_scheme
 from .workspace import PropVar, Workspace, synthetic_workspace
 
 CLASSES = ("H_su", "H_sut", "all")
@@ -456,55 +458,60 @@ class SoundnessReport:
         }
 
 
-def _patterns(system: System) -> list:
-    """(scheme, steps, modal kinds) per scheme the system admits, in
-    SchemeId order: the steps of its compiled pattern, the root last, with
-    each atom renumbered to its metavariable (0 phi, 1 psi, 2 p)."""
+def _patterns(system: System, ws: Workspace) -> list:
+    """(scheme, agent, steps, modal kinds, names) per scheme the system
+    admits and agent, in instance order (SchemeId, then agent): the steps
+    of the scheme's compiled pattern, the root last, with ATOM i standing
+    for its i-th metavariable in meta-workspace order, whose names are
+    `names` (phi before psi)."""
     out = []
     for scheme in (s for s in SchemeId if s in ADMITTED[system]):
         pattern = compile_formulas([SCHEMES[scheme]])
-        meta = [v.index for v in pattern.atoms]
+        metas = sorted(pattern.atoms, key=lambda v: v.index)
+        meta = [metas.index(v) for v in pattern.atoms]
         steps = [
             (op, meta[a] if op == ATOM else a, b)
             for op, a, b in zip(pattern.op, pattern.a, pattern.b)
         ]
-        out.append((scheme, steps, [kind for _, kind in pattern.modals]))
+        kinds = [kind for _, kind in pattern.modals]
+        names = tuple(_META.var_name(v) for v in metas)
+        out += [(scheme, agent, steps, kinds, names) for agent in range(ws.n_agents)]
     return out
 
 
-def _instance_masks(patterns, ws: Workspace, frame: Frame, letters: list):
-    """(scheme, agent, phi, psi, mask) for every instance of the patterns
-    over the letters, in instance order (scheme, agent, phi, psi): each
-    pattern runs on the frame with phi and psi bound to masks of the
-    letters, which they index, and Loc's p to each of the agent's own
-    variables, which phi then is. psi is None unless the scheme has two."""
+def _groups(masks) -> dict:
+    """Each mask to the indices that have it, in first-occurrence order."""
+    groups: dict[int, list] = {}
+    for i, mask in enumerate(masks):
+        groups.setdefault(mask, []).append(i)
+    return groups
+
+
+def _instance_masks(patterns, frame: Frame, letters: dict, own: list):
+    """(pattern index, domains, masks, mask) for every pattern of
+    _patterns and every tuple in the product of its domains, one domain
+    per metavariable: p's is own[agent], the agent's variables grouped by
+    mask, and every other one's is letters, the formulas grouped by mask
+    (see _groups). The pattern runs on the frame with its metavariables
+    bound to the masks, and mask is its root's."""
     full = frame.full
-    for scheme, steps, kinds in patterns:
-        arity = SCHEME_ARITY[scheme]
-        for agent in range(ws.n_agents):
-            boxes = [frame.box((agent, kind)) for kind in kinds]
-            if arity == "atom":
-                for p in ws.vars_of(agent):
-                    mask = frame.atoms.get(p, 0)
-                    yield scheme, agent, p, None, run(steps, (0, 0, mask), boxes, full)[-1]
-            elif arity == "one":
-                for x, phi in enumerate(letters):
-                    yield scheme, agent, x, None, run(steps, (phi, 0, 0), boxes, full)[-1]
-            else:
-                for x, phi in enumerate(letters):
-                    for y, psi in enumerate(letters):
-                        yield scheme, agent, x, y, run(steps, (phi, psi, 0), boxes, full)[-1]
+    for j, (_, agent, steps, kinds, names) in enumerate(patterns):
+        boxes = [frame.box((agent, kind)) for kind in kinds]
+        domains = [own[agent] if name == "p" else letters for name in names]
+        for masks in itertools.product(*domains):
+            yield j, domains, masks, run(steps, masks, boxes, full)[-1]
 
 
-def instance_formula(origin: tuple, formulas: FormulaSlots) -> Formula:
-    """The Formula of an instance (scheme, agent, phi, psi) whose phi and
-    psi are indices of the formulas, built from their records; Loc's phi
-    is its variable p."""
-    scheme, agent, phi, psi = origin
-    if SCHEME_ARITY[scheme] == "atom":
-        return instantiate_scheme(scheme, agent, p=phi)
-    psi = None if psi is None else formulas[psi]
-    return instantiate_scheme(scheme, agent, phi=formulas[phi], psi=psi)
+def instance_formula(pattern: tuple, values: tuple, formulas: FormulaSlots) -> Formula:
+    """The Formula of the instance (pattern, values) of a _patterns entry,
+    binding each metavariable by name to its value: p's is the index of
+    one of the agent's variables, and every other one's is an index of the
+    formulas, whose Formula is built from its record."""
+    scheme, agent, *_, names = pattern
+    binding = {
+        name: PropVar(agent, v) if name == "p" else formulas[v] for name, v in zip(names, values)
+    }
+    return instantiate_scheme(scheme, agent, **binding)
 
 
 def soundness_suite(
@@ -525,10 +532,11 @@ def soundness_suite(
     An instance's mask on a frame depends only on the masks of its
     metavariables' values (the substitution lemma; Blackburn, de Rijke
     and Venema, Modal Logic, 2001, 1.3). So on each frame of _lanes, one
-    model per lane, the enumerated formulas are grouped by mask, each
-    group is one letter, and each scheme's pattern runs once per tuple of
-    letters, with the frame's box memo shared by all; a failing tuple
-    stands for every tuple of formulas its letters hold.
+    model per lane, each pattern runs once per tuple of its domains'
+    masks (see _instance_masks), with the frame's box memo shared by all.
+    A failing tuple stands for every instance (pattern, values) in the
+    product of the index lists its masks key. instances_checked is the
+    sum over patterns of the product of their domain sizes.
     """
     if SYSTEM_CLASS[system] != cls:
         raise PreconditionError(
@@ -540,43 +548,27 @@ def soundness_suite(
         ws.all_vars(), range(ws.n_agents), instantiation_depth, instantiation_size
     )
     n, masks_of = len(formulas), formulas.builder.program(formulas.slots)
-    patterns = _patterns(system)
-
-    bases, checked = {}, 0  # (scheme, agent) -> the index of its first instance
-    for scheme, _, _ in patterns:
-        arity = SCHEME_ARITY[scheme]
-        for agent in range(ws.n_agents):
-            bases[scheme, agent] = checked
-            checked += len(ws.vars_of(agent)) if arity == "atom" else n ** (1 + (arity == "two"))
+    patterns, vars_of = _patterns(system, ws), _vars_of(bounds)
+    checked = sum(
+        math.prod(bounds.vars_per_agent if name == "p" else n for name in names)
+        for *_, names in patterns
+    )
     violations, visited = [], 0
     for _, _, _, frame in _lanes(cls, bounds, seed):
-        groups: dict[int, list] = {}  # mask -> its formulas, in first-occurrence order
-        for f, mask in enumerate(evaluate(masks_of, frame)):
-            groups.setdefault(mask, []).append(f)
-        members = list(groups.values())
-        full, failures, origin_of = frame.full, [], {}
-        for scheme, agent, x, y, m in _instance_masks(patterns, ws, frame, list(groups)):
-            if m == full:
-                continue
-            base = bases[scheme, agent]
-            if y is not None:
-                found = [
-                    (base + phi * n + psi, phi, psi) for phi in members[x] for psi in members[y]
-                ]
-            elif type(x) is int:
-                found = [(base + phi, phi, None) for phi in members[x]]
-            else:  # Loc's p, at its position among the agent's variables
-                found = [(base + x.index, x, None)]
-            fails = list(frame.failures(m))
-            for j, phi, psi in found:
-                origin_of[j] = (scheme, agent, phi, psi)
-                failures.extend((k, j, i) for k, i in fails)
-        # (lane k, instance j, first failing edge i), in (model, instance) order
-        for k, j, i in sorted(failures):
+        letters = _groups(evaluate(masks_of, frame))
+        own = [_groups(frame.atoms.get(p, 0) for p in agent_vars) for agent_vars in vars_of]
+        full, failures = frame.full, []
+        for j, domains, masks, m in _instance_masks(patterns, frame, letters, own):
+            if m != full:
+                fails = list(frame.failures(m))
+                for values in itertools.product(*(d[x] for d, x in zip(domains, masks))):
+                    failures.extend((k, j, values, i) for k, i in fails)
+        # (lane, pattern index, values, edge) sorts into (model, instance) order
+        for k, j, values, i in sorted(failures):
             violations.append(
                 {
-                    "scheme": origin_of[j][0].value,
-                    "instance": render_formula(instance_formula(origin_of[j], formulas), ws),
+                    "scheme": patterns[j][0].value,
+                    "instance": render_formula(instance_formula(patterns[j], values, formulas), ws),
                     "model_index": visited + k + 1,
                     "edge": _edge_name(i),
                 }

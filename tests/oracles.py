@@ -17,7 +17,7 @@ import random
 
 from hyperdox.formula import And, Atom, Believes, Knows, Not
 from hyperdox.kernel import FragmentInfo
-from hyperdox.proofcheck import ADMITTED, SCHEME_ARITY, SchemeId, instantiate_scheme
+from hyperdox.proofcheck import _META, ADMITTED, SCHEMES, SchemeId, instantiate_scheme
 
 
 def warshall_equivalence(size, pairs):
@@ -268,12 +268,31 @@ def naive_enumerate_formulas(vars, agents, max_depth, max_size):
             yield f
 
 
+def _metavariables(pattern):
+    """The names of the pattern's atoms, by walking its tree."""
+    if type(pattern) is Atom:
+        return {_META.var_name(pattern.var)}
+    if type(pattern) is And:
+        return _metavariables(pattern.left) | _metavariables(pattern.right)
+    return _metavariables(pattern.sub)
+
+
+def _arity(pattern):
+    names = _metavariables(pattern)
+    return "atom" if "p" in names else "two" if "psi" in names else "one"
+
+
+# Each scheme's kind by its metavariables: "atom" (Loc's p), "one" (phi)
+# or "two" (phi and psi).
+SCHEME_ARITY = {scheme: _arity(pattern) for scheme, pattern in SCHEMES.items()}
+
+
 def naive_scheme_instances(system, ws, instantiation_depth=0, instantiation_size=3):
     """All (scheme, instance formula) pairs for the system's schemes, each
     instance a Formula tree built by instantiate_scheme, in the order in
-    which soundness_suite numbers its instances: by scheme, agent, phi,
-    then psi. phi and psi range over the formulas enumerated within the
-    instantiation bounds."""
+    which soundness_suite reports the violations of one model: by scheme,
+    agent, phi, then psi. phi and psi range over the formulas enumerated
+    within the instantiation bounds."""
     formulas = list(
         naive_enumerate_formulas(
             ws.all_vars(), range(ws.n_agents), instantiation_depth, instantiation_size

@@ -21,9 +21,10 @@ from hyperdox import (
     satisfies_k,
 )
 from hyperdox.kripke import equivalence_classes
-from hyperdox.proofcheck import SCHEME_ARITY, SchemeId, instantiate_scheme
+from hyperdox.proofcheck import SchemeId, instantiate_scheme
 from randgen import random_formula, random_local_kripke
 from oracles import (
+    SCHEME_ARITY,
     naive_equivalence_classes,
     naive_relation_properties,
     naive_satisfies_k,

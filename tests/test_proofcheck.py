@@ -24,10 +24,10 @@ from hyperdox import (
     render_formula,
 )
 from hyperdox.modelio import load_proof, proof_from_json
-from hyperdox.proofcheck import SCHEME_ARITY, Axiom, NecB, NecK, ProofResult, TautologyTooLarge
+from hyperdox.proofcheck import Axiom, NecB, NecK, ProofResult, TautologyTooLarge
 from randgen import random_formula
 from conftest import fixture_json, fixture_path
-from oracles import naive_is_tautology
+from oracles import SCHEME_ARITY, naive_is_tautology
 
 
 @pytest.fixture

@@ -23,7 +23,7 @@ from hyperdox import hypergraph, search
 from hyperdox.convert import FormulaSlots
 from hyperdox.formula import Not, render_formula
 from hyperdox.hypergraph import frame_h
-from hyperdox.kernel import AND, BOX, NOT, Frame, compile_formulas, evaluate, fragment_check
+from hyperdox.kernel import AND, ATOM, BOX, NOT, Frame, compile_formulas, evaluate, fragment_check
 from hyperdox.modelio import hypergraph_to_json
 from hyperdox.proofcheck import ADMITTED, SCHEMES, SchemeId
 from hyperdox.workspace import Workspace
@@ -355,37 +355,55 @@ def test_letter_suite_matches_per_model_evaluation(monkeypatch):
         for _, _, _, frame in search._lanes(cls, bounds, 0):
             masks += [evaluate(prog, frame)] * frame.width
         assert len(masks) == len(models)
-        # over one letter per formula, the instances are every
-        # (scheme, agent, phi, psi)
-        letters = [0] * len(formulas)
-        yielded = search._instance_masks(search._patterns(system), ws, Frame(1), letters)
-        origins = (i[:4] for i in yielded)
-        origin_of = {
-            (o[0].value, render_formula(search.instance_formula(o, formulas), ws)): o
-            for o in origins
-        }
+        # over domains whose keys are their one value each, the mask
+        # tuples are the values of every instance (pattern, values)
+        patterns = search._patterns(system, ws)
+        letters = {f: [f] for f in range(len(formulas))}
+        own = [{i: [i] for i in range(bounds.vars_per_agent)}] * ws.n_agents
+        origin_of = {}
+        for j, _, values, _ in search._instance_masks(patterns, Frame(1), letters, own):
+            text = render_formula(search.instance_formula(patterns[j], values, formulas), ws)
+            origin_of[patterns[j][0].value, text] = patterns[j], values
+        assert len(origin_of) == len(instances)
         for v in expected:
-            _, _, phi, psi = origin_of[v["scheme"], v["instance"]]
+            (*_, names), values = origin_of[v["scheme"], v["instance"]]
             on_frame = masks[v["model_index"] - 1]
-            shared |= any(type(x) is int and on_frame.count(on_frame[x]) > 1 for x in (phi, psi))
+            shared |= any(
+                name != "p" and on_frame.count(on_frame[x]) > 1 for name, x in zip(names, values)
+            )
     assert shared
 
 
-@pytest.mark.parametrize("bounds", [(2, 1, 2), (2, 1, 3)], ids=["vars2", "vars3"])
-def test_letter_suite_expands_two_letter_and_loc_roots(monkeypatch, bounds):
+@pytest.mark.parametrize(
+    "bounds, cls",
+    [((2, 1, 2), "H_su"), ((2, 1, 3), "H_su"), ((2, 1, 2), "all")],
+    ids=["vars2", "vars3", "vars2_all"],
+)
+def test_letter_suite_expands_two_letter_and_loc_roots(monkeypatch, bounds, cls):
     # K_B, K_K and Loc hold on every model of every class, so no suite
     # fails a tuple of two letters or one of Loc's; falsifiable stand-ins
     # with the same metavariables check that such tuples expand in
     # instance order, with Loc's p at its position among the agent's
-    # variables; three variables per agent take the sampled placements
+    # variables; three variables per agent take the sampled placements,
+    # and in class all an agent may lie on no edge, so that its two
+    # variables share mask 0 and one of Loc's tuples holds both
     meta = Workspace(("a",), (("phi", "psi", "p"),))
     monkeypatch.setitem(SCHEMES, SchemeId.K_B, parse_formula("B{a}phi -> psi", meta))
     monkeypatch.setitem(SCHEMES, SchemeId.LOC, parse_formula("B{a}p", meta))
+    monkeypatch.setitem(search.SYSTEM_CLASS, System.LOC_K45, cls)
     bounds = SearchBounds(*bounds)
-    report = soundness_suite(System.LOC_K45, "H_su", bounds, 1, 2)
-    instances, _, expected = _per_model_violations(System.LOC_K45, "H_su", bounds, 1, 2)
+    report = soundness_suite(System.LOC_K45, cls, bounds, 1, 2)
+    instances, _, expected = _per_model_violations(System.LOC_K45, cls, bounds, 1, 2)
     assert report.violations == expected and report.instances_checked == len(instances)
     assert {"K_B", "Loc"} <= {v["scheme"] for v in expected}
+    if cls == "all":
+        assert (len(expected), sum(v["scheme"] == "Loc" for v in expected)) == (27896, 72)
+        vars_of = search._vars_of(bounds)
+        assert any(
+            {frame.atoms.get(p, 0) for p in agent_vars} == {0}
+            for *_, frame in search._lanes(cls, bounds, 0)
+            for agent_vars in vars_of
+        )
 
 
 def test_suite_follows_schemes_and_admitted(monkeypatch):
@@ -416,13 +434,21 @@ def test_pattern_steps_are_all_read():
     # an implication compiles through ~~phi, which folds on the tree, so
     # the ~phi it skips is never emitted: K_B's pattern has 12 steps, and
     # in every pattern each step but the last, the root, is read by a
-    # later one
-    steps = {scheme: steps for scheme, steps, _ in search._patterns(System.EDL)}
+    # later one; there is one entry per scheme and agent, and the atoms
+    # are the metavariables, numbered in ascending order
+    patterns = search._patterns(System.EDL, SearchBounds(2, 1).workspace())
+    assert [(scheme, agent) for scheme, agent, *_ in patterns] == list(
+        itertools.product(SchemeId, range(2))
+    )
+    steps = {scheme: steps for scheme, _, steps, _, _ in patterns}
+    names = {scheme: names for scheme, *_, names in patterns}
     assert len(steps) == len(SchemeId) and len(steps[SchemeId.K_B]) == 12
-    for pattern in steps.values():
+    assert names[SchemeId.K_B] == ("phi", "psi") and names[SchemeId.LOC] == ("p",)
+    for scheme, pattern in steps.items():
         read = {a for op, a, _ in pattern if op in (NOT, AND)}
         read |= {b for op, _, b in pattern if op in (AND, BOX)}
         assert read == set(range(len(pattern) - 1))
+        assert {a for op, a, _ in pattern if op == ATOM} == set(range(len(names[scheme])))
 
 
 @pytest.mark.parametrize("depth, size, instances", [(1, 0, 2), (0, 1, 18)])
@@ -616,22 +642,31 @@ def test_suite_counts_and_forced_violations_pinned(monkeypatch, lanes):
     [(System.LOC_K45, 1, 3), (System.LOC_KD45, 1, 3), (System.EDL, 1, 3), (System.EDL, 2, 3)],
 )
 def test_emitted_instances_match_naive_instances(system, depth, size):
-    # the suite's instances over one letter per formula against Formula
-    # trees built by instantiate_scheme: the j-th instance _instance_masks
-    # yields is the j-th naive one, rebuilt with its ~~ shapes intact, and
-    # has its mask on every frame the suite reads
+    # the suite's instances against Formula trees built by
+    # instantiate_scheme: each mask tuple _instance_masks yields, expanded
+    # over its domains and sorted by (pattern, values), gives the naive
+    # instances in order, each rebuilt with its ~~ shapes intact and with
+    # its mask on every frame the suite reads
     bounds = SearchBounds(2, 2, 1)
     ws = bounds.workspace()
     formulas = FormulaSlots(ws.all_vars(), range(ws.n_agents), depth, size)
     naive = naive_scheme_instances(system, ws, depth, size)
     expected = compile_formulas(inst for _, inst in naive)
     masks_of = formulas.builder.program(formulas.slots)
-    patterns = search._patterns(system)
+    patterns = search._patterns(system, ws)
     for _, _, _, frame in search._lanes(search.SYSTEM_CLASS[system], bounds, 0):
         want = evaluate(expected, frame)
-        ours = list(search._instance_masks(patterns, ws, frame, evaluate(masks_of, frame)))
-        assert [(o[0], o[4]) for o in ours] == [(scheme, w) for (scheme, _), w in zip(naive, want)]
-    for origin, (_, inst) in zip(ours, naive):  # the instances do not depend on the frame
-        assert search.instance_formula(origin[:4], formulas) == inst
-    phis = (formulas[o[2]] for o in ours if type(o[2]) is int)
+        letters = search._groups(evaluate(masks_of, frame))
+        own = [search._groups(frame.atoms.get(p, 0) for p in ps) for ps in search._vars_of(bounds)]
+        ours = sorted(
+            (j, values, m)
+            for j, domains, masks, m in search._instance_masks(patterns, frame, letters, own)
+            for values in itertools.product(*(d[x] for d, x in zip(domains, masks)))
+        )
+        assert [(patterns[j][0], m) for j, _, m in ours] == [
+            (scheme, w) for (scheme, _), w in zip(naive, want)
+        ]
+    for (j, values, _), (_, inst) in zip(ours, naive):  # the instances do not depend on the frame
+        assert search.instance_formula(patterns[j], values, formulas) == inst
+    phis = (formulas[values[0]] for j, values, _ in ours if patterns[j][-1][0] == "phi")
     assert any(type(f) is Not and type(f.sub) is Not for f in phis)  # phi = ~~x occurs
