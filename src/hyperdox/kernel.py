@@ -10,9 +10,10 @@ formulas as slots, keeping construction records to build a Formula
 from. A slot cannot be read back, since ~~x has x's slot.
 
 run() is the one op loop: it gives the mask of every op from the masks
-of the atoms and the memo, blocks and lane width of each modality's box.
-evaluate() runs a program on a frame; search._instance_masks runs each
-scheme's compiled pattern on it, with the metavariables bound to masks.
+of the atoms and the memo, blocks and fold of each modality's box
+(Frame.box). evaluate() runs a program on a frame;
+search._instance_masks runs each scheme's compiled pattern on many
+copies of it at once, with the metavariables bound to packed masks.
 
 A frame is the state count, a bitmask per atom (bit i = state i) and,
 per (agent, kind), a list of (span, reach) blocks. A box fails exactly
@@ -25,22 +26,31 @@ A lane frame holds many models of one structure at once, laid out
 edge-major: with lane width W, state e·W + k is edge e of model k (bit
 slicing; Biham, FSE 1997). Its blocks are shared by the W models: a span
 has bit e·W of each of its edges, and a reach all W lanes of each.
-run's box step then folds reach & bad into the W-bit set of lanes that
-fail and multiplies it by the span, which puts those lanes on every span
-edge. Every other frame has width 1, where that step is span-or-nothing.
 search._lane_frames lays out a structure's placements this way, for
 countermodel and soundness_suite alike, and a frame it yields must be
 read before its stream advances. failures() reads every frame by lane;
 a width-1 frame is one lane.
 
-A frame memoises its boxes: `boxes` maps (agent, kind) to {argument
-mask: box mask}, filled as ops run (the computed table of BDD packages;
-Bryant, IEEE TC 1986). A box reads only the blocks, the size and the
-width, never the atoms, so the memo holds while the atom masks are
-reassigned (search._lane_frames does so per window of placements) and
-while other programs run on the frame; it lives and dies with the
+T copies of a frame of S states can run side by side, copy t on states
+t·S .. t·S + S - 1 (SIMD within a register; Fisher and Dietz, LCPC
+1998): the atoms of copy t are shifted by t·S, and Frame.box(key, T)
+repeats each reach on every copy. run's box step then takes hit = reach
+& bad on all copies at once, folds the E = S / W edge slices of each
+copy onto its first in log steps, keeps the W lanes of each copy's first
+slice and shifts them onto every span edge. The fold reads only the
+slices of the copy it writes to, so nothing crosses a lane or a copy.
+With T = 1 this is the lane step. With W = 1 too it fails the span or
+nothing, which run does directly.
+
+A frame memoises its one-copy boxes: `boxes` maps (agent, kind) to
+{argument mask: box mask}, filled as ops run (the computed table of BDD
+packages; Bryant, IEEE TC 1986). A box reads only the blocks, the size
+and the width, never the atoms, so the memo holds while the atom masks
+are reassigned (search._lane_frames does so per window of placements)
+and while other programs run on the frame; it lives and dies with the
 frame. A frame's blocks, size and width are therefore fixed once it has
-been evaluated.
+been evaluated. Packed copies are not memoised: their arguments do not
+repeat.
 
 Structural facts are read off the program too: fragment_check from its
 atoms and (agent, kind) modalities, modal_depth from its op columns.
@@ -227,6 +237,21 @@ def fold(mask: int, width: int) -> int:
     return out & ((1 << width) - 1)
 
 
+def replicate(x: int, copies: int, period: int) -> int:
+    """The OR of x << t·period for t < copies, made by doubling: x
+    repeated copies times, period bits apart."""
+    out, placed, size = 0, 0, 1
+    while True:
+        if copies & 1:
+            out |= x << placed * period
+            placed += size
+        copies >>= 1
+        if not copies:
+            return out
+        x |= x << size * period
+        size <<= 1
+
+
 @dataclass
 class Frame:
     size: int
@@ -239,9 +264,32 @@ class Frame:
     def full(self) -> int:
         return (1 << self.size) - 1
 
-    def box(self, key) -> tuple:
-        """(memo, blocks, lane width) of the (agent, kind) box."""
-        return self.boxes.setdefault(key, {}), self.blocks.get(key, ()), self.width
+    def box(self, key, copies: int = 1) -> tuple:
+        """(memo, blocks, gather) of the (agent, kind) box for run, on
+        `copies` copies of the frame side by side, copy t on states
+        t·size .. t·size + size - 1. memo is the key's table in boxes for
+        one copy, and None for packed copies, whose arguments do not
+        repeat. One copy of a width-1 frame keeps its blocks as they are,
+        and gather is None. Otherwise a block is (the shifts that put state
+        0 on its span's states, its reach repeated on every copy), and
+        gather is (the shifts that fold a copy's edges = size / width
+        slices onto its first slice in log steps, the mask of every copy's
+        first slice)."""
+        memo = self.boxes.setdefault(key, {}) if copies == 1 else None
+        width, edges = self.width, self.size // self.width
+        if width == 1 and copies == 1:
+            return memo, self.blocks.get(key, ()), None
+        shifts, step = [], 1
+        while 2 * step <= edges:  # slice 0 gathers slices 0 .. 2·step - 1
+            shifts.append(step * width)
+            step <<= 1
+        if step < edges:  # then slices edges - step .. edges - 1, which overlap those
+            shifts.append((edges - step) * width)
+        blocks = [
+            (list(bits(span)), replicate(reach, copies, self.size))
+            for span, reach in self.blocks.get(key, ())
+        ]
+        return memo, blocks, (shifts, replicate((1 << width) - 1, copies, self.size))
 
     def failures(self, mask: int):
         """(lane k, the least i whose state i·width + k fails) for each lane
@@ -258,7 +306,13 @@ class Frame:
 
 def run(ops, atom_masks, boxes, full: int) -> list:
     """The mask of every op of (op, a, b) triples, in order: ATOM a is
-    atom_masks[a], and BOX a reads boxes[a], a Frame.box triple."""
+    atom_masks[a], and BOX a reads boxes[a], a Frame.box triple. full
+    holds every state of every copy the triples were made for.
+
+    A box fails on the spans of the blocks whose reach meets the states
+    where its argument fails, copy by copy and lane by lane: the gather
+    shifts fold the lanes of hit = reach & bad on any edge of a copy into
+    its first slice, and the span's shifts put them on each of its edges."""
     vals: list[int] = []
     push = vals.append
     for op, a, b in ops:
@@ -267,21 +321,28 @@ def run(ops, atom_masks, boxes, full: int) -> list:
         elif op == NOT:
             push(full ^ vals[a])
         elif op == BOX:
+            memo, blocks, gather = boxes[a]
             arg = vals[b]
-            box = boxes[a][0].get(arg)
+            box = None if memo is None else memo.get(arg)
             if box is None:  # a miss: only now are the box's blocks read
-                memo, blocks, width = boxes[a]
                 bad, fail = full ^ arg, 0
-                if bad and width == 1:
+                if bad and gather is None:  # one copy of a width-1 frame: span or nothing
                     for span, reach in blocks:
                         if reach & bad:
                             fail |= span
-                elif bad:  # lanes: the lanes where reach meets bad fail on every span state
-                    for span, reach in blocks:
+                elif bad:
+                    shifts, lanes = gather
+                    for onto, reach in blocks:
                         hit = reach & bad
                         if hit:
-                            fail |= fold(hit, width) * span
-                box = memo[arg] = full ^ fail
+                            for shift in shifts:
+                                hit |= hit >> shift
+                            hit &= lanes
+                            for shift in onto:
+                                fail |= hit << shift
+                box = full ^ fail
+                if memo is not None:
+                    memo[arg] = box
             push(box)
         else:
             push(atom_masks[a])

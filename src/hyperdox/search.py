@@ -18,13 +18,15 @@ a workspace and a model; equal queries share their witness. An
 exhausted search means "no countermodel within bounds" and never claims
 validity.
 
-soundness_suite checks each (scheme, agent) pattern once per frame and
-tuple in the product of its metavariables' domains, each a dict from
-mask to the indices of the values with that mask (_groups): the formulas
-for phi and psi, the agent's own variables for Loc's p. No program is
-emitted for instances. A failing tuple expands to the instances
-(pattern, values) it stands for, and a Formula is built only for a
-violating instance.
+soundness_suite checks the tuples of each (scheme, agent) pattern's
+metavariable domains, each a list of (mask, indices of the values with
+that mask) pairs (_groups): the formulas for phi and psi, the agent's own
+variables for Loc's p. The tuples run as copies of the frame side by
+side, a window of at most _PACKED states at a time (_windows), so that a
+pattern runs once per frame and window rather than once per tuple. No
+program is emitted for instances. A failing copy decodes to its tuple
+(_unrank), which expands to the instances (pattern, values) it stands
+for, and a Formula is built only for a violating instance.
 """
 
 from __future__ import annotations
@@ -42,7 +44,9 @@ from .convert import FormulaSlots
 from .errors import FragmentError, PreconditionError
 from .formula import Formula, render_formula
 from .hypergraph import DirectedEdge, HypergraphModel, Vertex
-from .kernel import ATOM, BELIEF, KNOWLEDGE, Frame, compile_formulas, evaluate, index_bits, run
+from .kernel import (
+    ATOM, BELIEF, KNOWLEDGE, Frame, compile_formulas, evaluate, index_bits, replicate, run,
+)
 from .proofcheck import _META, ADMITTED, SCHEMES, SchemeId, System, instantiate_scheme
 from .workspace import PropVar, Workspace, synthetic_workspace
 
@@ -249,16 +253,21 @@ def _vars_of(bounds: SearchBounds) -> list:
     return [[PropVar(a, i) for i in range(bounds.vars_per_agent)] for a in range(bounds.n_agents)]
 
 
-def _build_model(ws: Workspace, vars_of, structure, slots, placement: int) -> HypergraphModel:
+def _build_model(
+    ws: Workspace, vars_of, atom_sets: dict, structure, slots, placement: int
+) -> HypergraphModel:
     """The model of the structure under the placement (see _placements);
-    vars_of is _vars_of(bounds)."""
+    vars_of is _vars_of(bounds). atom_sets maps (agent, atom bits) to the
+    frozenset of the agent's variables those bits name, filled as vertices
+    need them, so that the models built with one dict share their sets."""
     vertices = []
     for j, (a, v) in enumerate(slots):
         own = vars_of[a]
-        atoms = placement >> (len(slots) - 1 - j) * len(own)
-        vertices.append(
-            Vertex(f"{ws.agents[a]}{v + 1}", a, frozenset(p for p in own if atoms >> p.index & 1))
-        )
+        bits = placement >> (len(slots) - 1 - j) * len(own) & (1 << len(own)) - 1
+        atoms = atom_sets.get((a, bits))
+        if atoms is None:
+            atoms = atom_sets[a, bits] = frozenset(p for p in own if bits >> p.index & 1)
+        vertices.append(Vertex(f"{ws.agents[a]}{v + 1}", a, atoms))
     edges = []
     for i, edge in enumerate(structure):
         tail, head = set(), set()
@@ -276,11 +285,11 @@ def enumerate_models(cls: str, bounds: SearchBounds, seed: int = 0) -> Iterator[
     Atom placements are exhaustive for vars_per_agent <= 2; beyond that a
     fixed-seed sample of placements replaces exhaustion.
     """
-    ws, vars_of = bounds.workspace(), _vars_of(bounds)
+    ws, vars_of, atom_sets = bounds.workspace(), _vars_of(bounds), {}
     for structure in _structures(bounds, cls):
         slots = _slots(structure)
         for placement in _placements(structure, len(slots), bounds, seed):
-            yield _build_model(ws, vars_of, structure, slots, placement)
+            yield _build_model(ws, vars_of, atom_sets, structure, slots, placement)
 
 
 # Placements per lane frame. A power of two, so that an exhaustive window
@@ -299,7 +308,7 @@ def _lane_frames(vars_of: list, structure, slots, placements):
     lanes). A vertex gives frame_h's blocks with the span spread to bit
     e·W of each edge e and the reach to all W lanes of each edge, so the W
     placements share them; kernel.run folds the lanes where a reach fails
-    and multiplies them back onto the span. An atom's mask is a W-bit lane
+    and shifts them back onto the span. An atom's mask is a W-bit lane
     pattern times its vertex's spread span. The pattern of placement bit b
     is, for a range, the lanes whose index has bit b set (kernel.index_bits)
     below log2(W) and all or none of them above, where the bit is constant
@@ -393,7 +402,7 @@ class SearchResult:
 @functools.lru_cache(maxsize=64)
 def _witness(bounds: SearchBounds, structure, placement, visited: int, edge: int) -> SearchResult:
     ws, slots = bounds.workspace(), _slots(structure)
-    model = _build_model(ws, _vars_of(bounds), structure, slots, placement)
+    model = _build_model(ws, _vars_of(bounds), {}, structure, slots, placement)
     return SearchResult("countermodel", visited, model, model.edges[edge].name)
 
 
@@ -479,27 +488,92 @@ def _patterns(system: System, ws: Workspace) -> list:
     return out
 
 
-def _groups(masks) -> dict:
-    """Each mask to the indices that have it, in first-occurrence order."""
+def _groups(masks) -> list:
+    """(mask, the indices that have it) for each distinct mask, in
+    first-occurrence order."""
     groups: dict[int, list] = {}
     for i, mask in enumerate(masks):
         groups.setdefault(mask, []).append(i)
-    return groups
+    return list(groups.items())
 
 
-def _instance_masks(patterns, frame: Frame, letters: dict, own: list):
-    """(pattern index, domains, masks, mask) for every pattern of
-    _patterns and every tuple in the product of its domains, one domain
-    per metavariable: p's is own[agent], the agent's variables grouped by
-    mask, and every other one's is letters, the formulas grouped by mask
-    (see _groups). The pattern runs on the frame with its metavariables
-    bound to the masks, and mask is its root's."""
-    full = frame.full
+def _spread(keys: list, stride: int, count: int, size: int) -> int:
+    """The packed mask whose copy c of a size-bit frame, for c < count,
+    holds keys[c // stride % len(keys)]; count is a multiple of
+    len(keys)·stride. One period, each key on stride copies, is repeated
+    to fill the count copies."""
+    period = len(keys) * stride
+    block = replicate(sum(key << d * stride * size for d, key in enumerate(keys)), stride, size)
+    return replicate(block, count // period, period * size)
+
+
+def _unrank(domains: list, t: int) -> list:
+    """The t-th tuple of itertools.product(*domains)."""
+    out = []
+    for domain in reversed(domains):
+        t, d = divmod(t, len(domain))
+        out.append(domain[d])
+    return out[::-1]
+
+
+# States per packed run of a pattern: a window holds at most this many
+# states of tuples side by side (and at least one tuple), as _LANES bounds
+# the placements of a lane frame. An op on 2**16 bits already costs far
+# more than Python's per-op overhead, so larger windows only hold more.
+_PACKED = 1 << 16
+
+
+def _windows(sizes: list, limit: int):
+    """(start, count) for each window of at most limit >= 1 consecutive
+    tuples of the product of ranges of the given sizes, in order. A window
+    takes consecutive values of one metavariable, with every later one
+    ranging over its whole domain, so that the values of each metavariable
+    on it repeat with a period that divides it (see _spread)."""
+    block = [math.prod(sizes[i:]) for i in range(len(sizes) + 1)]  # tuples per value of i - 1
+    i = next(i for i, n in enumerate(block) if n <= limit)
+    if i == 0:
+        if block[0]:  # an empty domain has no tuples
+            yield 0, block[0]
+        return
+    step = limit // block[i]  # values of metavariable i - 1 per window
+    for prefix in range(0, block[0], block[i - 1]):
+        for d in range(0, sizes[i - 1], step):
+            yield prefix + d * block[i], min(step, sizes[i - 1] - d) * block[i]
+
+
+def _instance_masks(patterns, frame: Frame, letters: list, own: list):
+    """(pattern index, domains, start, count, root) for every pattern of
+    _patterns and every window (_windows) of up to _PACKED // frame.size
+    tuples of the product of its domains, one domain per metavariable: p's
+    is own[agent], the agent's variables grouped by mask, and every other
+    one's is letters, the formulas grouped by mask (see _groups).
+
+    The window's tuples run at once, tuple start + c on copy c of the
+    frame (see Frame.box), each metavariable bound to the packed masks of
+    its values on them (_spread), so that each op of the pattern is one
+    int op per window. root is the pattern's root mask on those copies;
+    copy c of it is the mask of tuple _unrank(domains, start + c)."""
+    size = frame.size
+    spread, boxes = {}, {}  # per frame, shared by the patterns
     for j, (_, agent, steps, kinds, names) in enumerate(patterns):
-        boxes = [frame.box((agent, kind)) for kind in kinds]
         domains = [own[agent] if name == "p" else letters for name in names]
-        for masks in itertools.product(*domains):
-            yield j, domains, masks, run(steps, masks, boxes, full)[-1]
+        sizes = [len(domain) for domain in domains]
+        for start, count in _windows(sizes, max(1, _PACKED // size)):
+            masks, stride = [], math.prod(sizes)
+            for domain, n in zip(domains, sizes):
+                stride //= n  # tuples per value of this metavariable
+                # on the window, its values from the first-th on, each on held copies
+                first, held = start // stride % n, min(stride, count)
+                key = id(domain), first, held, count
+                if key not in spread:
+                    keys = [mask for mask, _ in domain[first:first + count // held]]
+                    spread[key] = _spread(keys, held, count, size)
+                masks.append(spread[key])
+            for kind in kinds:
+                if (agent, kind, count) not in boxes:
+                    boxes[agent, kind, count] = frame.box((agent, kind), count)
+            box_of = [boxes[agent, kind, count] for kind in kinds]
+            yield j, domains, start, count, run(steps, masks, box_of, (1 << count * size) - 1)[-1]
 
 
 def instance_formula(pattern: tuple, values: tuple, formulas: FormulaSlots) -> Formula:
@@ -532,11 +606,11 @@ def soundness_suite(
     An instance's mask on a frame depends only on the masks of its
     metavariables' values (the substitution lemma; Blackburn, de Rijke
     and Venema, Modal Logic, 2001, 1.3). So on each frame of _lanes, one
-    model per lane, each pattern runs once per tuple of its domains'
-    masks (see _instance_masks), with the frame's box memo shared by all.
-    A failing tuple stands for every instance (pattern, values) in the
-    product of the index lists its masks key. instances_checked is the
-    sum over patterns of the product of their domain sizes.
+    model per lane, each pattern checks every tuple of its domains'
+    masks, the tuples of a window side by side in one run (see
+    _instance_masks). A failing copy's tuple stands for every instance
+    (pattern, values) in the product of its index lists. instances_checked
+    is the sum over patterns of the product of their domain sizes.
     """
     if SYSTEM_CLASS[system] != cls:
         raise PreconditionError(
@@ -557,11 +631,15 @@ def soundness_suite(
     for _, _, _, frame in _lanes(cls, bounds, seed):
         letters = _groups(evaluate(masks_of, frame))
         own = [_groups(frame.atoms.get(p, 0) for p in agent_vars) for agent_vars in vars_of]
-        full, failures = frame.full, []
-        for j, domains, masks, m in _instance_masks(patterns, frame, letters, own):
-            if m != full:
-                fails = list(frame.failures(m))
-                for values in itertools.product(*(d[x] for d, x in zip(domains, masks))):
+        size, full, failures = frame.size, frame.full, []
+        for j, domains, offset, count, root in _instance_masks(patterns, frame, letters, own):
+            bad = root ^ (1 << count * size) - 1
+            while bad:  # the failing copies, lowest first
+                c = ((bad & -bad).bit_length() - 1) // size
+                fails = list(frame.failures(full ^ (bad >> c * size & full)))
+                bad &= ~(full << c * size)
+                indices = (values for _, values in _unrank(domains, offset + c))
+                for values in itertools.product(*indices):
                     failures.extend((k, j, values, i) for k, i in fails)
         # (lane, pattern index, values, edge) sorts into (model, instance) order
         for k, j, values, i in sorted(failures):

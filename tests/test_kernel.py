@@ -4,7 +4,8 @@ from hyperdox import search
 from hyperdox.formula import And, Atom, Believes, Knows, Not, f_iff, f_imp
 from hyperdox.hypergraph import frame_h
 from hyperdox.kernel import (
-    AND, ATOM, BOX, NOT, Builder, Frame, compile_formulas, evaluate, fold, index_bits, run
+    AND, ATOM, BOX, NOT, Builder, Frame, compile_formulas, evaluate, fold, index_bits, replicate,
+    run,
 )
 from hyperdox.proofcheck import SCHEMES
 from hyperdox.search import SearchBounds
@@ -178,11 +179,76 @@ def test_run_computes_a_box_on_its_first_argument_only():
     assert frame.boxes == {(0, "B"): {0b011: 0b001, 0b111: 0b111}}
 
 
+def _naive_run(ops, atom_masks, blocks, size, width):
+    """The mask of every op, state by state: a box holds at state e·width
+    + k when every block whose span holds edge e reaches, on lane k, only
+    states where its argument holds."""
+    vals = []
+    for op, a, b in ops:
+        if op == ATOM:
+            vals.append(atom_masks[a])
+        elif op == NOT:
+            vals.append((1 << size) - 1 ^ vals[a])
+        elif op == AND:
+            vals.append(vals[a] & vals[b])
+        else:
+            holds = (
+                all(
+                    vals[b] >> f * width + k & 1
+                    for span, reach in blocks[a] if span >> e * width & 1
+                    for f in range(size // width) if reach >> f * width + k & 1
+                )
+                for e, k in (divmod(s, width) for s in range(size))
+            )
+            vals.append(sum(h << s for s, h in enumerate(holds)))
+    return vals
+
+
+def test_run_on_copies_matches_each_copy():
+    # T copies of a frame side by side (copy t on states t·size ..), with
+    # the boxes of Frame.box(key, T): each copy's masks are those of a
+    # state-by-state evaluation of that copy alone, for width-1 and lane
+    # frames and edge counts that are and are not powers of two, so that
+    # the log-step fold meets overlapping slices
+    rng = random.Random(20261020)
+    prog = compile_formulas(random_formula(rng, WS.all_vars(), range(2), 3, 9) for _ in range(30))
+    ops = list(zip(prog.op, prog.a, prog.b))
+    for width, edges, copies in (
+        (1, 1, 1), (1, 5, 7), (1, 8, 3), (4, 3, 1), (4, 3, 9), (3, 6, 2), (5, 1, 4)
+    ):
+        size, lanes = width * edges, (1 << width) - 1
+
+        def spread(mask, fill):  # fill on each edge of the edge mask
+            return sum(fill << e * width for e in range(edges) if mask >> e & 1)
+
+        frame = Frame(size, width=width)
+        frame.blocks = {
+            (agent, kind): [
+                (spread(rng.getrandbits(edges), 1), spread(rng.getrandbits(edges), lanes))
+                for _ in range(3)
+            ]
+            for agent in range(2)
+            for kind in ("B", "K")
+        }
+        atoms = [[rng.getrandbits(size) for _ in prog.atoms] for _ in range(copies)]
+        packed = run(
+            ops,
+            [sum(a[i] << t * size for t, a in enumerate(atoms)) for i in range(len(prog.atoms))],
+            [frame.box(key, copies) for key in prog.modals],
+            (1 << copies * size) - 1,
+        )
+        blocks = [frame.blocks[key] for key in prog.modals]
+        for t in range(copies):
+            alone = _naive_run(ops, atoms[t], blocks, size, width)
+            assert [m >> t * size & frame.full for m in packed] == alone
+    assert replicate(0b101, 3, 4) == 0b0101_0101_0101 and replicate(7, 1, 9) == 7
+
+
 def test_lane_frame_runs_every_lane_as_its_own_frame():
     # W frames of one size and blocks, laid out edge-major (state e·W + k is
     # state e of frame k) with shared blocks, give on lane k the masks and
     # first failing state of frame k; run folds the lanes where a reach
-    # fails and multiplies them onto the span
+    # fails and shifts them onto the span's edges
     rng = random.Random(20261019)
     size, width = 4, 5
     lanes = (1 << width) - 1

@@ -2,7 +2,9 @@ import bisect
 import hashlib
 import itertools
 import json
+import math
 import random
+import time
 from collections import Counter
 
 import pytest
@@ -21,9 +23,9 @@ from hyperdox import (
 )
 from hyperdox import hypergraph, search
 from hyperdox.convert import FormulaSlots
-from hyperdox.formula import Not, render_formula
+from hyperdox.formula import And, Atom, Not, render_formula
 from hyperdox.hypergraph import frame_h
-from hyperdox.kernel import AND, ATOM, BOX, NOT, Frame, compile_formulas, evaluate, fragment_check
+from hyperdox.kernel import AND, ATOM, BOX, NOT, compile_formulas, evaluate, fragment_check, run
 from hyperdox.modelio import hypergraph_to_json
 from hyperdox.proofcheck import ADMITTED, SCHEMES, SchemeId
 from hyperdox.workspace import Workspace
@@ -169,9 +171,10 @@ def test_sampled_placements_beyond_two_vars():
 def test_int_placements_build_the_oracle_models(bounds, seed):
     # each int placement is exhaustive below three variables and sampled
     # from three on, and _build_model gives each vertex the atoms of the
-    # tuple-of-sets placement the oracle lists at the same position
+    # tuple-of-sets placement the oracle lists at the same position, with
+    # one dict of atom sets shared by every model of the bounds
     bounds = SearchBounds(*bounds)
-    ws, vars_of = bounds.workspace(), search._vars_of(bounds)
+    ws, vars_of, atom_sets = bounds.workspace(), search._vars_of(bounds), {}
     for cls in search.CLASSES:
         for structure in search._structures(bounds, cls):
             slots = search._slots(structure)
@@ -183,7 +186,7 @@ def test_int_placements_build_the_oracle_models(bounds, seed):
                 assert type(placements) is list and len(set(placements)) == len(placements)
             assert len(placements) == len(naive)
             for placement, sets in zip(placements, naive):
-                model = search._build_model(ws, vars_of, structure, slots, placement)
+                model = search._build_model(ws, vars_of, atom_sets, structure, slots, placement)
                 assert [(v.id, v.color, v.atoms) for v in model.vertices.values()] == [
                     (f"{ws.agents[a]}{v + 1}", a, atoms) for (a, v), atoms in zip(slots, sets)
                 ]
@@ -355,15 +358,16 @@ def test_letter_suite_matches_per_model_evaluation(monkeypatch):
         for _, _, _, frame in search._lanes(cls, bounds, 0):
             masks += [evaluate(prog, frame)] * frame.width
         assert len(masks) == len(models)
-        # over domains whose keys are their one value each, the mask
-        # tuples are the values of every instance (pattern, values)
+        # every instance (pattern, values), each value ranging over the
+        # formulas or the agent's variables, renders as a naive instance
         patterns = search._patterns(system, ws)
-        letters = {f: [f] for f in range(len(formulas))}
-        own = [{i: [i] for i in range(bounds.vars_per_agent)}] * ws.n_agents
         origin_of = {}
-        for j, _, values, _ in search._instance_masks(patterns, Frame(1), letters, own):
-            text = render_formula(search.instance_formula(patterns[j], values, formulas), ws)
-            origin_of[patterns[j][0].value, text] = patterns[j], values
+        for pattern in patterns:
+            ranges = (range(bounds.vars_per_agent if n == "p" else len(formulas)) for n in pattern[-1])
+            for values in itertools.product(*ranges):
+                text = render_formula(search.instance_formula(pattern, values, formulas), ws)
+                origin_of[pattern[0].value, text] = pattern, values
+        assert set(origin_of) == {(s.value, render_formula(inst, ws)) for s, inst in instances}
         assert len(origin_of) == len(instances)
         for v in expected:
             (*_, names), values = origin_of[v["scheme"], v["instance"]]
@@ -637,16 +641,29 @@ def test_suite_counts_and_forced_violations_pinned(monkeypatch, lanes):
     assert (len(report.violations), digest) == FORCED_VIOLATIONS
 
 
+@pytest.mark.parametrize("packed", [1, 100], ids=["one_tuple", "few_tuples"])
+def test_forced_violations_hold_across_tuple_windows(monkeypatch, packed):
+    # with windows of one tuple, or of a few, the suite decodes each
+    # failing copy at its window's offset into the same violations, in the
+    # same order, as with whole patterns in one run
+    monkeypatch.setattr(search, "_PACKED", packed)
+    monkeypatch.setitem(search.SYSTEM_CLASS, System.LOC_KD45, "H_su")
+    report = soundness_suite(System.LOC_KD45, "H_su", SearchBounds(2, 2, 1), 1)
+    digest = hashlib.sha256(json.dumps(report.violations).encode()).hexdigest()
+    assert (len(report.violations), digest) == FORCED_VIOLATIONS
+
+
 @pytest.mark.parametrize(
     "system,depth,size",
     [(System.LOC_K45, 1, 3), (System.LOC_KD45, 1, 3), (System.EDL, 1, 3), (System.EDL, 2, 3)],
 )
 def test_emitted_instances_match_naive_instances(system, depth, size):
     # the suite's instances against Formula trees built by
-    # instantiate_scheme: each mask tuple _instance_masks yields, expanded
-    # over its domains and sorted by (pattern, values), gives the naive
-    # instances in order, each rebuilt with its ~~ shapes intact and with
-    # its mask on every frame the suite reads
+    # instantiate_scheme: each copy of each packed run _instance_masks
+    # yields, expanded over its tuple's index lists and sorted by
+    # (pattern, values), gives the naive instances in order, each rebuilt
+    # with its ~~ shapes intact and with its mask on every frame the suite
+    # reads
     bounds = SearchBounds(2, 2, 1)
     ws = bounds.workspace()
     formulas = FormulaSlots(ws.all_vars(), range(ws.n_agents), depth, size)
@@ -659,9 +676,12 @@ def test_emitted_instances_match_naive_instances(system, depth, size):
         letters = search._groups(evaluate(masks_of, frame))
         own = [search._groups(frame.atoms.get(p, 0) for p in ps) for ps in search._vars_of(bounds)]
         ours = sorted(
-            (j, values, m)
-            for j, domains, masks, m in search._instance_masks(patterns, frame, letters, own)
-            for values in itertools.product(*(d[x] for d, x in zip(domains, masks)))
+            (j, values, root >> c * frame.size & frame.full)
+            for j, domains, start, count, root in search._instance_masks(
+                patterns, frame, letters, own
+            )
+            for c in range(count)
+            for values in itertools.product(*(i for _, i in search._unrank(domains, start + c)))
         )
         assert [(patterns[j][0], m) for j, _, m in ours] == [
             (scheme, w) for (scheme, _), w in zip(naive, want)
@@ -670,3 +690,87 @@ def test_emitted_instances_match_naive_instances(system, depth, size):
         assert search.instance_formula(patterns[j], values, formulas) == inst
     phis = (formulas[values[0]] for j, values, _ in ours if patterns[j][-1][0] == "phi")
     assert any(type(f) is Not and type(f.sub) is Not for f in phis)  # phi = ~~x occurs
+
+
+@pytest.mark.parametrize(
+    "bounds, lanes, packed",
+    [((2, 2, 1), None, None), ((2, 2, 1), 1, None), ((2, 2, 1), None, 200), ((2, 1, 3), None, 1)],
+    ids=["lane_frames", "width_1", "split_windows", "sampled_one_tuple_windows"],
+)
+def test_packed_runs_match_per_tuple_runs_and_the_oracle(monkeypatch, bounds, lanes, packed):
+    # each copy of a packed run of a pattern must be the root mask of a run
+    # of the pattern on that copy's tuple alone, and, on a seeded sample of
+    # copies, the oracle's truth of an instance the tuple stands for on each
+    # lane's model and edge; a pattern's windows must cover its tuples once,
+    # in order. Falsifiable stand-ins for four schemes, one of them with
+    # all three metavariables, keep the roots from being full everywhere.
+    # A contradiction among the formulas gives a letter whose mask is 0,
+    # and each frame runs again with its first letter alone, so that every
+    # domain has one key and every pattern one tuple
+    meta = Workspace(("a",), (("phi", "psi", "p"),))
+    for scheme, text in (
+        (SchemeId.K_B, "B{a}phi -> psi"),
+        (SchemeId.K_K, "K{a}(phi & ~psi) | B{a}psi"),
+        (SchemeId.LOC, "B{a}p -> phi"),
+        (SchemeId.SPI, "B{a}(phi -> p) -> K{a}psi"),
+    ):
+        monkeypatch.setitem(SCHEMES, scheme, parse_formula(text, meta))
+    if lanes is not None:
+        monkeypatch.setattr(search, "_LANES", lanes)
+    if packed is not None:
+        monkeypatch.setattr(search, "_PACKED", packed)
+    rng = random.Random(20261021)
+    bounds = SearchBounds(*bounds)
+    ws = bounds.workspace()
+    slots = FormulaSlots(ws.all_vars(), range(ws.n_agents), 1, 2)
+    p = Atom(ws.all_vars()[0])
+    formulas = [slots[i] for i in range(len(slots))] + [And(p, Not(p))]
+    prog = compile_formulas(formulas)
+    patterns = search._patterns(System.EDL, ws)
+    vars_of = search._vars_of(bounds)
+    models = enumerate_models("all", bounds)
+    widest = split = sampled = 0
+    for *_, frame in search._lanes("all", bounds, 0):
+        window = [next(models) for _ in range(frame.width)]
+        edges = range(frame.size // frame.width)
+        letters = search._groups(evaluate(prog, frame))
+        assert any(mask == 0 for mask, _ in letters)
+        own = [search._groups(frame.atoms.get(v, 0) for v in vs) for vs in vars_of]
+        for domain in (letters, letters[:1]):
+            ends = {}
+            runs = search._instance_masks(patterns, frame, domain, own)
+            for j, domains, start, count, root in runs:
+                _, agent, steps, kinds, names = patterns[j]
+                assert start == ends.get(j, 0) and count > 0
+                ends[j] = start + count
+                widest, split = max(widest, count), split or start > 0
+                if packed is not None:
+                    assert count * frame.size <= max(packed, frame.size)
+                boxes = [frame.box((agent, kind)) for kind in kinds]
+                for c in range(count):
+                    tup = search._unrank(domains, start + c)
+                    mask = root >> c * frame.size & frame.full
+                    assert mask == run(steps, [m for m, _ in tup], boxes, frame.full)[-1]
+                    if rng.random() < 0.05:
+                        sampled += 1
+                        values = tuple(rng.choice(indices) for _, indices in tup)
+                        inst = search.instance_formula(patterns[j], values, formulas)
+                        for k, model in enumerate(window):
+                            assert [mask >> e * frame.width + k & 1 == 1 for e in edges] == [
+                                naive_satisfies_h(model, e, inst) for e in edges
+                            ]
+            assert ends == {
+                j: math.prod(len(own[agent]) if name == "p" else len(domain) for name in names)
+                for j, (_, agent, _, _, names) in enumerate(patterns)
+            }
+            if len(domain) == 1 and bounds.vars_per_agent == 1:
+                assert set(ends.values()) == {1}
+    assert next(models, None) is None and sampled > 0
+    assert widest > 1 if packed is None else split
+
+
+def test_suite_reports_its_own_running_time():
+    # elapsed runs from the suite's own start, whatever its loops name
+    clock = time.perf_counter()
+    report = soundness_suite(System.LOC_K45, "H_su", SearchBounds(2, 1, 1), 1)
+    assert 0 < report.elapsed <= time.perf_counter() - clock
