@@ -29,7 +29,7 @@ from .hypergraph import (
     frame_h,
     graph_metrics,
 )
-from .kernel import AND, BELIEF, BOX, KNOWLEDGE, NOT, Builder, compile_formulas, evaluate
+from .kernel import AND, ATOM, BELIEF, BOX, KNOWLEDGE, NOT, Program, compile_formulas, evaluate
 from .kripke import (
     KripkeModel,
     equivalence_classes,
@@ -170,10 +170,7 @@ def check_modal_equivalence(
     missing = [w for w in mk.worlds if w not in mapping]
     if missing:
         raise PreconditionError(f"mapping does not cover worlds: {missing}")
-    if isinstance(formulas, FormulaSlots):
-        prog = formulas.builder.program(formulas.slots)
-    else:
-        prog = compile_formulas(formulas)
+    prog = formulas.program if isinstance(formulas, FormulaSlots) else compile_formulas(formulas)
     if any(kind == KNOWLEDGE for _, kind in prog.modals):
         ck = model_properties(mk)
         ch = graph_metrics(mh)
@@ -207,61 +204,57 @@ def enumerate_formulas(
 
 
 class FormulaSlots(Sequence):
-    """The stream of enumerate_formulas emitted into a program builder, in
-    order, without building it: slots[i] is the i-th formula's slot, and
-    self[i] builds the i-th Formula from its construction record (never
-    from its slot, which ~~x shares with x). The records are three int
-    columns: kind[i] indexes _KINDS (a class's code is _CODE[cls]), and
-    first[i], second[i] are an atom's index in vars, a negation's or a
-    conjunction's operands, or a modality's agent and operand."""
-
-    _KINDS = (Atom, Not, Believes, Knows, And)
-    _CODE = {cls: k for k, cls in enumerate(_KINDS)}
+    """The stream of enumerate_formulas as one program, without building
+    it: formula i is op i and root i, and self[i] decodes op i. Its atoms
+    are vars, and its modals B for each agent, then K for each agent, when
+    a modal formula is enumerated and none otherwise, so that the knowledge
+    gate reads them. No op is shared or folded: the stream is
+    duplicate-free, and an enumerated ~~x is a NOT of a NOT."""
 
     def __init__(self, vars, agents, max_depth: int, max_size: int):
         if max_depth < 0 or max_size < 0:
             raise PreconditionError("bounds must be nonnegative")
-        self.builder = b = Builder()
-        self._vars = vars = tuple(vars)
-        self.slots = slots = array("i")
-        self._kind, self._first, self._second = kind, first, second = (
-            array("i"), array("i"), array("i")
-        )
+        self.program = prog = Program()
+        prog.atoms = list(vars)
+        boxed = prog.atoms and max_depth >= 1 and max_size >= 2
+        prog.modals = [(a, kind) for kind in (BELIEF, KNOWLEDGE) for a in agents] if boxed else []
         by_size: list[list] = [[]]  # (index, modal depth) per formula of each size
-        code = self._CODE
 
-        def add(cls, x, y, slot, depth):
-            layer.append((len(slots), depth))
-            kind.append(code[cls])
-            first.append(x)
-            second.append(y)
-            slots.append(slot)
+        def add(op, a, b, depth):
+            layer.append((len(prog.op), depth))
+            prog.op.append(op)
+            prog.a.append(a)
+            prog.b.append(b)
 
         for size in range(1, max_size + 1):
             layer: list = []
             if size == 1:
-                for x, v in enumerate(vars):
-                    add(Atom, x, 0, b.atom(v), 0)
+                for x in range(len(prog.atoms)):
+                    add(ATOM, x, 0, 0)
             for i, d in by_size[size - 1]:
-                add(Not, i, 0, b.node(NOT, slots[i]), d)
-            for cls, box in ((Believes, BELIEF), (Knows, KNOWLEDGE)):
-                for a in agents:
-                    for i, d in by_size[size - 1]:
-                        if d < max_depth:
-                            add(cls, a, i, b.node(BOX, b.modal(a, box), slots[i]), d + 1)
+                add(NOT, i, 0, d)
+            for m in range(len(prog.modals)):
+                for i, d in by_size[size - 1]:
+                    if d < max_depth:
+                        add(BOX, m, i, d + 1)
             for left_size in range(1, size - 1):
                 for i, di in by_size[left_size]:
                     for j, dj in by_size[size - 1 - left_size]:
-                        add(And, i, j, b.node(AND, slots[i], slots[j]), max(di, dj))
+                        add(AND, i, j, max(di, dj))
             by_size.append(layer)
+        prog.roots = array("i", range(len(prog.op)))
 
     def __len__(self) -> int:
-        return len(self.slots)
+        return len(self.program.op)
 
     def __getitem__(self, i: int) -> Formula:
-        cls, x, y = self._KINDS[self._kind[i]], self._first[i], self._second[i]
-        if cls is Atom:
-            return Atom(self._vars[x])
-        if cls is And:
-            return And(self[x], self[y])
-        return Not(self[x]) if cls is Not else cls(x, self[y])
+        prog = self.program
+        op, a, b = prog.op[i], prog.a[i], prog.b[i]
+        if op == ATOM:
+            return Atom(prog.atoms[a])
+        if op == NOT:
+            return Not(self[a])
+        if op == AND:
+            return And(self[a], self[b])
+        agent, kind = prog.modals[a]
+        return (Believes if kind == BELIEF else Knows)(agent, self[b])

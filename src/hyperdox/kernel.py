@@ -1,13 +1,10 @@
 """The one satisfaction kernel, shared by hypergraph and Kripke models.
 
-Formulas compile to a program: ops in topological order, where equal
-subformulas share a slot and double negations vanish. A Builder makes
-one; its node(op, a, b) is the only code that interns an op, for the
-length of one call, so any emitter can write into it. compile_formulas
-emits Formula trees, folding ~~x on the tree, so that no op is emitted
-that the roots do not read. convert.FormulaSlots emits enumerated
-formulas as slots, keeping construction records to build a Formula
-from. A slot cannot be read back, since ~~x has x's slot.
+Formulas compile to a program: ops in topological order, one per (op,
+a, b) triple. compile_formulas is the only code that compiles a Formula:
+equal subformulas share a slot, and ~~x folds on the tree, so no op is
+emitted that the roots do not read. convert.FormulaSlots writes the
+enumerated formulas as their own program, formula i as op i.
 
 run() is the one op loop: it gives the mask of every op from the masks
 of the atoms and the memo, blocks and fold of each modality's box
@@ -78,101 +75,73 @@ class Program:
         self.op, self.a, self.b, self.roots = array("b"), array("i"), array("i"), array("i")
 
 
-class Builder:
-    """A program under construction, for one call. node(op, a, b) interns
-    the int triple, so equal subformulas share one slot whoever emits
-    them (hash-consing keyed on slots, after Filliatre and Conchon,
-    "Type-safe modular hash-consing", ML 2006), and folds ~~x to x; emit
-    folds a Formula's ~~x before its ~x is emitted. A slot cannot be
-    decoded back into a Formula, since ~~x has x's slot."""
+def compile_formulas(formulas, letter=None) -> Program:
+    """One program for all the formulas, roots[k] the k-th one's slot.
 
-    __slots__ = ("prog", "_slot", "_atom", "_modal")
+    Each distinct subformula is walked once, with an explicit stack, since
+    equal subformulas are one interned object. node interns the (op, a, b)
+    triple (hash-consing; Filliatre and Conchon, ML 2006), so subformulas
+    that differ only by ~~x, which folds on the tree, share one slot.
+    letter, if given, maps each atom and modal subformula that the walk
+    meets to the PropVar that stands for it."""
+    prog = Program()
+    slots: dict[int, int] = {}  # packed (op, a, b) -> slot
+    atom_of: dict = {}  # PropVar -> index into atoms
+    modal_of: dict = {}  # (agent, kind) -> index into modals
 
-    def __init__(self):
-        self.prog = Program()
-        self._slot: dict[int, int] = {}  # packed (op, a, b) -> slot
-        self._atom: dict = {}  # PropVar -> index into atoms
-        self._modal: dict = {}  # (agent, kind) -> index into modals
-
-    def node(self, op: int, a: int, b: int = 0) -> int:
-        prog = self.prog
-        if op == NOT and prog.op[a] == NOT:  # ~~x is x
-            return prog.a[a]
+    def node(op: int, a: int, b: int = 0) -> int:
         key = (a << 32 | b) << 2 | op
-        slot = self._slot.get(key)
+        slot = slots.get(key)
         if slot is None:
-            slot = self._slot[key] = len(prog.op)
+            slot = slots[key] = len(prog.op)
             prog.op.append(op)
             prog.a.append(a)
             prog.b.append(b)
         return slot
 
-    def atom(self, var) -> int:
-        return self.node(ATOM, self._atom.setdefault(var, len(self._atom)))
-
-    def modal(self, agent: int, kind: str) -> int:
-        return self._modal.setdefault((agent, kind), len(self._modal))
-
-    def emit(self, f: Formula, leaf=None) -> int:
-        """The slot of f, walked with an explicit stack; each distinct
-        subformula is walked once, since equal subformulas are one
-        interned object. leaf, if given, supplies the slot of every atom
-        and modal subformula that it meets."""
-        slot_of: dict[int, int] = {}  # id(node) -> slot
+    for f in formulas:
+        slot_of: dict[int, int] = {}  # id(subformula) -> slot
         stack = [f]
         while stack:
-            node = stack[-1]
-            if id(node) in slot_of:
+            sub = stack[-1]
+            if id(sub) in slot_of:
                 stack.pop()
                 continue
-            cls = type(node)
+            cls = type(sub)
             if cls is And:
-                a, b = slot_of.get(id(node.left)), slot_of.get(id(node.right))
+                a, b = slot_of.get(id(sub.left)), slot_of.get(id(sub.right))
                 if a is None or b is None:
                     if b is None:
-                        stack.append(node.right)
+                        stack.append(sub.right)
                     if a is None:
-                        stack.append(node.left)
+                        stack.append(sub.left)
                     continue
-                slot = self.node(AND, a, b)
-            elif cls is Not and type(node.sub) is Not:  # ~~x is x, and ~x is not emitted
-                slot = slot_of.get(id(node.sub.sub))
+                slot = node(AND, a, b)
+            elif cls is Not and type(sub.sub) is Not:  # ~~x is x, and ~x is not emitted
+                slot = slot_of.get(id(sub.sub.sub))
                 if slot is None:
-                    stack.append(node.sub.sub)
+                    stack.append(sub.sub.sub)
                     continue
-            elif leaf is not None and (cls is Atom or cls is Believes or cls is Knows):
-                slot = leaf(node)
-            elif cls is Atom:
-                slot = self.atom(node.var)
+            elif cls is Atom or letter is not None and (cls is Believes or cls is Knows):
+                var = sub.var if letter is None else letter(sub)
+                slot = node(ATOM, atom_of.setdefault(var, len(atom_of)))
             elif cls is Not or cls is Believes or cls is Knows:
-                b = slot_of.get(id(node.sub))
+                b = slot_of.get(id(sub.sub))
                 if b is None:
-                    stack.append(node.sub)
+                    stack.append(sub.sub)
                     continue
                 if cls is Not:
-                    slot = self.node(NOT, b)
+                    slot = node(NOT, b)
                 else:
-                    kind = BELIEF if cls is Believes else KNOWLEDGE
-                    slot = self.node(BOX, self.modal(node.agent, kind), b)
+                    key = sub.agent, BELIEF if cls is Believes else KNOWLEDGE
+                    slot = node(BOX, modal_of.setdefault(key, len(modal_of)), b)
             else:
-                raise TypeError(f"not a formula: {node!r}")
+                raise TypeError(f"not a formula: {sub!r}")
             stack.pop()
-            slot_of[id(node)] = slot
-        return slot_of[id(f)]
-
-    def program(self, roots) -> Program:
-        """The program with the given roots. Emitting ends here, so the
-        intern table is freed before the program runs."""
-        self._slot.clear()
-        prog = self.prog
-        prog.atoms, prog.modals, prog.roots = list(self._atom), list(self._modal), array("i", roots)
-        return prog
-
-
-def compile_formulas(formulas) -> Program:
-    """One program for all the formulas: each is emitted into one builder."""
-    builder = Builder()
-    return builder.program([builder.emit(f) for f in formulas])
+            slot_of[id(sub)] = slot
+        prog.roots.append(slot_of[id(f)])
+    prog.atoms, prog.modals = list(atom_of), list(modal_of)
+    return prog
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from typing import Optional
 
 from .errors import HyperdoxError
 from .formula import And, Atom, Believes, Formula, Knows, Not, f_imp, parse_formula
-from .kernel import Builder, Frame, evaluate, fragment_check, index_bits
+from .kernel import Frame, compile_formulas, evaluate, fragment_check, index_bits
 from .workspace import PropVar, Workspace
 
 
@@ -159,14 +159,12 @@ def is_tautology_instance(f: Formula) -> bool:
     """Truth-table validity after abstracting maximal modal subformulas.
 
     Each atom and maximal modal subformula is a letter (equal subformulas
-    are one interned object, so they share one), emitted straight into
-    the program. The whole table is one kernel run: state s of a frame
-    with 2^k states is the row that gives letter i the value of bit i of s."""
+    are one interned object, so they share one): compile_formulas' letter
+    hook compiles letter i as the atom PropVar(0, i). The whole table is
+    one kernel run: state s of a frame with 2^k states is the row that
+    gives letter i the value of bit i of s."""
     letters: dict = {}
-    builder = Builder()
-    root = builder.emit(
-        f, lambda node: builder.atom(PropVar(0, letters.setdefault(node, len(letters))))
-    )
+    prog = compile_formulas([f], lambda sub: PropVar(0, letters.setdefault(sub, len(letters))))
     k = len(letters)
     if k > _MAX_LETTERS:
         raise TautologyTooLarge(
@@ -174,7 +172,7 @@ def is_tautology_instance(f: Formula) -> bool:
         )
     frame = Frame(1 << k)
     frame.atoms = {PropVar(0, i): column for i, column in enumerate(index_bits(k))}
-    return evaluate(builder.program([root]), frame)[0] == frame.full
+    return evaluate(prog, frame)[0] == frame.full
 
 
 @dataclass(frozen=True)

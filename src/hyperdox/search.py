@@ -253,29 +253,37 @@ def _vars_of(bounds: SearchBounds) -> list:
     return [[PropVar(a, i) for i in range(bounds.vars_per_agent)] for a in range(bounds.n_agents)]
 
 
+def _skeleton(ws: Workspace, structure) -> tuple:
+    """(slots, vertex ids, edges) of the structure, which all its
+    placements share: _slots, each slot's vertex id and the DirectedEdges."""
+    slots = _slots(structure)
+    ids = [f"{ws.agents[a]}{v + 1}" for a, v in slots]
+    id_of, edges = dict(zip(slots, ids)), []
+    for i, edge in enumerate(structure):
+        tail, head = set(), set()
+        for a, code in enumerate(edge):
+            if code:
+                (tail if code % 2 else head).add(id_of[a, _code_vertex(code)])
+        edges.append(DirectedEdge(_edge_name(i), frozenset(tail), frozenset(head)))
+    return slots, ids, edges
+
+
 def _build_model(
-    ws: Workspace, vars_of, atom_sets: dict, structure, slots, placement: int
+    ws: Workspace, vars_of, atom_sets: dict, skeleton, placement: int
 ) -> HypergraphModel:
-    """The model of the structure under the placement (see _placements);
-    vars_of is _vars_of(bounds). atom_sets maps (agent, atom bits) to the
-    frozenset of the agent's variables those bits name, filled as vertices
-    need them, so that the models built with one dict share their sets."""
+    """The model of a structure's _skeleton under the placement (see
+    _placements); vars_of is _vars_of(bounds). atom_sets maps (agent, atom
+    bits) to the frozenset of the agent's variables those bits name, filled
+    as vertices need them, so that the models built with one dict share them."""
+    slots, ids, edges = skeleton
     vertices = []
-    for j, (a, v) in enumerate(slots):
+    for j, (a, _) in enumerate(slots):
         own = vars_of[a]
         bits = placement >> (len(slots) - 1 - j) * len(own) & (1 << len(own)) - 1
         atoms = atom_sets.get((a, bits))
         if atoms is None:
             atoms = atom_sets[a, bits] = frozenset(p for p in own if bits >> p.index & 1)
-        vertices.append(Vertex(f"{ws.agents[a]}{v + 1}", a, atoms))
-    edges = []
-    for i, edge in enumerate(structure):
-        tail, head = set(), set()
-        for a, code in enumerate(edge):
-            if code:
-                vid = f"{ws.agents[a]}{_code_vertex(code) + 1}"
-                (tail if code % 2 else head).add(vid)
-        edges.append(DirectedEdge(_edge_name(i), frozenset(tail), frozenset(head)))
+        vertices.append(Vertex(ids[j], a, atoms))
     return HypergraphModel(ws, vertices, edges)
 
 
@@ -287,9 +295,9 @@ def enumerate_models(cls: str, bounds: SearchBounds, seed: int = 0) -> Iterator[
     """
     ws, vars_of, atom_sets = bounds.workspace(), _vars_of(bounds), {}
     for structure in _structures(bounds, cls):
-        slots = _slots(structure)
-        for placement in _placements(structure, len(slots), bounds, seed):
-            yield _build_model(ws, vars_of, atom_sets, structure, slots, placement)
+        skeleton = _skeleton(ws, structure)
+        for placement in _placements(structure, len(skeleton[0]), bounds, seed):
+            yield _build_model(ws, vars_of, atom_sets, skeleton, placement)
 
 
 # Placements per lane frame. A power of two, so that an exhaustive window
@@ -401,8 +409,8 @@ class SearchResult:
 # per distinct (stream position, falsifying edge).
 @functools.lru_cache(maxsize=64)
 def _witness(bounds: SearchBounds, structure, placement, visited: int, edge: int) -> SearchResult:
-    ws, slots = bounds.workspace(), _slots(structure)
-    model = _build_model(ws, _vars_of(bounds), {}, structure, slots, placement)
+    ws = bounds.workspace()
+    model = _build_model(ws, _vars_of(bounds), {}, _skeleton(ws, structure), placement)
     return SearchResult("countermodel", visited, model, model.edges[edge].name)
 
 
@@ -580,7 +588,7 @@ def instance_formula(pattern: tuple, values: tuple, formulas: FormulaSlots) -> F
     """The Formula of the instance (pattern, values) of a _patterns entry,
     binding each metavariable by name to its value: p's is the index of
     one of the agent's variables, and every other one's is an index of the
-    formulas, whose Formula is built from its record."""
+    formulas, whose Formula is decoded from its op."""
     scheme, agent, *_, names = pattern
     binding = {
         name: PropVar(agent, v) if name == "p" else formulas[v] for name, v in zip(names, values)
@@ -621,7 +629,7 @@ def soundness_suite(
     formulas = FormulaSlots(
         ws.all_vars(), range(ws.n_agents), instantiation_depth, instantiation_size
     )
-    n, masks_of = len(formulas), formulas.builder.program(formulas.slots)
+    n, masks_of = len(formulas), formulas.program
     patterns, vars_of = _patterns(system, ws), _vars_of(bounds)
     checked = sum(
         math.prod(bounds.vars_per_agent if name == "p" else n for name in names)

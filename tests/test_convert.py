@@ -255,6 +255,23 @@ def test_equivalence_fragment_violation(ws3):
     assert check_modal_equivalence(m, mh, cert.mapping, [belief_only]).checked == 1
 
 
+def test_formula_slots_list_modals_only_when_a_modal_formula_is_enumerated(ws3):
+    # the knowledge gate reads the stream's modal list, so a stream with
+    # no modal formula (depth 0, or size 1) must list none and pass a
+    # non-serial pair, and the first stream with boxes must be refused
+    m = KripkeModel(ws3, ["w"], {}, [set()])  # not serial
+    mh, cert = kripke_to_hypergraph(m)
+    for bounds in ((0, 4), (3, 1)):
+        slots = FormulaSlots(ws3.all_vars(), range(ws3.n_agents), *bounds)
+        assert slots.program.modals == []
+        report = check_modal_equivalence(m, mh, cert.mapping, slots)
+        assert report.checked == len(slots) > 0
+    slots = FormulaSlots(ws3.all_vars(), range(ws3.n_agents), 1, 2)
+    assert [kind for _, kind in slots.program.modals] == ["B"] * 3 + ["K"] * 3
+    with pytest.raises(FragmentError, match="^knowledge formulas require the serial"):
+        check_modal_equivalence(m, mh, cert.mapping, slots)
+
+
 def test_equivalence_requires_total_map(five_worlds_k):
     mh, cert = kripke_to_hypergraph(five_worlds_k)
     partial = dict(cert.mapping)
@@ -296,11 +313,12 @@ def test_formula_slots_rebuild_the_enumerated_stream():
     ws = Workspace(("a", "b"), (("p_a_1",), ("p_b_1",)))
     naive = list(naive_enumerate_formulas(ws.all_vars(), range(2), 2, 4))
     slots = FormulaSlots(ws.all_vars(), range(2), 2, 4)
-    assert len(slots) == len(slots.slots) == len(naive) == count_formulas(2, 2, 2, 4)
+    assert len(slots) == len(slots.program.op) == len(naive) == count_formulas(2, 2, 2, 4)
+    assert list(slots.program.roots) == list(range(len(slots)))  # formula i is op i
     assert list(slots) == naive
     assert list(enumerate_formulas(ws.all_vars(), range(2), 2, 4)) == naive
-    # every slot has its formula's mask, on each of 52 models
-    prog, expected = slots.builder.program(slots.slots), compile_formulas(naive)
+    # every root has its formula's mask, on each of 52 models
+    prog, expected = slots.program, compile_formulas(naive)
     for m in enumerate_models("H_sut", SearchBounds(2, 2, 1)):
         frame = frame_h(m)
         assert evaluate(prog, frame) == evaluate(expected, frame)

@@ -4,7 +4,7 @@ from hyperdox import search
 from hyperdox.formula import And, Atom, Believes, Knows, Not, f_iff, f_imp
 from hyperdox.hypergraph import frame_h
 from hyperdox.kernel import (
-    AND, ATOM, BOX, NOT, Builder, Frame, compile_formulas, evaluate, fold, index_bits, replicate,
+    AND, ATOM, BOX, NOT, Frame, compile_formulas, evaluate, fold, index_bits, replicate,
     run,
 )
 from hyperdox.proofcheck import SCHEMES
@@ -18,41 +18,36 @@ P, Q = (Atom(v) for v in WS.all_vars())
 
 
 def test_equal_triples_share_a_slot():
-    b = Builder()
-    p, q = b.atom(P.var), b.atom(Q.var)
-    assert (p, q) == (b.atom(P.var), b.atom(Q.var)) and p != q
-    conj = b.node(AND, p, q)
-    assert b.node(AND, p, q) == conj
-    assert b.node(AND, q, p) != conj  # argument order is part of the triple
-    box = b.node(BOX, b.modal(0, "B"), conj)
-    assert b.node(BOX, b.modal(0, "B"), conj) == box
-    assert b.node(BOX, b.modal(0, "K"), conj) != box
-    assert b.node(BOX, b.modal(1, "B"), conj) != box
-    assert len(b.prog.op) == 7  # p, q, p & q, q & p and three boxes
-    prog = b.program([box, conj])
-    assert list(prog.roots) == [box, conj]
+    conj = And(P, Q)
+    prog = compile_formulas(
+        [P, Q, conj, And(Q, P), Believes(0, conj), Knows(0, conj), Believes(1, conj)]
+        + [P, Q, conj, Believes(0, conj)]
+    )
+    p, q, pq, qp, box, *others = prog.roots
+    assert p != q and others[2:] == [p, q, pq, box]  # one slot per triple, across formulas
+    assert qp != pq  # argument order is part of the triple
+    assert len({box, *others[:2]}) == 3  # and the modality, agent and kind
+    assert len(prog.op) == 7  # p, q, p & q, q & p and three boxes
     assert prog.atoms == [P.var, Q.var]
     assert prog.modals == [(0, "B"), (0, "K"), (1, "B")]
 
 
 def test_double_negation_folds():
-    b = Builder()
-    p = b.atom(P.var)
-    not_p = b.node(NOT, p)
-    assert not_p != p and b.node(NOT, not_p) == p
-    assert b.node(NOT, b.node(NOT, not_p)) == not_p
-    assert b.emit(Not(Not(P))) == p
-    assert b.emit(Not(Not(Not(P)))) == not_p
-    assert list(b.prog.op) == [ATOM, NOT]
+    prog = compile_formulas([P, Not(P), Not(Not(P)), Not(Not(Not(P)))])
+    p, not_p = prog.roots[:2]
+    assert not_p != p and list(prog.roots) == [p, not_p, p, not_p]
+    assert list(prog.op) == [ATOM, NOT]
+    assert list(compile_formulas([Not(Not(P))]).op) == [ATOM]  # ~p is never emitted
 
 
 def test_conjunction_with_double_negation_shares_the_plain_slot():
-    b = Builder()
-    plain = b.emit(And(P, Q))
-    assert b.emit(And(Not(Not(P)), Q)) == plain
-    assert b.emit(And(P, Not(Not(Q)))) == plain
-    assert b.emit(Believes(0, And(Not(Not(P)), Q))) == b.emit(Believes(0, And(P, Q)))
-    assert b.emit(Knows(0, And(P, Q))) != b.emit(Believes(0, And(P, Q)))
+    prog = compile_formulas(
+        [And(P, Q), And(Not(Not(P)), Q), And(P, Not(Not(Q)))]
+        + [Believes(0, And(Not(Not(P)), Q)), Believes(0, And(P, Q)), Knows(0, And(P, Q))]
+    )
+    plain, left, right, folded_box, box, knows = prog.roots
+    assert plain == left == right
+    assert folded_box == box and knows != box
     # one program over both formulas has one slot for them, and ~~p folds
     # on the tree, so the inner ~p is never emitted
     prog = compile_formulas([And(Not(Not(P)), Q), And(P, Q)])
@@ -60,33 +55,31 @@ def test_conjunction_with_double_negation_shares_the_plain_slot():
     assert list(prog.op) == [ATOM, ATOM, AND]
 
 
-def test_emit_walks_a_shared_subtree_once():
+def test_compile_walks_a_shared_subtree_once():
     # each level's two conjuncts are one object, so by value the formula
-    # is a tree of 2^31 - 1 nodes; emitting walks every distinct object once
+    # is a tree of 2^31 - 1 nodes; compiling walks every distinct object once
     f = P
     for _ in range(30):
         f = And(f, f)
-    b = Builder()
-    b.emit(f)
-    assert len(b.prog.op) == 31
+    assert len(compile_formulas([f]).op) == 31
     g = Q
     for _ in range(30):
         g = And(Not(g), g)
     assert len(compile_formulas([g]).op) == 1 + 2 * 30
 
 
-def test_leaf_replaces_atoms_and_maximal_modal_subformulas():
-    b = Builder()
+def test_letter_replaces_atoms_and_maximal_modal_subformulas():
     seen = []
 
-    def leaf(node):
-        seen.append(node)
-        return b.atom(Atom(WS.all_vars()[len(seen) % 2]).var)
+    def letter(sub):
+        seen.append(sub)
+        return WS.all_vars()[len(seen) % 2]
 
     f = And(Believes(0, Not(P)), Not(Q))
-    b.emit(f, leaf)
+    prog = compile_formulas([f], letter)
     assert seen == [Believes(0, Not(P)), Q]  # left first, never below a box
-    assert BOX not in b.prog.op
+    assert BOX not in prog.op and prog.modals == []
+    assert prog.atoms == [Q.var, P.var]
 
 
 def _unread_slots(prog) -> list:

@@ -31,7 +31,7 @@ def previous_generation_alive() -> list:
         hyperdox.cli.main(["--json", "validate", os.path.join(HERE, "fixtures", "five_worlds_k.json")])
     classes = {
         "formula.Formula": hyperdox.formula.Formula,
-        "kernel.Builder": hyperdox.kernel.Builder,
+        "kernel.Program": hyperdox.kernel.Program,
         "proofcheck.ProofStep": hyperdox.proofcheck.ProofStep,
     }
     refs = {name: weakref.ref(cls) for name, cls in classes.items()}

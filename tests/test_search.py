@@ -177,7 +177,8 @@ def test_int_placements_build_the_oracle_models(bounds, seed):
     ws, vars_of, atom_sets = bounds.workspace(), search._vars_of(bounds), {}
     for cls in search.CLASSES:
         for structure in search._structures(bounds, cls):
-            slots = search._slots(structure)
+            skeleton = search._skeleton(ws, structure)
+            slots = skeleton[0]
             placements = search._placements(structure, len(slots), bounds, seed)
             naive = naive_placements(ws, structure, slots, bounds.vars_per_agent, seed)
             if bounds.vars_per_agent <= 2:
@@ -186,7 +187,7 @@ def test_int_placements_build_the_oracle_models(bounds, seed):
                 assert type(placements) is list and len(set(placements)) == len(placements)
             assert len(placements) == len(naive)
             for placement, sets in zip(placements, naive):
-                model = search._build_model(ws, vars_of, atom_sets, structure, slots, placement)
+                model = search._build_model(ws, vars_of, atom_sets, skeleton, placement)
                 assert [(v.id, v.color, v.atoms) for v in model.vertices.values()] == [
                     (f"{ws.agents[a]}{v + 1}", a, atoms) for (a, v), atoms in zip(slots, sets)
                 ]
@@ -353,7 +354,7 @@ def test_letter_suite_matches_per_model_evaluation(monkeypatch):
         instances, models, expected = _per_model_violations(system, cls, bounds, *sizes)
         assert report.violations == expected and report.instances_checked == len(instances)
         formulas = FormulaSlots(ws.all_vars(), range(ws.n_agents), *sizes)
-        prog = formulas.builder.program(formulas.slots)
+        prog = formulas.program
         masks = []  # per model, the formula masks on the suite's frame of it
         for _, _, _, frame in search._lanes(cls, bounds, 0):
             masks += [evaluate(prog, frame)] * frame.width
@@ -669,7 +670,7 @@ def test_emitted_instances_match_naive_instances(system, depth, size):
     formulas = FormulaSlots(ws.all_vars(), range(ws.n_agents), depth, size)
     naive = naive_scheme_instances(system, ws, depth, size)
     expected = compile_formulas(inst for _, inst in naive)
-    masks_of = formulas.builder.program(formulas.slots)
+    masks_of = formulas.program
     patterns = search._patterns(system, ws)
     for _, _, _, frame in search._lanes(search.SYSTEM_CLASS[system], bounds, 0):
         want = evaluate(expected, frame)
