@@ -95,15 +95,14 @@ class _Tables:
 
     The descriptors are numbered in sorted order, so a structure compares
     as its index list does. Vertex v of agent a is bit a * cap + v of the
-    span and tail masks. shifts[a][k] holds, for each permutation of
-    agent a's vertices 0..k-1, the change of descriptor index caused by
-    each of a's codes 0..2k.
+    span and tail masks. renamings(a, k) gives, for each renaming of agent
+    a's vertices 0..k-1, a map of descriptor indices, built on first use.
     """
 
     def __init__(self, n: int, cap: int, uniform: bool):
         self.n, self.cap = n, cap
-        low = 1 if uniform else 0
-        self.descs = list(itertools.product(range(low, 2 * cap + 1), repeat=n))
+        self.low = 1 if uniform else 0
+        self.descs = list(itertools.product(range(self.low, 2 * cap + 1), repeat=n))
         self.span, self.tail = [], []
         for desc in self.descs:
             span = tail = 0
@@ -115,41 +114,62 @@ class _Tables:
             self.span.append(span)
             self.tail.append(tail)
         self.first = [_code_vertex(desc[0]) for desc in self.descs]  # -1 if absent
-        self.shifts = []
-        for a in range(n):
-            weight = (2 * cap + 1 - low) ** (n - 1 - a)
-            self.shifts.append([
-                [
-                    [0]
-                    + [
-                        2 * (perm[_code_vertex(c)] - _code_vertex(c)) * weight
-                        for c in range(1, 2 * k + 1)
-                    ]
-                    for perm in itertools.permutations(range(k))
-                ]
-                for k in range(cap + 1)
-            ])
+        self.maps = {}
 
     def segments(self, mask: int) -> list:
         """Agent a's vertex bits of the mask, for each agent a."""
         ones = (1 << self.cap) - 1
         return [mask >> (a * self.cap) & ones for a in range(self.n)]
 
+    def renamings(self, a: int, k: int) -> list:
+        """For each permutation perm of agent a's vertices 0..k-1 but the
+        identity, in itertools.permutations order, the tuple that maps each
+        descriptor index i to the index of its image under perm: i + 2·(perm[v]
+        - v)·weight when agent a's code names a vertex v < k, weight being
+        the place value of agent a's code in the index, and i otherwise.
+        The maps share one int object per index."""
+        maps = self.maps.get((a, k))
+        if maps is None:
+            weight = (2 * self.cap + 1 - self.low) ** (self.n - 1 - a)
+            ids = list(range(len(self.descs)))
+            verts = [_code_vertex(desc[a]) for desc in self.descs]
+            maps = self.maps[a, k] = [
+                tuple(
+                    ids[i + 2 * (perm[v] - v) * weight] if 0 <= v < k else i
+                    for i, v in zip(ids, verts)
+                )
+                for perm in itertools.islice(itertools.permutations(range(k)), 1, None)
+            ]
+        return maps
+
     def is_least(self, chosen: list, used: int) -> bool:
         """Whether no renaming of each agent's vertices 0..k-1, where k-1
         is its highest vertex in the used mask, maps the structure to a
-        lexicographically smaller one."""
+        lexicographically smaller one.
+
+        An agent's renaming changes only its own digit of each index, so
+        the per-agent maps compose. The images under every level of maps
+        but the last are built, each image kept under the identity too;
+        each of them is then tested as it is and under each map of the last
+        level, two C calls per image, up to the first smaller one."""
+        levels = [
+            self.renamings(a, seg.bit_length())
+            for a, seg in enumerate(self.segments(used))
+            if seg > 1
+        ]
+        if not levels:  # one vertex or none per agent: only the identity
+            return True
         images = [chosen]
-        for a, seg in enumerate(self.segments(used)):
-            k = seg.bit_length()
-            if k > 1:  # one vertex or none: only the identity
-                codes = [self.descs[i][a] for i in chosen]
-                images = [
-                    [i + shift[c] for i, c in zip(image, codes)]
-                    for image in images
-                    for shift in self.shifts[a][k]
-                ]
-        return all(sorted(image) >= chosen for image in images)
+        for maps in levels[:-1]:
+            images += [list(map(m.__getitem__, image)) for image in images for m in maps]
+        last = levels[-1]
+        for image in images:
+            if sorted(image) < chosen:
+                return False
+            for m in last:
+                if sorted(map(m.__getitem__, image)) < chosen:
+                    return False
+        return True
 
 
 _tables = functools.lru_cache(maxsize=16)(_Tables)
@@ -167,7 +187,9 @@ def _structures(bounds: SearchBounds, cls: str) -> Iterator[tuple]:
     - a renaming that makes a prefix smaller makes every extension
       smaller too, since the prefix holds the extension's least
       descriptors, so a prefix that is not least is cut with its subtree
-      (orderly generation; McKay, J. Algorithms 26, 1998);
+      (orderly generation; McKay, J. Algorithms 26, 1998). The test
+      (_Tables.is_least) maps the prefix's descriptor indices through
+      each agent's renaming maps and stops at the first smaller image;
     - in a uniform class a descriptor whose span is taken already is
       skipped, since equal spans break simplicity.
     Contiguity and tail-completeness are mask tests on the finished
@@ -560,9 +582,14 @@ def _instance_masks(patterns, frame: Frame, letters: list, own: list):
     frame (see Frame.box), each metavariable bound to the packed masks of
     its values on them (_spread), so that each op of the pattern is one
     int op per window. root is the pattern's root mask on those copies;
-    copy c of it is the mask of tuple _unrank(domains, start + c)."""
+    copy c of it is the mask of tuple _unrank(domains, start + c).
+
+    A frame keeps one box per (agent, kind), rebuilt only for a window of
+    more copies than it has: a box for M copies serves any count c <= M
+    as it is, since run reads its reaches and lanes only inside bad, which
+    holds c copies."""
     size = frame.size
-    spread, boxes = {}, {}  # per frame, shared by the patterns
+    spread, boxes = {}, {}  # per frame, shared by the patterns; boxes holds (copies, box)
     for j, (_, agent, steps, kinds, names) in enumerate(patterns):
         domains = [own[agent] if name == "p" else letters for name in names]
         sizes = [len(domain) for domain in domains]
@@ -578,9 +605,10 @@ def _instance_masks(patterns, frame: Frame, letters: list, own: list):
                     spread[key] = _spread(keys, held, count, size)
                 masks.append(spread[key])
             for kind in kinds:
-                if (agent, kind, count) not in boxes:
-                    boxes[agent, kind, count] = frame.box((agent, kind), count)
-            box_of = [boxes[agent, kind, count] for kind in kinds]
+                kept = boxes.get((agent, kind))
+                if kept is None or kept[0] < count:
+                    boxes[agent, kind] = count, frame.box((agent, kind), count)
+            box_of = [boxes[agent, kind][1] for kind in kinds]
             yield j, domains, start, count, run(steps, masks, box_of, (1 << count * size) - 1)[-1]
 
 

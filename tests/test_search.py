@@ -31,6 +31,7 @@ from hyperdox.proofcheck import ADMITTED, SCHEMES, SchemeId
 from hyperdox.workspace import Workspace
 from randgen import random_formula
 from oracles import (
+    _remap_code,
     count_structures_naive,
     naive_placements,
     naive_satisfies_h,
@@ -485,6 +486,12 @@ PINNED_STREAMS = {
     ((2, 4, 1, 3), "H_su"): (1262, "85ca0210533a571f98076631fba2dd408412a99e7d6742d6350b0961c812795c"),
     ((2, 4, 1, 3), "H_sut"): (123, "d7cb7103e34d27e40b4657f5856cdd09f2ea23d38e5ee10f6158d1c63d181fc8"),
     ((2, 4, 1, 3), "all"): (8628, "1fb9dd93e6acdd0051b4539beb5c06bd488de86785392c3a8d0322a541b6dbe9"),
+    # where the renaming maps go deeper, recorded with the canonicity test
+    # that rebuilt every image from per-code shift lists: uncapped, both
+    # agents reach five vertices (120 renamings each), and three agents
+    # give three levels of maps
+    ((2, 5, 1), "H_sut"): (848, "72797a5ab99e5457e6da2eecab12080891acfd6cd4ad485fdbab3598023deb4b"),
+    ((3, 4, 1, 2), "H_sut"): (5397, "b8d99f4e0aa8c1a24c9730cef329eb53bf0c7b3a3395289567c330e14ecdf0ad"),
 }
 
 
@@ -494,6 +501,58 @@ def test_orderly_stream_pinned_at_larger_bounds(bounds, cls):
     assert all(type(s) is tuple and all(type(e) is tuple for e in s) for s in stream)
     digest = hashlib.sha256(repr(stream).encode()).hexdigest()
     assert (len(stream), digest) == PINNED_STREAMS[bounds, cls]
+
+
+@pytest.mark.parametrize("n,cap,uniform", [(2, 3, True), (2, 3, False), (3, 2, True), (3, 2, False)])
+def test_renamings_remap_each_descriptor(n, cap, uniform):
+    t = search._Tables(n, cap, uniform)
+    index = {desc: i for i, desc in enumerate(t.descs)}
+    for a in range(n):
+        for k in range(cap + 1):
+            maps = t.renamings(a, k)
+            perms = list(itertools.permutations(range(k)))[1:]  # all but the identity
+            assert len(maps) == len(perms)
+            for perm, m in zip(perms, maps):
+                assert sorted(m) == list(range(len(t.descs)))
+                whole = list(perm) + list(range(k, cap))  # fixes the vertices from k on
+                for i, desc in enumerate(t.descs):
+                    if not 0 < desc[a] <= 2 * k:  # names no vertex below k of agent a
+                        assert m[i] == i
+                    image = desc[:a] + (_remap_code(desc[a], whole),) + desc[a + 1:]
+                    assert m[i] == index[image]
+            assert t.renamings(a, k) is maps  # built once
+
+
+def _naive_is_least(t, chosen, used):
+    """Every image of chosen under a product of per-agent permutations of
+    each agent's vertices 0..k-1 (k-1 its highest in used) sorts >= chosen."""
+    perms = [itertools.permutations(range(seg.bit_length())) for seg in t.segments(used)]
+    index = {desc: i for i, desc in enumerate(t.descs)}
+    for combo in itertools.product(*map(list, perms)):
+        image = sorted(
+            index[tuple(_remap_code(c, combo[a]) for a, c in enumerate(t.descs[i]))] for i in chosen
+        )
+        if image < chosen:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("bounds", [(2, 3, 1), (3, 2, 0)])
+@pytest.mark.parametrize("cls", search.CLASSES)
+def test_is_least_equals_naive_test_on_every_prefix(monkeypatch, bounds, cls):
+    tested = []
+    is_least = search._Tables.is_least
+
+    def recording(self, chosen, used):
+        result = is_least(self, chosen, used)
+        tested.append((self, list(chosen), used, result))
+        return result
+
+    monkeypatch.setattr(search._Tables, "is_least", recording)
+    list(search._structures(SearchBounds(*bounds), cls))
+    assert any(result for *_, result in tested) and not all(result for *_, result in tested)
+    for t, chosen, used, result in tested:
+        assert result == _naive_is_least(t, chosen, used), (chosen, used)
 
 
 @pytest.mark.parametrize("cls", search.CLASSES)
