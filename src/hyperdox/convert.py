@@ -29,7 +29,9 @@ from .hypergraph import (
     frame_h,
     graph_metrics,
 )
-from .kernel import AND, ATOM, BELIEF, BOX, KNOWLEDGE, NOT, Program, compile_formulas, evaluate
+from .kernel import (
+    AND, ATOM, BELIEF, BOX, KNOWLEDGE, NOT, Frame, Program, bits, compile_formulas, evaluate,
+)
 from .kripke import (
     KripkeModel,
     equivalence_classes,
@@ -163,7 +165,10 @@ def check_modal_equivalence(
     knowledge modality are only admitted when both models lie in the
     serial classes (K_ste and H_sut); otherwise only belief-fragment
     formulas may be supplied. A FormulaSlots stream is evaluated on its
-    own program, and a Formula is built for a disagreement row alone.
+    own program. The hypergraph frame is laid out in world order, so a
+    formula disagrees exactly at the set bits of its masks' XOR over the
+    worlds; rows go by formula, then world, and a formula's rows share one
+    Formula, built for them alone.
     """
     if mk.workspace != mh.workspace:
         raise PreconditionError("models are declared over different workspaces")
@@ -177,15 +182,40 @@ def check_modal_equivalence(
         if not (ck.in_k_ste and ch.in_h_sut):
             raise FragmentError("knowledge formulas require the serial classes on both sides")
     report = EquivalenceReport(checked=len(formulas) * mk.n_worlds)
-    edge_of = [mh.edge_index(mapping[w]) for w in mk.worlds]
-    masks = zip(evaluate(prog, mk.frame()), evaluate(prog, frame_h(mh)))
+    frame = _in_world_order(frame_h(mh), [mh.edge_index(mapping[w]) for w in mk.worlds])
+    masks = zip(evaluate(prog, mk.frame()), evaluate(prog, frame))
+    worlds = (1 << mk.n_worlds) - 1  # the states that are worlds
     for j, (mask_k, mask_h) in enumerate(masks):
-        for i, e in enumerate(edge_of):
-            k_value, h_value = mask_k >> i & 1, mask_h >> e & 1
-            if k_value != h_value:
-                row = EquivalenceRow(mk.worlds[i], formulas[j], k_value == 1, h_value == 1)
-                report.disagreements.append(row)
+        differ = (mask_k ^ mask_h) & worlds
+        if differ:
+            f = formulas[j]
+            for i in bits(differ):
+                k_value = mask_k >> i & 1 == 1
+                report.disagreements.append(EquivalenceRow(mk.worlds[i], f, k_value, not k_value))
     return report
+
+
+def _in_world_order(frame: Frame, edge_of: list) -> Frame:
+    """The hypergraph frame with state i on edge edge_of[i], and the edges
+    that no world maps to after those, in order. The states of one edge
+    lie in the same blocks, so they agree on every formula."""
+    image = [0] * frame.size  # edge -> the mask of its states
+    for i, e in enumerate(edge_of):
+        image[e] |= 1 << i
+    size = len(edge_of)
+    for e in range(frame.size):
+        if not image[e]:
+            image[e], size = 1 << size, size + 1
+
+    def remap(mask: int) -> int:  # the edges' images are disjoint, so their sum is their union
+        return sum(map(image.__getitem__, bits(mask)))
+
+    atoms = {p: remap(mask) for p, mask in frame.atoms.items()}
+    blocks = {
+        key: [(remap(span), remap(reach)) for span, reach in blocks]
+        for key, blocks in frame.blocks.items()
+    }
+    return Frame(size, atoms, blocks)
 
 
 def enumerate_formulas(

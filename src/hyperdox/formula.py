@@ -22,6 +22,9 @@ the right):
     unary ::= "~" unary | "B{" agent "}" unary | "K{" agent "}" unary
             | atom | "true" | "false" | "(" form ")"
 
+parse_formula reads it with one regex scan and one operator-precedence
+loop, without recursion, so every render_formula output parses back.
+
 Formulas are interned (hash-consing; Filliatre and Conchon, "Type-safe
 modular hash-consing", ML 2006): a constructor returns the one live
 object for its class and fields, so equal formulas are one object and
@@ -38,6 +41,7 @@ from __future__ import annotations
 
 import re
 import weakref
+from functools import partial
 
 from .errors import ParseError, WorkspaceError
 from .workspace import PropVar, Workspace
@@ -167,136 +171,96 @@ def f_top(ws: Workspace) -> Formula:
     return Not(f_bottom(ws))
 
 
-_TOKEN_RE = re.compile(r"<->|->|[~&|(){}]|[A-Za-z_][A-Za-z0-9_]*")
-_WS_RE = re.compile(r"\s*")
-
-
-def _tokenize(text: str) -> list[tuple[str, int]]:
-    tokens = []
-    pos = 0
-    n = len(text)
-    while pos < n:
-        pos = _WS_RE.match(text, pos).end()
-        if pos >= n:
-            break
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        tokens.append((m.group(), pos))
-        pos = m.end()
-    tokens.append(("", n))
-    return tokens
-
-
-class _Parser:
-    def __init__(self, text: str, ws: Workspace):
-        self.ws = ws
-        self.tokens = _tokenize(text)
-        self.i = 0
-
-    def peek(self) -> str:
-        return self.tokens[self.i][0]
-
-    def pos(self) -> int:
-        return self.tokens[self.i][1]
-
-    def take(self) -> str:
-        tok = self.tokens[self.i][0]
-        self.i += 1
-        return tok
-
-    def expect(self, tok: str, what: str):
-        if self.peek() != tok:
-            raise ParseError(f"expected {what}", self.pos())
-        self.take()
-
-    def form(self) -> Formula:
-        parts = [self.imp()]
-        while self.peek() == "<->":
-            self.take()
-            parts.append(self.imp())
-        out = parts[-1]
-        for part in reversed(parts[:-1]):
-            out = f_iff(part, out)
-        return out
-
-    def imp(self) -> Formula:
-        left = self.or_()
-        if self.peek() == "->":
-            self.take()
-            return f_imp(left, self.imp())
-        return left
-
-    def or_(self) -> Formula:
-        out = self.and_()
-        while self.peek() == "|":
-            self.take()
-            out = f_or(out, self.and_())
-        return out
-
-    def and_(self) -> Formula:
-        out = self.unary()
-        while self.peek() == "&":
-            self.take()
-            out = And(out, self.unary())
-        return out
-
-    def unary(self) -> Formula:
-        tok = self.peek()
-        pos = self.pos()
-        if tok == "~":
-            self.take()
-            return Not(self.unary())
-        if tok in ("B", "K") and self.tokens[self.i + 1][0] == "{":
-            self.take()
-            self.take()
-            agent_name = self.peek()
-            agent_pos = self.pos()
-            if not agent_name or not (agent_name[0].isalpha() or agent_name[0] == "_"):
-                raise ParseError("expected agent name", agent_pos)
-            self.take()
-            try:
-                agent = self.ws.agent_index(agent_name)
-            except WorkspaceError:
-                raise ParseError(f"undeclared agent {agent_name!r}", agent_pos) from None
-            self.expect("}", "'}'")
-            return (Believes if tok == "B" else Knows)(agent, self.unary())
-        if tok == "(":
-            self.take()
-            out = self.form()
-            self.expect(")", "')'")
-            return out
-        if tok == "true":
-            self.take()
-            try:
-                return f_top(self.ws)
-            except WorkspaceError as exc:
-                raise ParseError(str(exc), pos) from None
-        if tok == "false":
-            self.take()
-            try:
-                return f_bottom(self.ws)
-            except WorkspaceError as exc:
-                raise ParseError(str(exc), pos) from None
-        if tok and (tok[0].isalpha() or tok[0] == "_"):
-            self.take()
-            try:
-                return Atom(self.ws.var_by_name(tok))
-            except WorkspaceError:
-                raise ParseError(f"undeclared atom {tok!r}", pos) from None
-        raise ParseError("expected a formula", pos)
+# One scan reads every token. Group 1 is a token, group 2 a character
+# that starts none, and the whitespace before either is skipped.
+_TOKEN_RE = re.compile(r"\s*(?:(<->|->|[~&|(){}]|[A-Za-z_][A-Za-z0-9_]*)|(\S))")
+_SYMBOLS = frozenset(("<->", "->", "~", "&", "|", "(", ")", "{", "}"))
+# binary operator -> (precedence, the least precedence it reduces on its
+# left, constructor): & and | associate to the left, -> and <-> to the right
+_BINARY = {"&": (3, 3, And), "|": (2, 2, f_or), "->": (1, 2, f_imp), "<->": (0, 1, f_iff)}
+_CONSTANTS = {"true": f_top, "false": f_bottom}
 
 
 def parse_formula(text: str, ws: Workspace) -> Formula:
-    """Parse and fully desugar a formula over the given workspace."""
-    p = _Parser(text, ws)
-    try:
-        out = p.form()
-    except RecursionError:
-        raise ParseError("formula nested too deeply", p.pos()) from None
-    if p.peek() != "":
-        raise ParseError(f"unexpected token {p.peek()!r}", p.pos())
-    return out
+    """Parse and fully desugar a formula over the given workspace.
+
+    One loop over the tokens with an explicit stack of bracket levels
+    (operator precedence; Dijkstra's shunting yard, 1961), so a formula of
+    any depth parses. A level holds the prefixes (~, B{a}, K{a}) waiting
+    for their operand, and the operands and binary operators read so far."""
+    tokens = _TOKEN_RE.findall(text)
+    n = len(tokens)
+    tokens.append(("", ""))  # the end of the text
+    levels = []  # the enclosing levels: (prefixes, operands, operators)
+    prefixes, operands, operators = [], [], []
+    atoms = {}  # token -> its formula, for atoms and constants
+    k = 0
+    while True:  # token k starts an operand
+        tok = tokens[k][0]
+        if tok == "~":
+            prefixes.append(Not)
+            k += 1
+            continue
+        if tok == "(":
+            levels.append((prefixes, operands, operators))
+            prefixes, operands, operators = [], [], []
+            k += 1
+            continue
+        if (tok == "B" or tok == "K") and tokens[k + 1][0] == "{":
+            name = tokens[k + 2][0]
+            if not name or name in _SYMBOLS:
+                raise _error(text, tokens, k + 2, "expected agent name")
+            try:
+                agent = ws.agent_index(name)
+            except WorkspaceError as exc:
+                raise _error(text, tokens, k + 2, str(exc)) from None
+            if tokens[k + 3][0] != "}":
+                raise _error(text, tokens, k + 3, "expected '}'")
+            prefixes.append(partial(Believes if tok == "B" else Knows, agent))
+            k += 4
+            continue
+        if not tok or tok in _SYMBOLS:
+            raise _error(text, tokens, k, "expected a formula")
+        f = atoms.get(tok)
+        if f is None:
+            try:
+                f = _CONSTANTS[tok](ws) if tok in _CONSTANTS else Atom(ws.var_by_name(tok))
+            except WorkspaceError as exc:
+                raise _error(text, tokens, k, str(exc)) from None
+            atoms[tok] = f
+        k += 1
+        while True:  # f is an operand: wrap it in its prefixes, then read what follows
+            while prefixes:
+                f = prefixes.pop()(f)
+            tok = tokens[k][0]
+            k += 1
+            binary = _BINARY.get(tok)
+            if binary is not None:
+                while operators and operators[-1][0] >= binary[1]:
+                    f = operators.pop()[2](operands.pop(), f)
+                operands.append(f)
+                operators.append(binary)
+                break
+            if tok == ")" and levels or k > n and not levels:
+                while operators:
+                    f = operators.pop()[2](operands.pop(), f)
+                if not levels:
+                    return f
+                prefixes, operands, operators = levels.pop()
+                continue
+            message = "expected ')'" if levels else f"unexpected token {tok!r}"
+            raise _error(text, tokens, k - 1, message)
+
+
+def _error(text: str, tokens: list, k: int, message: str) -> ParseError:
+    """The error at token k, unless a character of the text starts no
+    token: then the first such character is the error, wherever it lies."""
+    starts = [m.end() - len(m[1] or m[2]) for m in _TOKEN_RE.finditer(text)]
+    starts.append(len(text))
+    for (_, bad), start in zip(tokens, starts):
+        if bad:
+            return ParseError(f"unexpected character {bad!r}", start)
+    return ParseError(message, starts[k])
 
 
 def render_formula(f: Formula, ws: Workspace) -> str:

@@ -9,14 +9,23 @@ depth by walking the formula tree, enumeration counts by brute force
 over labeled structures, and the canonical structure stream by filtering
 every combination of descriptors. The formula stream and the scheme
 instances are built as Formula trees, one constructor call per node.
-Atom placements are tuples of atom sets, one per vertex slot.
+Atom placements are tuples of atom sets, one per vertex slot. Formula
+text is parsed by recursive descent, one method per grammar rule.
+
+The one exception is naive_modal_equivalence, which runs the package's
+kernel on both frames as they are and compares them world by world; the
+kernel itself is checked against naive_satisfies_k and naive_satisfies_h.
 """
 
 import itertools
 import random
+import re
 
-from hyperdox.formula import And, Atom, Believes, Knows, Not
-from hyperdox.kernel import FragmentInfo
+from hyperdox.convert import EquivalenceRow, FormulaSlots
+from hyperdox.errors import ParseError, WorkspaceError
+from hyperdox.formula import And, Atom, Believes, Knows, Not, f_bottom, f_iff, f_imp, f_or, f_top
+from hyperdox.hypergraph import frame_h
+from hyperdox.kernel import FragmentInfo, compile_formulas, evaluate
 from hyperdox.proofcheck import _META, ADMITTED, SCHEMES, SchemeId, instantiate_scheme
 
 
@@ -218,6 +227,137 @@ def naive_modal_depth(f):
     return depth
 
 
+_NAIVE_TOKEN_RE = re.compile(r"<->|->|[~&|(){}]|[A-Za-z_][A-Za-z0-9_]*")
+_NAIVE_WS_RE = re.compile(r"\s*")
+
+
+def _naive_tokenize(text):
+    tokens = []
+    pos = 0
+    n = len(text)
+    while pos < n:
+        pos = _NAIVE_WS_RE.match(text, pos).end()
+        if pos >= n:
+            break
+        m = _NAIVE_TOKEN_RE.match(text, pos)
+        if m is None:
+            raise ParseError(f"unexpected character {text[pos]!r}", pos)
+        tokens.append((m.group(), pos))
+        pos = m.end()
+    tokens.append(("", n))
+    return tokens
+
+
+class _NaiveParser:
+    def __init__(self, text, ws):
+        self.ws = ws
+        self.tokens = _naive_tokenize(text)
+        self.i = 0
+
+    def peek(self):
+        return self.tokens[self.i][0]
+
+    def pos(self):
+        return self.tokens[self.i][1]
+
+    def take(self):
+        tok = self.tokens[self.i][0]
+        self.i += 1
+        return tok
+
+    def expect(self, tok, what):
+        if self.peek() != tok:
+            raise ParseError(f"expected {what}", self.pos())
+        self.take()
+
+    def form(self):
+        parts = [self.imp()]
+        while self.peek() == "<->":
+            self.take()
+            parts.append(self.imp())
+        out = parts[-1]
+        for part in reversed(parts[:-1]):
+            out = f_iff(part, out)
+        return out
+
+    def imp(self):
+        left = self.or_()
+        if self.peek() == "->":
+            self.take()
+            return f_imp(left, self.imp())
+        return left
+
+    def or_(self):
+        out = self.and_()
+        while self.peek() == "|":
+            self.take()
+            out = f_or(out, self.and_())
+        return out
+
+    def and_(self):
+        out = self.unary()
+        while self.peek() == "&":
+            self.take()
+            out = And(out, self.unary())
+        return out
+
+    def unary(self):
+        tok = self.peek()
+        pos = self.pos()
+        if tok == "~":
+            self.take()
+            return Not(self.unary())
+        if tok in ("B", "K") and self.tokens[self.i + 1][0] == "{":
+            self.take()
+            self.take()
+            agent_name = self.peek()
+            agent_pos = self.pos()
+            if not agent_name or not (agent_name[0].isalpha() or agent_name[0] == "_"):
+                raise ParseError("expected agent name", agent_pos)
+            self.take()
+            try:
+                agent = self.ws.agent_index(agent_name)
+            except WorkspaceError:
+                raise ParseError(f"undeclared agent {agent_name!r}", agent_pos) from None
+            self.expect("}", "'}'")
+            return (Believes if tok == "B" else Knows)(agent, self.unary())
+        if tok == "(":
+            self.take()
+            out = self.form()
+            self.expect(")", "')'")
+            return out
+        if tok == "true":
+            self.take()
+            try:
+                return f_top(self.ws)
+            except WorkspaceError as exc:
+                raise ParseError(str(exc), pos) from None
+        if tok == "false":
+            self.take()
+            try:
+                return f_bottom(self.ws)
+            except WorkspaceError as exc:
+                raise ParseError(str(exc), pos) from None
+        if tok and (tok[0].isalpha() or tok[0] == "_"):
+            self.take()
+            try:
+                return Atom(self.ws.var_by_name(tok))
+            except WorkspaceError:
+                raise ParseError(f"undeclared atom {tok!r}", pos) from None
+        raise ParseError("expected a formula", pos)
+
+
+def naive_parse_formula(text, ws):
+    """The formula of text by recursive descent, one method per grammar
+    rule, after a tokenizer that matches one token at a time. It recurses
+    once per level of nesting, so a deep formula raises RecursionError."""
+    p = _NaiveParser(text, ws)
+    out = p.form()
+    if p.peek() != "":
+        raise ParseError(f"unexpected token {p.peek()!r}", p.pos())
+    return out
+
+
 def count_formulas(n_vars, n_agents, max_depth, max_size):
     """Number of core-constructor formulas with size <= max_size and
     modal depth <= max_depth, by recurrence on exact size."""
@@ -266,6 +406,23 @@ def naive_enumerate_formulas(vars, agents, max_depth, max_size):
         by_size.append(layer)
         for f, _ in layer:
             yield f
+
+
+def naive_modal_equivalence(mk, mh, mapping, formulas):
+    """The disagreement rows of check_modal_equivalence, world by world:
+    each formula's masks on the Kripke frame and on the hypergraph frame
+    in edge order are compared at every world i and the edge it maps to,
+    and a row builds formulas[j] anew."""
+    prog = formulas.program if isinstance(formulas, FormulaSlots) else compile_formulas(formulas)
+    rows = []
+    edge_of = [mh.edge_index(mapping[w]) for w in mk.worlds]
+    masks = zip(evaluate(prog, mk.frame()), evaluate(prog, frame_h(mh)))
+    for j, (mask_k, mask_h) in enumerate(masks):
+        for i, e in enumerate(edge_of):
+            k_value, h_value = mask_k >> i & 1, mask_h >> e & 1
+            if k_value != h_value:
+                rows.append(EquivalenceRow(mk.worlds[i], formulas[j], k_value == 1, h_value == 1))
+    return rows
 
 
 def _metavariables(pattern):

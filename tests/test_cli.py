@@ -456,13 +456,23 @@ def test_parser_keeps_no_state_between_calls(capsys):
     assert cli._parser() is parser
 
 
-def test_deeply_nested_formula_is_a_parse_error(capsys):
-    formula = "~" * 3000 + "p_a_1"
-    code, out, _ = run(capsys, "--json", "eval", fixture_path("chain4_h.json"), "e1", formula)
-    assert code == 2
-    error = json.loads(out)["error"]
-    assert error["type"] == "ParseError"
-    assert "nested too deeply" in error["message"]
+def test_deeply_nested_formula_evaluates(capsys, chain4):
+    """The parser keeps no depth limit: 3,000 negations and 1,000 nested
+    beliefs evaluate, to the value of their shallow equivalents."""
+    model = fixture_path("chain4_h.json")
+    p = parse_formula("p_a_1", chain4.workspace)
+    boxed = p
+    for _ in range(1000):
+        boxed = Believes(0, boxed)
+    cases = [
+        ("~" * 3000 + "p_a_1", satisfies_h(chain4, "e1", p)),
+        ("B{a}" * 1000 + "p_a_1", satisfies_h(chain4, "e1", boxed)),
+    ]
+    for formula, expected in cases:
+        code, out, _ = run(capsys, "--json", "eval", model, "e1", formula)
+        payload = json.loads(out)
+        assert code in (0, 1) and "error" not in payload
+        assert payload["value"] is expected and code == (0 if expected else 1)
 
 
 _CHAIN = " & ".join(["p_a_1"] * 3000)

@@ -10,6 +10,7 @@ from hyperdox import (
     FragmentError,
     KripkeModel,
     PreconditionError,
+    PropVar,
     Relation,
     Workspace,
     check_modal_equivalence,
@@ -30,9 +31,15 @@ from hyperdox.hypergraph import frame_h
 from hyperdox.kernel import compile_formulas, evaluate
 from hyperdox.kripke import equivalence_classes
 from hyperdox.modelio import model_from_json
-from randgen import random_local_kripke, random_uniform_model
+from randgen import random_formula, random_local_kripke, random_uniform_model
 from conftest import fixture_path
-from oracles import count_formulas, naive_enumerate_formulas, naive_satisfies_h, naive_satisfies_k
+from oracles import (
+    count_formulas,
+    naive_enumerate_formulas,
+    naive_modal_equivalence,
+    naive_satisfies_h,
+    naive_satisfies_k,
+)
 
 
 def rel(size, pairs):
@@ -366,3 +373,52 @@ def test_swapped_worlds_rows_from_formula_slots():
         204,
         "22caa49afa7b22d86ad6e246dc51fb5bee2808a5f9470d69486812dfb4f31649",
     )
+
+
+def test_equivalence_rows_match_the_world_by_world_oracle():
+    """The hypergraph frame laid out in world order gives the rows of the
+    world-by-world loop (same order, states, values and formula objects)
+    under maps that are injective, non-injective or partial (some edge is
+    no world's image)."""
+    ws = Workspace(("a", "b"), (("p_a_1", "p_a_2"), ("p_b_1",)))
+    rng = random.Random(26)
+    slots = FormulaSlots(ws.all_vars(), range(2), 2, 4)
+    seen = {"injective": 0, "non-injective": 0, "partial": 0}
+    rows = 0
+    for n in range(300):
+        mk = random_local_kripke(ws, rng, max_worlds=5, serial=True, proper=True)
+        mh = random_uniform_model(ws, rng, max_edges=5, require="H_sut")
+        edges = [e.name for e in mh.edges]
+        if n % 3 == 0 and mk.n_worlds <= len(edges):
+            images = rng.sample(edges, mk.n_worlds)
+        else:  # some edges, or all of them, with repeats
+            images = rng.choices(edges[: rng.randint(1, len(edges))], k=mk.n_worlds)
+        mapping = dict(zip(mk.worlds, images))
+        seen["injective" if len(set(images)) == len(images) else "non-injective"] += 1
+        seen["partial"] += len(set(images)) < len(edges)
+        if n % 2:
+            formulas = slots
+        else:
+            formulas = [random_formula(rng, ws.all_vars(), range(2), 3, 9) for _ in range(60)]
+        report = check_modal_equivalence(mk, mh, mapping, formulas)
+        got = [(r.state, r.formula, r.kripke_value, r.hypergraph_value) for r in report.disagreements]
+        want = naive_modal_equivalence(mk, mh, mapping, formulas)
+        assert got == [(r.state, r.formula, r.kripke_value, r.hypergraph_value) for r in want]
+        assert all(g[1] is w.formula for g, w in zip(got, want))
+        assert report.checked == len(formulas) * mk.n_worlds
+        rows += len(got)
+    assert min(seen.values()) >= 50 and rows > 10000, (seen, rows)
+
+
+def test_formula_slots_columns_pinned():
+    """(sha256 of the program columns) over vars {0, 1, 2, 6} x agents
+    {1, 2, 3} x depth 0-3 x size 0-5, recorded when FormulaSlots wrote
+    its columns one formula at a time."""
+    digest = hashlib.sha256()
+    for n_vars, n_agents in itertools.product((0, 1, 2, 6), (1, 2, 3)):
+        vars_ = [PropVar(i % n_agents, i // n_agents) for i in range(n_vars)]
+        for depth, size in itertools.product(range(4), range(6)):
+            prog = FormulaSlots(vars_, range(n_agents), depth, size).program
+            columns = (list(prog.op), list(prog.a), list(prog.b), list(prog.roots))
+            digest.update(repr((n_vars, n_agents, depth, size, *columns, prog.atoms, prog.modals)).encode())
+    assert digest.hexdigest() == "699942852a047ff39e99d1095db1ccba734883a57fd01745aaef3dc13d08c0db"

@@ -2,6 +2,7 @@ import copy
 import pickle
 import random
 import weakref
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from hyperdox import (
     And,
     Atom,
     Believes,
+    Formula,
     Knows,
     Not,
     ParseError,
@@ -26,7 +28,7 @@ from hyperdox import (
 from hyperdox.kernel import compile_formulas
 from hyperdox.proofcheck import ProofStep, Tautology
 from randgen import random_formula
-from oracles import naive_fragment_check, naive_modal_depth
+from oracles import naive_fragment_check, naive_modal_depth, naive_parse_formula
 
 
 @pytest.fixture
@@ -275,3 +277,112 @@ def test_every_declared_atom_renders_to_text_that_parses_back():
     ws = Workspace(("_A", "true"), (("_p0", "True"), ("x_1",)))
     for var in ws.all_vars():
         assert parse_formula(render_formula(Atom(var), ws), ws) == Atom(var)
+
+
+_WORKSPACES = [
+    Workspace(("a", "b", "c"), (("p_a_1",), ("p_b_1",), ("p_c_1",))),
+    Workspace(("a", "b"), ((), ("p_b_1",))),  # no designated atom for true and false
+    Workspace(("a", "true", "K"), (("B", "p_a_1"), ("p_t",), ())),  # an atom B, agents true and K
+]
+_NAMES = ["p_a_1", "p_b_1", "p_c_1", "p_t", "B", "true", "false"]
+_GAPS = ["", " ", "  ", "\t", "\n", " \t"]
+_SOUP = [
+    "~", "&", "|", "->", "<->", "-", "<", ">", "<-", "(", ")", "{", "}", "B", "K", "B{", "K{a",
+    "B{a}", "K{b}", "B{1}", "B{z}", "B{ true }", "K{}", "true", "false", "p_a_1", "p_b_1", "p_z_9",
+    "$", "1", "é", "_", "a", " ", "\t", "\n",
+]  # fmt: skip
+
+
+def _sugared_text(rng, budget):
+    """Well-formed text with every connective, brackets and any spacing."""
+    if budget <= 1:
+        return rng.choice(_NAMES)
+    op = rng.choice(["~", "B", "K", "()", "&", "|", "->", "<->"])
+    gap = [rng.choice(_GAPS) for _ in range(4)]
+    if op == "~":
+        return "~" + gap[0] + _sugared_text(rng, budget - 1)
+    if op in ("B", "K"):
+        agent = rng.choice(["a", "b", "c", "true", "K"])
+        return f"{op}{gap[0]}{{{gap[1]}{agent}{gap[2]}}}{gap[3]}" + _sugared_text(rng, budget - 1)
+    if op == "()":
+        return "(" + gap[0] + _sugared_text(rng, budget - 1) + gap[1] + ")"
+    split = rng.randint(1, budget - 1)
+    left, right = _sugared_text(rng, split), _sugared_text(rng, budget - split)
+    return left + gap[0] + op + gap[1] + right
+
+
+def _perturbed_text(rng, text):
+    """text with one to three characters deleted, inserted or replaced, cut
+    short, or given trailing whitespace."""
+    for _ in range(rng.randint(1, 3)):
+        i, kind = rng.randint(0, len(text)), rng.randrange(5)
+        if kind == 0:
+            text = text[:i] + text[i + 1 :]
+        elif kind == 1:
+            text = text[:i] + rng.choice(_SOUP) + text[i:]
+        elif kind == 2:
+            text = text[:i] + rng.choice(_SOUP) + text[i + 1 :]
+        elif kind == 3:
+            text = text[:i]
+        else:
+            text += rng.choice(_GAPS[1:])
+    return text
+
+
+def _parse_outcome(parse, text, ws):
+    try:
+        return parse(text, ws)
+    except ParseError as exc:
+        return exc.message, exc.pos
+
+
+def test_parser_matches_recursive_descent_oracle():
+    """Each seeded string, well-formed, perturbed or token soup, gives the
+    oracle's formula object, or its error message and position."""
+    rng = random.Random(26)
+    kinds = set()
+    for n in range(21000):
+        kind = n % 3
+        if kind == 0:
+            text = _sugared_text(rng, rng.randint(1, 12)) + rng.choice(["", "", " ", "\t"])
+        elif kind == 1:
+            text = _perturbed_text(rng, _sugared_text(rng, rng.randint(1, 10)))
+        else:
+            soup = rng.choices(_SOUP, k=rng.randint(0, 12))
+            text = rng.choice(_GAPS).join(soup) + rng.choice(_GAPS)
+        ws = _WORKSPACES[n % len(_WORKSPACES)]
+        try:
+            want = _parse_outcome(naive_parse_formula, text, ws)
+        except RecursionError:  # too deep for the oracle
+            continue
+        got = _parse_outcome(parse_formula, text, ws)
+        assert got is want if isinstance(want, Formula) else got == want, text
+        kinds.add("formula" if isinstance(want, Formula) else " ".join(want[0].split()[:2]))
+    assert kinds == {
+        "formula", "unexpected character", "unexpected token", "expected a", "expected ')'",
+        "expected '}'", "expected agent", "undeclared atom", "undeclared agent", "workspace declares",
+    }  # fmt: skip
+
+
+_DEEP = {
+    "~": Not,
+    "B{a}": partial(Believes, 0),
+    "K{a}": partial(Knows, 0),
+    "left &": lambda f: And(f, Atom(PropVar(0, 0))),
+    "right &": lambda f: And(Atom(PropVar(0, 0)), f),
+    "->": lambda f: f_imp(Atom(PropVar(0, 0)), f),
+}
+
+
+@pytest.mark.parametrize(
+    "wrap, depth",
+    [(wrap, 10**4) for wrap in _DEEP] + [("~", 10**5), ("left &", 10**5)],
+)
+def test_deep_formula_renders_and_parses_back(wrap, depth):
+    """The parser has no depth limit: a formula nested 10^4 or 10^5 deep
+    in one constructor renders to text that parses back to it."""
+    ws = Workspace(("a",), (("p_a_1",),))
+    f = Atom(PropVar(0, 0))
+    for _ in range(depth):
+        f = _DEEP[wrap](f)
+    assert parse_formula(render_formula(f, ws), ws) is f
