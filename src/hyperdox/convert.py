@@ -14,6 +14,7 @@ structural isomorphism.
 
 from __future__ import annotations
 
+import re
 from array import array
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
@@ -59,7 +60,9 @@ class ConversionCertificate:
 
 
 def _class_vertex_id(ws: Workspace, agent: int, worlds: Sequence[str]) -> str:
-    return f"{ws.agents[agent]}:{{{','.join(sorted(worlds))}}}"
+    # each \ , { } in a world name is escaped, so distinct classes get distinct ids
+    names = (re.sub(r"([\\,{}])", r"\\\1", w) for w in sorted(worlds))
+    return f"{ws.agents[agent]}:{{{','.join(names)}}}"
 
 
 def kripke_to_hypergraph(m: KripkeModel):

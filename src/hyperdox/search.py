@@ -3,9 +3,9 @@
 Models are enumerated in a canonical form (vertices of each color
 numbered from 0, taking the least structure under color-preserving vertex
 renamings), so isomorphic duplicates never appear. Structures are
-generated in order rather than filtered: only descriptors the class
-admits are combined, depth-first, and a prefix is cut as soon as it
-cannot lead to a canonical structure of the class (orderly generation).
+generated in order rather than filtered, one edge count at a time: each
+least prefix is extended by the descriptors the class admits and cut as
+soon as it cannot lead to a canonical structure (orderly generation).
 Each structure then carries every atom placement, an int with one bit
 per vertex and variable (_placements): a range when exhaustive, a list
 when sampled. countermodel and soundness_suite read the same frames
@@ -179,9 +179,11 @@ def _structures(bounds: SearchBounds, cls: str) -> Iterator[tuple]:
     """The canonical structures of the class, generated in order.
 
     A structure is canonical when its vertex indices are contiguous from 0
-    per agent and no renaming within each agent makes it smaller. The
-    descriptors of each size are chosen depth-first in lexicographic
-    order, which is the stream's order, and prefixes are pruned:
+    per agent and no renaming within each agent makes it smaller. Level k
+    holds the least k-edge prefixes as records (indices, used mask, tail
+    mask, spans taken). Level k+1 is their children in parent order, then
+    by last index: lexicographic order, each prefix tested once, and each
+    finished child yielded as its level is built. Children are pruned:
     - agent 0's codes never decrease along a structure, so its vertices
       must appear as 0, 1, 2, ... (restricted growth);
     - a renaming that makes a prefix smaller makes every extension
@@ -200,33 +202,27 @@ def _structures(bounds: SearchBounds, cls: str) -> Iterator[tuple]:
     uniform, complete = cls != "all", cls == "H_sut"
     t = _tables(bounds.n_agents, bounds.vertex_cap, uniform)
     descs, spans, tails, first = t.descs, t.span, t.tail, t.first
-
-    def extend(size, chosen, used, tail, top0, taken):
-        start = chosen[-1] + 1 if chosen else 0
-        for i in range(start, len(descs) - size + len(chosen) + 1):
-            if first[i] > top0 + 1:
-                break  # agent 0 would skip a vertex, as would every later descriptor
-            span = spans[i]
-            if uniform and span in taken:
-                continue
-            now = used | span
-            chosen.append(i)
-            if len(chosen) < size:
-                if t.is_least(chosen, now):
-                    yield from extend(
-                        size, chosen, now, tail | tails[i], max(top0, first[i]), taken + (span,)
-                    )
-            elif (
-                now
-                and all(x & (x + 1) == 0 for x in t.segments(now))  # contiguous
-                and (not complete or tail | tails[i] == now)
-                and t.is_least(chosen, now)
-            ):
-                yield tuple(descs[j] for j in chosen)
-            chosen.pop()
-
+    ones, starts = (1 << t.cap) - 1, sum(1 << a * t.cap for a in range(t.n))
+    level = [([], 0, 0, ())]
     for size in range(1, bounds.max_edges + 1):
-        yield from extend(size, [], 0, 0, -1, ())
+        grow, children = size < bounds.max_edges, []
+        for chosen, used, tail, taken in level:
+            top = (used & ones).bit_length()  # agent 0's next vertex
+            for i in range(chosen[-1] + 1 if chosen else 0, len(descs)):
+                if first[i] > top:
+                    break  # agent 0 would skip a vertex, as would every later descriptor
+                span = spans[i]
+                if uniform and span in taken:
+                    continue
+                now = used | span
+                contiguous = not now & ~(now << 1) & ~starts
+                done = now and contiguous and (not complete or tail | tails[i] == now)
+                if (grow or done) and t.is_least(child := chosen + [i], now):
+                    if done:
+                        yield tuple(descs[j] for j in child)
+                    if grow:
+                        children.append((child, now, tail | tails[i], taken + (span,)))
+        level = children
 
 
 def _slots(structure) -> tuple:

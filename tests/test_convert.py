@@ -175,6 +175,30 @@ def test_modal_equivalence_on_five_worlds(five_worlds_k):
     assert report.agree and report.checked == 15
 
 
+@pytest.mark.parametrize(
+    "names,ids",
+    [
+        (("w1,w2", "w1", "w2"), {"a:{w1\\,w2}", "a:{w1,w2}"}),
+        (("x,y", "x\\", "y"), {"a:{x\\,y}", "a:{x\\\\,y}"}),
+        (("{w}", "w", "}"), {"a:{\\{w\\}}", "a:{w,\\}}"}),
+    ],
+)
+def test_world_names_with_separators_give_distinct_class_ids(names, ids):
+    # world 0 forms a class alone and worlds 1 and 2 form one; unescaped,
+    # the first two pairs of ids would be equal
+    ws = Workspace(("a",), (("p_a_1",),))
+    p = ws.all_vars()[0]
+    m = KripkeModel(ws, list(names), {0: rel(3, [(0, 0), (1, 1), (2, 1)])}, [set(), {p}, {p}])
+    mh, cert = kripke_to_hypergraph(m)
+    assert set(mh.vertices) == ids and cert.injective
+    from hyperdox import parse_formula
+
+    texts = ["p_a_1", "B{a} p_a_1", "~B{a} p_a_1", "B{a} ~p_a_1", "B{a}B{a}p_a_1 & ~p_a_1"]
+    formulas = [parse_formula(text, ws) for text in texts]
+    report = check_modal_equivalence(m, mh, cert.mapping, formulas)
+    assert report.agree and report.checked == 3 * len(formulas)
+
+
 def swapped_worlds():
     """The five-worlds model with b's class {2, 3, 5} made p_b_1, its
     conversion, and the conversion map with worlds 1 and 2 swapped."""

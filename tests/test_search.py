@@ -492,6 +492,9 @@ PINNED_STREAMS = {
     # give three levels of maps
     ((2, 5, 1), "H_sut"): (848, "72797a5ab99e5457e6da2eecab12080891acfd6cd4ad485fdbab3598023deb4b"),
     ((3, 4, 1, 2), "H_sut"): (5397, "b8d99f4e0aa8c1a24c9730cef329eb53bf0c7b3a3395289567c330e14ecdf0ad"),
+    # the deepest capped stream, recorded with the generator that re-walked
+    # every prefix once per size
+    ((2, 6, 1, 3), "H_sut"): (1961, "9e97c62c85f9ca5c3a8a8e8eb5a7bcda3a93b270eb98207009e87f2ac23a8187"),
 }
 
 
@@ -537,9 +540,8 @@ def _naive_is_least(t, chosen, used):
     return True
 
 
-@pytest.mark.parametrize("bounds", [(2, 3, 1), (3, 2, 0)])
-@pytest.mark.parametrize("cls", search.CLASSES)
-def test_is_least_equals_naive_test_on_every_prefix(monkeypatch, bounds, cls):
+def _record_tested(monkeypatch) -> list:
+    """Record (tables, prefix, used mask, result) for every is_least call."""
     tested = []
     is_least = search._Tables.is_least
 
@@ -549,10 +551,41 @@ def test_is_least_equals_naive_test_on_every_prefix(monkeypatch, bounds, cls):
         return result
 
     monkeypatch.setattr(search._Tables, "is_least", recording)
+    return tested
+
+
+@pytest.mark.parametrize("bounds", [(2, 3, 1), (3, 2, 0)])
+@pytest.mark.parametrize("cls", search.CLASSES)
+def test_is_least_equals_naive_test_on_every_prefix(monkeypatch, bounds, cls):
+    tested = _record_tested(monkeypatch)
     list(search._structures(SearchBounds(*bounds), cls))
     assert any(result for *_, result in tested) and not all(result for *_, result in tested)
     for t, chosen, used, result in tested:
         assert result == _naive_is_least(t, chosen, used), (chosen, used)
+
+
+@pytest.mark.parametrize(
+    "bounds,cls", [((2, 4, 1, 3), cls) for cls in search.CLASSES] + [((2, 3, 0), "all")]
+)
+def test_each_prefix_is_tested_once(monkeypatch, bounds, cls):
+    # the stream is built a level at a time, so no size re-walks the
+    # prefixes of the sizes before it
+    tested = _record_tested(monkeypatch)
+    bounds = SearchBounds(*bounds)
+    stream = list(search._structures(bounds, cls))
+    prefixes = [tuple(chosen) for _, chosen, *_ in tested]
+    assert stream and len(set(prefixes)) == len(prefixes)
+    assert {len(p) for p in prefixes} == set(range(1, bounds.max_edges + 1))
+
+
+def test_stopping_at_two_edges_tests_no_three_edge_prefix(monkeypatch):
+    # a level's structures are yielded while it is built, so a consumer
+    # that stops at the first 2-edge structure never builds level 3
+    tested = _record_tested(monkeypatch)
+    for structure in search._structures(SearchBounds(2, 4, 1, 3), "H_sut"):
+        if len(structure) == 2:
+            break
+    assert len(structure) == 2 and max(len(chosen) for _, chosen, *_ in tested) == 2
 
 
 @pytest.mark.parametrize("cls", search.CLASSES)
