@@ -168,9 +168,11 @@ def check_modal_equivalence(
     knowledge modality are only admitted when both models lie in the
     serial classes (K_ste and H_sut); otherwise only belief-fragment
     formulas may be supplied. A FormulaSlots stream is evaluated on its
-    own program. The hypergraph frame is laid out in world order, so a
-    formula disagrees exactly at the set bits of its masks' XOR over the
-    worlds; rows go by formula, then world, and a formula's rows share one
+    own program. The program runs once, on the disjoint union of the
+    Kripke frame (states 0 .. n - 1) and the hypergraph frame laid out in
+    world order after it (world i on state n + i), so a formula with mask
+    m disagrees exactly at the set bits of (m ^ m >> n) over the worlds;
+    rows go by formula, then world, and a formula's rows share one
     Formula, built for them alone.
     """
     if mk.workspace != mh.workspace:
@@ -185,39 +187,44 @@ def check_modal_equivalence(
         if not (ck.in_k_ste and ch.in_h_sut):
             raise FragmentError("knowledge formulas require the serial classes on both sides")
     report = EquivalenceReport(checked=len(formulas) * mk.n_worlds)
-    frame = _in_world_order(frame_h(mh), [mh.edge_index(mapping[w]) for w in mk.worlds])
-    masks = zip(evaluate(prog, mk.frame()), evaluate(prog, frame))
-    worlds = (1 << mk.n_worlds) - 1  # the states that are worlds
-    for j, (mask_k, mask_h) in enumerate(masks):
-        differ = (mask_k ^ mask_h) & worlds
+    n = mk.n_worlds
+    edge_of = [mh.edge_index(mapping[w]) for w in mk.worlds]
+    worlds = (1 << n) - 1  # the states that are worlds, in each part of the union
+    for j, m in enumerate(evaluate(prog, _union(mk.frame(), frame_h(mh), edge_of))):
+        differ = (m ^ m >> n) & worlds
         if differ:
             f = formulas[j]
             for i in bits(differ):
-                k_value = mask_k >> i & 1 == 1
+                k_value = m >> i & 1 == 1
                 report.disagreements.append(EquivalenceRow(mk.worlds[i], f, k_value, not k_value))
     return report
 
 
-def _in_world_order(frame: Frame, edge_of: list) -> Frame:
-    """The hypergraph frame with state i on edge edge_of[i], and the edges
-    that no world maps to after those, in order. The states of one edge
-    lie in the same blocks, so they agree on every formula."""
-    image = [0] * frame.size  # edge -> the mask of its states
+def _union(kripke: Frame, hyper: Frame, edge_of: list) -> Frame:
+    """The disjoint union of the two frames: the n Kripke states first,
+    then the hypergraph states laid out in world order, state n + i on
+    edge edge_of[i] for each world i, and the edges that no world maps to
+    after those, in order. The states of one edge lie in the same blocks,
+    so they agree on every formula. A key with blocks in one frame only
+    has none in the other part, so each part evaluates as its frame alone."""
+    n = kripke.size
+    image = [0] * hyper.size  # edge -> the mask of its states
     for i, e in enumerate(edge_of):
-        image[e] |= 1 << i
-    size = len(edge_of)
-    for e in range(frame.size):
+        image[e] |= 1 << n + i
+    size = 2 * n
+    for e in range(hyper.size):
         if not image[e]:
             image[e], size = 1 << size, size + 1
 
     def remap(mask: int) -> int:  # the edges' images are disjoint, so their sum is their union
         return sum(map(image.__getitem__, bits(mask)))
 
-    atoms = {p: remap(mask) for p, mask in frame.atoms.items()}
-    blocks = {
-        key: [(remap(span), remap(reach)) for span, reach in blocks]
-        for key, blocks in frame.blocks.items()
-    }
+    atoms = dict(kripke.atoms)
+    for p, mask in hyper.atoms.items():
+        atoms[p] = atoms.get(p, 0) | remap(mask)
+    blocks = {key: list(blocks) for key, blocks in kripke.blocks.items()}
+    for key, spans in hyper.blocks.items():
+        blocks.setdefault(key, []).extend((remap(span), remap(reach)) for span, reach in spans)
     return Frame(size, atoms, blocks)
 
 
@@ -236,13 +243,46 @@ def enumerate_formulas(
     return iter(FormulaSlots(vars, agents, max_depth, max_size))
 
 
+_MAX_FORMULAS = 1 << 23  # the longest stream FormulaSlots writes
+
+
+def _stream_length(n_atoms: int, n_modals: int, max_depth: int, max_size: int) -> int:
+    """The length of FormulaSlots' stream, counted by size and modal depth
+    without writing it, or the first running total past _MAX_FORMULAS.
+    The total passes it before any formula is deeper than its bit length
+    L: the chains of L boxes over an atom alone make 2^(L+1) - 1 formulas."""
+    top = min(max_depth, max_size, _MAX_FORMULAS.bit_length())
+    count = [[0] * (top + 1)]  # count[size][depth]
+    total = 0
+    for size in range(1, max_size + 1 if n_atoms else 1):
+        last, row = count[size - 1], [0] * (top + 1)
+        for d in range(top + 1):
+            row[d] = (n_atoms if size == 1 and d == 0 else 0) + last[d]  # atoms, negations
+            if d:
+                row[d] += n_modals * last[d - 1]  # boxes
+            for left_size in range(1, size - 1):  # conjunctions, as deep as their deeper side
+                left, right = count[left_size], count[size - 1 - left_size]
+                row[d] += left[d] * sum(right[: d + 1]) + sum(left[:d]) * right[d]
+        count.append(row)
+        total += sum(row)
+        if total > _MAX_FORMULAS:
+            break
+    return total
+
+
 class FormulaSlots(Sequence):
     """The stream of enumerate_formulas as one program, without building
     it: formula i is op i and root i, and self[i] decodes op i. Its atoms
     are vars, and its modals B for each agent, then K for each agent, when
     a modal formula is enumerated and none otherwise, so that the knowledge
     gate reads them. No op is shared or folded: the stream is
-    duplicate-free, and an enumerated ~~x is a NOT of a NOT."""
+    duplicate-free, and an enumerated ~~x is a NOT of a NOT.
+
+    Each size's formulas are one index range, a layer, written a block at
+    a time: one extend per column for each (size, op), and for each left
+    conjunct of a size's conjunctions. The stream's length is counted
+    before anything is written, and a stream of more than _MAX_FORMULAS
+    formulas is refused with PreconditionError."""
 
     def __init__(self, vars, agents, max_depth: int, max_size: int):
         if max_depth < 0 or max_size < 0:
@@ -251,31 +291,53 @@ class FormulaSlots(Sequence):
         prog.atoms = list(vars)
         boxed = prog.atoms and max_depth >= 1 and max_size >= 2
         prog.modals = [(a, kind) for kind in (BELIEF, KNOWLEDGE) for a in agents] if boxed else []
-        by_size: list[list] = [[]]  # (index, modal depth) per formula of each size
-
-        def add(op, a, b, depth):
-            layer.append((len(prog.op), depth))
-            prog.op.append(op)
-            prog.a.append(a)
-            prog.b.append(b)
-
-        for size in range(1, max_size + 1):
-            layer: list = []
+        if _stream_length(len(prog.atoms), len(prog.modals), max_depth, max_size) > _MAX_FORMULAS:
+            raise PreconditionError(
+                f"the formula stream at depth {max_depth}, size {max_size} has more than"
+                f" the supported {_MAX_FORMULAS} formulas"
+            )
+        op, a, b = prog.op, prog.a, prog.b
+        depth = array("i")  # the modal depth of each formula
+        # rows[d][j] = max(d, depth[j]), the depth of a conjunction with left
+        # depth d and right conjunct j; only sizes up to max_size - 2 are right conjuncts
+        rows = [array("i") for _ in range(min(max_depth, max_size) + 1)]
+        layers = [range(0)]  # the index range of each size
+        for size in range(1, max_size + 1 if prog.atoms else 1):
+            start = len(op)
             if size == 1:
-                for x in range(len(prog.atoms)):
-                    add(ATOM, x, 0, 0)
-            for i, d in by_size[size - 1]:
-                add(NOT, i, 0, d)
+                n = len(prog.atoms)
+                op.extend(array("b", [ATOM]) * n)
+                a.extend(range(n))
+                b.extend(array("i", [0]) * n)
+                depth.extend(array("i", [0]) * n)
+            last = layers[size - 1]
+            n = len(last)
+            op.extend(array("b", [NOT]) * n)
+            a.extend(last)
+            b.extend(array("i", [0]) * n)
+            depth.extend(depth[last.start:last.stop])
+            shallow = array("i", (i for i in last if depth[i] < max_depth))
+            deeper = array("i", (depth[i] + 1 for i in shallow))
             for m in range(len(prog.modals)):
-                for i, d in by_size[size - 1]:
-                    if d < max_depth:
-                        add(BOX, m, i, d + 1)
+                op.extend(array("b", [BOX]) * len(shallow))
+                a.extend(array("i", [m]) * len(shallow))
+                b.extend(shallow)
+                depth.extend(deeper)
             for left_size in range(1, size - 1):
-                for i, di in by_size[left_size]:
-                    for j, dj in by_size[size - 1 - left_size]:
-                        add(AND, i, j, max(di, dj))
-            by_size.append(layer)
-        prog.roots = array("i", range(len(prog.op)))
+                right = layers[size - 1 - left_size]
+                n = len(right)
+                ands = array("b", [AND]) * n
+                by_depth = [row[right.start:right.stop] for row in rows]
+                for i in layers[left_size]:
+                    op.extend(ands)
+                    a.extend(array("i", [i]) * n)
+                    b.extend(right)
+                    depth.extend(by_depth[depth[i]])
+            layers.append(range(start, len(op)))
+            if size <= max_size - 2:
+                for d, row in enumerate(rows):
+                    row.extend(max(d, e) for e in depth[start:])
+        prog.roots = array("i", range(len(op)))
 
     def __len__(self) -> int:
         return len(self.program.op)

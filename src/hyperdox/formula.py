@@ -28,9 +28,12 @@ loop, without recursion, so every render_formula output parses back.
 Formulas are interned (hash-consing; Filliatre and Conchon, "Type-safe
 modular hash-consing", ML 2006): a constructor returns the one live
 object for its class and fields, so equal formulas are one object and
-== and hash are identity. The table holds formulas weakly; copy and
-deepcopy return the formula, and pickle writes a flat postfix record that
-goes back through the constructors, so a live formula unpickles to itself.
+== and hash are identity. The table is a plain dict from (class, *fields)
+to a weak reference to the formula, so lookups run in C; the reference
+carries its key, and its callback drops the entry when the formula dies,
+unless a newer formula holds the key by then. copy and deepcopy return
+the formula, and pickle writes a flat postfix record that goes back
+through the constructors, so a live formula unpickles to itself.
 
 Structural facts about a formula (belief-fragment membership, the agent
 it is an a-formula for, modal depth) are read off its compiled program
@@ -46,7 +49,20 @@ from functools import partial
 from .errors import ParseError, WorkspaceError
 from .workspace import PropVar, Workspace
 
-_LIVE: weakref.WeakValueDictionary[tuple, Formula] = weakref.WeakValueDictionary()
+
+class _Ref(weakref.ref):
+    """A table entry: a weak reference to a formula that knows its key."""
+
+    __slots__ = ("key",)
+
+
+def _drop(ref: _Ref) -> None:
+    """The callback of a dead formula's entry: drop it unless replaced."""
+    if _LIVE.get(ref.key) is ref:
+        del _LIVE[ref.key]
+
+
+_LIVE: dict[tuple, _Ref] = {}  # (class, *fields) -> the live formula's entry
 
 
 class Formula:
@@ -59,12 +75,16 @@ class Formula:
 
     def __new__(cls, *fields):
         key = (cls, *fields)
-        self = _LIVE.get(key)
-        if self is None:
-            self = object.__new__(cls)
-            for name, value in zip(cls._fields, fields):
-                setattr(self, name, value)
-            _LIVE[key] = self
+        ref = _LIVE.get(key)
+        if ref is not None:
+            self = ref()
+            if self is not None:
+                return self
+        self = object.__new__(cls)
+        for name, value in zip(cls._fields, fields):
+            setattr(self, name, value)
+        ref = _LIVE[key] = _Ref(self, _drop)
+        ref.key = key
         return self
 
     def __reduce__(self):

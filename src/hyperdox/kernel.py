@@ -78,12 +78,14 @@ class Program:
 def compile_formulas(formulas, letter=None) -> Program:
     """One program for all the formulas, roots[k] the k-th one's slot.
 
-    Each distinct subformula is walked once, with an explicit stack, since
-    equal subformulas are one interned object. node interns the (op, a, b)
-    triple (hash-consing; Filliatre and Conchon, ML 2006), so subformulas
-    that differ only by ~~x, which folds on the tree, share one slot.
-    letter, if given, maps each atom and modal subformula that the walk
-    meets to the PropVar that stands for it."""
+    Each distinct subformula of the whole list is walked once, with an
+    explicit stack, since equal subformulas are one interned object; the
+    walk's table is keyed by the subformulas themselves (they hash by
+    identity), so it keeps them alive while it runs. node interns the
+    (op, a, b) triple (hash-consing; Filliatre and Conchon, ML 2006), so
+    subformulas that differ only by ~~x, which folds on the tree, share
+    one slot. letter, if given, maps each atom and modal subformula that
+    the walk meets to the PropVar that stands for it."""
     prog = Program()
     slots: dict[int, int] = {}  # packed (op, a, b) -> slot
     atom_of: dict = {}  # PropVar -> index into atoms
@@ -99,17 +101,17 @@ def compile_formulas(formulas, letter=None) -> Program:
             prog.b.append(b)
         return slot
 
+    slot_of: dict = {}  # subformula -> slot, across the list
     for f in formulas:
-        slot_of: dict[int, int] = {}  # id(subformula) -> slot
         stack = [f]
         while stack:
             sub = stack[-1]
-            if id(sub) in slot_of:
+            if sub in slot_of:
                 stack.pop()
                 continue
             cls = type(sub)
             if cls is And:
-                a, b = slot_of.get(id(sub.left)), slot_of.get(id(sub.right))
+                a, b = slot_of.get(sub.left), slot_of.get(sub.right)
                 if a is None or b is None:
                     if b is None:
                         stack.append(sub.right)
@@ -118,7 +120,7 @@ def compile_formulas(formulas, letter=None) -> Program:
                     continue
                 slot = node(AND, a, b)
             elif cls is Not and type(sub.sub) is Not:  # ~~x is x, and ~x is not emitted
-                slot = slot_of.get(id(sub.sub.sub))
+                slot = slot_of.get(sub.sub.sub)
                 if slot is None:
                     stack.append(sub.sub.sub)
                     continue
@@ -126,7 +128,7 @@ def compile_formulas(formulas, letter=None) -> Program:
                 var = sub.var if letter is None else letter(sub)
                 slot = node(ATOM, atom_of.setdefault(var, len(atom_of)))
             elif cls is Not or cls is Believes or cls is Knows:
-                b = slot_of.get(id(sub.sub))
+                b = slot_of.get(sub.sub)
                 if b is None:
                     stack.append(sub.sub)
                     continue
@@ -138,8 +140,8 @@ def compile_formulas(formulas, letter=None) -> Program:
             else:
                 raise TypeError(f"not a formula: {sub!r}")
             stack.pop()
-            slot_of[id(sub)] = slot
-        prog.roots.append(slot_of[id(f)])
+            slot_of[sub] = slot
+        prog.roots.append(slot_of[f])
     prog.atoms, prog.modals = list(atom_of), list(modal_of)
     return prog
 

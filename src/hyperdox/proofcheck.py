@@ -23,7 +23,7 @@ from typing import Optional
 
 from .errors import HyperdoxError
 from .formula import And, Atom, Believes, Formula, Knows, Not, f_imp, parse_formula
-from .kernel import Frame, compile_formulas, evaluate, fragment_check, index_bits
+from .kernel import KNOWLEDGE, Frame, compile_formulas, evaluate, fragment_check, index_bits
 from .workspace import PropVar, Workspace
 
 
@@ -226,7 +226,11 @@ class ProofResult:
 def check_proof(system: System, steps) -> ProofResult:
     """Check a proof; on failure reports the first bad step (1-based)."""
     steps = list(steps)
-    if system in (System.LOC_KD45, System.LOC_K45):
+    # one compile of all the steps settles the fragment unless a K occurs;
+    # then the steps are checked one by one, so the first breach is reported
+    if system in (System.LOC_KD45, System.LOC_K45) and any(
+        kind == KNOWLEDGE for _, kind in compile_formulas([s.formula for s in steps]).modals
+    ):
         for idx, step in enumerate(steps, start=1):
             if not fragment_check(step.formula).in_doxastic_fragment:
                 return ProofResult(

@@ -121,6 +121,18 @@ class _Tables:
         ones = (1 << self.cap) - 1
         return [mask >> (a * self.cap) & ones for a in range(self.n)]
 
+    def finishable(self, used: int, tail: int) -> bool:
+        """Whether one more edge can finish a prefix with these used and
+        tail masks (pass tail = used where tails do not matter): an edge
+        names one vertex per agent, so each agent may lack at most one
+        vertex below its highest used one, counting a used vertex outside
+        the tail as lacking."""
+        for seg, in_tail in zip(self.segments(used), self.segments(tail)):
+            lacking = (1 << seg.bit_length()) - 1 & ~in_tail
+            if lacking & lacking - 1:
+                return False
+        return True
+
     def renamings(self, a: int, k: int) -> list:
         """For each permutation perm of agent a's vertices 0..k-1 but the
         identity, in itertools.permutations order, the tuple that maps each
@@ -180,10 +192,13 @@ def _structures(bounds: SearchBounds, cls: str) -> Iterator[tuple]:
 
     A structure is canonical when its vertex indices are contiguous from 0
     per agent and no renaming within each agent makes it smaller. Level k
-    holds the least k-edge prefixes as records (indices, used mask, tail
-    mask, spans taken). Level k+1 is their children in parent order, then
-    by last index: lexicographic order, each prefix tested once, and each
-    finished child yielded as its level is built. Children are pruned:
+    holds k-edge prefixes as records (indices, used mask, tail mask, spans
+    taken, untested). Level k+1 is their children in parent order, then by
+    last index: lexicographic order, each prefix tested at most once, and
+    each finished child yielded as its level is built. A finished child is
+    tested at once. An unfinished one is kept untested, and tested only
+    when a child of its own is about to be yielded or kept, so a prefix
+    that has no such child is never tested. Children are pruned:
     - agent 0's codes never decrease along a structure, so its vertices
       must appear as 0, 1, 2, ... (restricted growth);
     - a renaming that makes a prefix smaller makes every extension
@@ -193,7 +208,9 @@ def _structures(bounds: SearchBounds, cls: str) -> Iterator[tuple]:
       (_Tables.is_least) maps the prefix's descriptor indices through
       each agent's renaming maps and stops at the first smaller image;
     - in a uniform class a descriptor whose span is taken already is
-      skipped, since equal spans break simplicity.
+      skipped, since equal spans break simplicity;
+    - a child is not kept for the last level when no one edge can finish
+      it (_Tables.finishable).
     Contiguity and tail-completeness are mask tests on the finished
     structure, made before its canonicity test.
     """
@@ -203,10 +220,10 @@ def _structures(bounds: SearchBounds, cls: str) -> Iterator[tuple]:
     t = _tables(bounds.n_agents, bounds.vertex_cap, uniform)
     descs, spans, tails, first = t.descs, t.span, t.tail, t.first
     ones, starts = (1 << t.cap) - 1, sum(1 << a * t.cap for a in range(t.n))
-    level = [([], 0, 0, ())]
+    level = [([], 0, 0, (), False)]
     for size in range(1, bounds.max_edges + 1):
         grow, children = size < bounds.max_edges, []
-        for chosen, used, tail, taken in level:
+        for chosen, used, tail, taken, untested in level:
             top = (used & ones).bit_length()  # agent 0's next vertex
             for i in range(chosen[-1] + 1 if chosen else 0, len(descs)):
                 if first[i] > top:
@@ -217,11 +234,23 @@ def _structures(bounds: SearchBounds, cls: str) -> Iterator[tuple]:
                 now = used | span
                 contiguous = not now & ~(now << 1) & ~starts
                 done = now and contiguous and (not complete or tail | tails[i] == now)
-                if (grow or done) and t.is_least(child := chosen + [i], now):
-                    if done:
-                        yield tuple(descs[j] for j in child)
-                    if grow:
-                        children.append((child, now, tail | tails[i], taken + (span,)))
+                keep = grow and (
+                    size + 1 < bounds.max_edges
+                    or t.finishable(now, tail | tails[i] if complete else now)
+                )
+                if not (keep or done):
+                    continue
+                if untested:  # the prefix's first child that counts: test the prefix now
+                    if not t.is_least(chosen, used):
+                        break
+                    untested = False
+                child = chosen + [i]
+                if done:
+                    if not t.is_least(child, now):
+                        continue
+                    yield tuple(descs[j] for j in child)
+                if keep:
+                    children.append((child, now, tail | tails[i], taken + (span,), not done))
         level = children
 
 

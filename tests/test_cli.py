@@ -24,7 +24,7 @@ from hyperdox import (
     render_formula,
     satisfies_h,
 )
-from hyperdox import cli, search
+from hyperdox import cli, convert, search
 from hyperdox.cli import main
 from hyperdox.proofcheck import System
 from conftest import fixture_json, fixture_path
@@ -169,6 +169,18 @@ def test_equiv_against_transcribed_fixture(capsys):
         "4",
     )
     assert code == 0 and "all agree" in out
+
+
+def test_a_formula_stream_past_the_cap_exits_2(monkeypatch, capsys):
+    monkeypatch.setattr(convert, "_MAX_FORMULAS", 500)  # the stream has 750
+    files = [fixture_path(f"five_worlds_{x}.json") for x in ("k", "h", "cert")]
+    code, out, _ = run(capsys, "--json", "equiv", *files, "--depth", "2", "--size", "4")
+    error = json.loads(out)["error"]
+    assert code == 2 and error["type"] == "PreconditionError"
+    assert "more than the supported 500 formulas" in error["message"]
+    bounds = ["--bounds", "agents=2,edges=2,vars=1", "--depth", "2", "--size", "5"]  # 1,090
+    code, _, err = run(capsys, "search", "soundness", "EDL", *bounds)
+    assert code == 2 and "more than the supported 500 formulas" in err
 
 
 def test_equiv_keys_recorded_with_formula_trees(tmp_path, capsys):

@@ -25,10 +25,11 @@ from hyperdox import (
     satisfies_h,
     satisfies_k,
 )
+from hyperdox import convert
 from hyperdox.convert import FormulaSlots
 from hyperdox.formula import And, Not
 from hyperdox.hypergraph import frame_h
-from hyperdox.kernel import compile_formulas, evaluate
+from hyperdox.kernel import BELIEF, compile_formulas, evaluate, fragment_check
 from hyperdox.kripke import equivalence_classes
 from hyperdox.modelio import model_from_json
 from randgen import random_formula, random_local_kripke, random_uniform_model
@@ -446,3 +447,62 @@ def test_formula_slots_columns_pinned():
             columns = (list(prog.op), list(prog.a), list(prog.b), list(prog.roots))
             digest.update(repr((n_vars, n_agents, depth, size, *columns, prog.atoms, prog.modals)).encode())
     assert digest.hexdigest() == "699942852a047ff39e99d1095db1ccba734883a57fd01745aaef3dc13d08c0db"
+
+
+def test_stream_length_is_counted_without_writing_it():
+    for n_vars, n_agents, depth, size in itertools.product(range(4), range(3), range(4), range(8)):
+        n_modals = 2 * n_agents if n_vars and depth and size >= 2 else 0
+        got = convert._stream_length(n_vars, n_modals, depth, size)
+        assert got == count_formulas(n_vars, n_agents, depth, size)
+    # a count past the cap stops at its first running total beyond it
+    past = convert._stream_length(6, 6, 2, 10**9)
+    assert convert._MAX_FORMULAS < past < count_formulas(6, 3, 2, 10)
+
+
+def test_a_stream_past_the_cap_is_refused_before_it_is_written(monkeypatch):
+    vars_ = [PropVar(i % 2, i // 2) for i in range(4)]
+    n = count_formulas(4, 2, 2, 4)
+    monkeypatch.setattr(convert, "_MAX_FORMULAS", n)
+    assert len(FormulaSlots(vars_, range(2), 2, 4)) == n  # at the cap
+    monkeypatch.setattr(convert, "_MAX_FORMULAS", n - 1)
+    monkeypatch.setattr(convert, "array", None)  # writing a column would raise TypeError
+    with pytest.raises(PreconditionError, match=f"more than the supported {n - 1} formulas"):
+        FormulaSlots(vars_, range(2), 2, 4)
+
+
+def test_equivalence_with_blocks_on_one_side_only():
+    """A (agent, kind) key whose blocks lie in one frame only evaluates,
+    on the union frame, as each frame alone: the rows equal the
+    world-by-world oracle's."""
+    bounds = SearchBounds(2, 3, 1)
+    ws = bounds.workspace()
+    rng = random.Random(28)
+    formulas = [
+        f for f in naive_enumerate_formulas(ws.all_vars(), range(2), 2, 4)
+        if fragment_check(f).in_doxastic_fragment
+    ]
+    hypergraphs = list(enumerate_models("all", bounds))
+    one_sided = 0
+    for n in range(120):
+        mh = rng.choice(hypergraphs)
+        size = rng.randint(1, 4)
+        # agent b believes nothing in even rounds, so its B blocks lie in mh
+        # alone; an agent whose vertices are in no tail of mh has them in mk alone
+        belief = {
+            a: rel(size, [(u, v) for u in range(size) for v in range(size) if rng.random() < 0.4])
+            for a in range(2 if n % 2 else 1)
+        }
+        valuation = [{p for p in ws.all_vars() if rng.random() < 0.5} for _ in range(size)]
+        mk = KripkeModel(ws, [f"w{i}" for i in range(size)], belief, valuation)
+        mapping = {w: rng.choice(mh.edges).name for w in mk.worlds}
+        fk, fh = mk.frame(), frame_h(mh)
+        one_sided += any(
+            bool(fk.blocks.get((a, BELIEF))) != bool(fh.blocks.get((a, BELIEF))) for a in range(2)
+        )
+        report = check_modal_equivalence(mk, mh, mapping, formulas)
+        expected = naive_modal_equivalence(mk, mh, mapping, formulas)
+        rows = [(r.state, r.formula, r.kripke_value, r.hypergraph_value) for r in expected]
+        assert [
+            (r.state, r.formula, r.kripke_value, r.hypergraph_value) for r in report.disagreements
+        ] == rows
+    assert one_sided >= 30

@@ -25,6 +25,7 @@ from hyperdox import (
     parse_formula,
     render_formula,
 )
+from hyperdox import formula
 from hyperdox.kernel import compile_formulas
 from hyperdox.proofcheck import ProofStep, Tautology
 from randgen import random_formula
@@ -248,6 +249,36 @@ def test_unreferenced_formula_is_freed(ws):
     ref = weakref.ref(f)
     del f  # freed at once by its reference count: the table holds it weakly
     assert ref() is None
+
+
+def test_intern_table_drops_the_entry_of_a_dead_formula(ws):
+    # each entry's callback removes it when its formula dies, so the
+    # table's length returns to where it was before the parse
+    start = len(formula._LIVE)
+    f = parse_formula("B{c}(p_a_1 & ~K{b}(p_b_1 & p_b_1)) -> p_a_1", ws)
+    assert len(formula._LIVE) > start
+    del f
+    assert len(formula._LIVE) == start
+
+
+def test_deep_formulas_free_without_recursion(ws):
+    start = len(formula._LIVE)
+    for text in (" & ".join(["p_a_1"] * 20000), "B{a}" * 20000 + "p_a_1"):
+        f = parse_formula(text, ws)
+        ref = weakref.ref(f)
+        del f
+        assert ref() is None and len(formula._LIVE) == start
+
+
+def test_a_stale_entry_leaves_its_successor(ws):
+    # a callback drops its key only while the entry is still its own ref
+    f = parse_formula("p_a_1 & p_b_1", ws)
+    key = (And, f.left, f.right)
+    entry = formula._LIVE[key]
+    stale = formula._Ref(f.left, formula._drop)
+    stale.key = key
+    formula._drop(stale)
+    assert formula._LIVE[key] is entry and And(f.left, f.right) is f
 
 
 def test_variable_disjointness():

@@ -4,12 +4,12 @@ from hyperdox import search
 from hyperdox.formula import And, Atom, Believes, Knows, Not, f_iff, f_imp
 from hyperdox.hypergraph import frame_h
 from hyperdox.kernel import (
-    AND, ATOM, BOX, NOT, Frame, compile_formulas, evaluate, fold, index_bits, replicate,
-    run,
+    AND, ATOM, BELIEF, BOX, KNOWLEDGE, NOT, Frame, compile_formulas, evaluate, fold, index_bits,
+    replicate, run,
 )
 from hyperdox.proofcheck import SCHEMES
 from hyperdox.search import SearchBounds
-from hyperdox.workspace import Workspace
+from hyperdox.workspace import PropVar, Workspace
 from randgen import random_formula
 from oracles import naive_satisfies_h
 
@@ -80,6 +80,65 @@ def test_letter_replaces_atoms_and_maximal_modal_subformulas():
     assert seen == [Believes(0, Not(P)), Q]  # left first, never below a box
     assert BOX not in prog.op and prog.modals == []
     assert prog.atoms == [Q.var, P.var]
+
+
+def _walked(formulas) -> tuple:
+    """(ops, roots, atoms, modals) of a recursive walk of each formula on
+    its own, interning (op, a, b) triples and folding ~~x as
+    compile_formulas does."""
+    ops, slots, atoms, modals = [], {}, {}, {}
+
+    def node(op, a, b=0):
+        if (op, a, b) not in slots:
+            slots[op, a, b] = len(ops)
+            ops.append((op, a, b))
+        return slots[op, a, b]
+
+    def walk(f):
+        if type(f) is And:
+            a = walk(f.left)
+            return node(AND, a, walk(f.right))
+        if type(f) is Not and type(f.sub) is Not:
+            return walk(f.sub.sub)
+        if type(f) is Atom:
+            return node(ATOM, atoms.setdefault(f.var, len(atoms)))
+        b = walk(f.sub)
+        if type(f) is Not:
+            return node(NOT, b)
+        key = f.agent, BELIEF if type(f) is Believes else KNOWLEDGE
+        return node(BOX, modals.setdefault(key, len(modals)), b)
+
+    roots = [walk(f) for f in formulas]
+    return ops, roots, list(atoms), list(modals)
+
+
+def test_a_list_walks_its_shared_subformulas_once():
+    rng = random.Random(28)
+    base = [random_formula(rng, WS.all_vars(), range(2), 2, 7) for _ in range(8)]
+    formulas = (
+        base
+        + [And(f, g) for f, g in zip(base, base[1:])]
+        + [Believes(1, f) for f in base]
+        + [Not(Not(f)) for f in base]
+    )
+    prog = compile_formulas(formulas)
+    ops, roots, atoms, modals = _walked(formulas)
+    assert list(zip(prog.op, prog.a, prog.b)) == ops and list(prog.roots) == roots
+    assert prog.atoms == atoms and prog.modals == modals
+    # the letter hook meets each distinct letter once across the list,
+    # though formulas compiled one at a time meet shared letters again
+    seen, letters = [], {}
+
+    def letter(sub):
+        seen.append(sub)
+        return PropVar(0, letters.setdefault(sub, len(letters)))
+
+    compile_formulas(formulas, letter)
+    assert len(seen) == len(set(seen)) == len(letters) > 1
+    alone = []
+    for f in formulas:
+        compile_formulas([f], lambda sub: alone.append(sub) or PropVar(0, 0))
+    assert len(alone) > len(seen) and set(alone) == set(seen)
 
 
 def _unread_slots(prog) -> list:

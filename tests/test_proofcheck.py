@@ -23,6 +23,7 @@ from hyperdox import (
     parse_formula,
     render_formula,
 )
+from hyperdox import proofcheck
 from hyperdox.modelio import load_proof, proof_from_json
 from hyperdox.proofcheck import Axiom, NecB, NecK, ProofResult, TautologyTooLarge
 from randgen import random_formula
@@ -272,6 +273,36 @@ def test_fragment_checked_before_justifications(ws):
     ]
     result = check_proof(System.LOC_KD45, steps)
     assert not result.ok and result.step == 1 and "fragment" in result.reason
+
+
+@pytest.mark.parametrize("system", [System.LOC_KD45, System.LOC_K45])
+def test_first_knowledge_step_is_the_fragment_breach(ws, system):
+    # the whole proof compiles once; a K sends the check step by step, so
+    # the first step that holds one is reported, though later steps are bogus
+    p = Atom(ws.var_by_name("p_a_1"))
+    four_b = f_imp(Believes(0, p), Believes(0, Believes(0, p)))
+    steps = [
+        ProofStep(f_imp(p, p), Tautology()),
+        ProofStep(Believes(0, f_imp(p, p)), NecB(0, 1)),
+        ProofStep(four_b, Axiom(SchemeId.FOUR_B)),
+        ProofStep(f_imp(And(p, p), p), Tautology()),
+        ProofStep(f_imp(Knows(0, p), Knows(0, p)), Tautology()),
+        ProofStep(Knows(1, p), MP(7, 9)),
+    ]
+    assert check_proof(system, steps[:4]).ok
+    result = check_proof(system, steps)
+    assert not result.ok and result.step == 5 and "fragment" in result.reason
+
+
+def test_a_proof_without_knowledge_checks_no_step_alone(ws, monkeypatch):
+    checked = []
+    monkeypatch.setattr(proofcheck, "fragment_check", checked.append)
+    p = Atom(ws.var_by_name("p_a_1"))
+    steps = [
+        ProofStep(f_imp(p, p), Tautology()),
+        ProofStep(Believes(0, f_imp(p, p)), NecB(0, 1)),
+    ]
+    assert check_proof(System.LOC_KD45, steps).ok and checked == []
 
 
 def test_nec_k_in_edl(ws):
