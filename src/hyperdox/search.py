@@ -89,6 +89,19 @@ def _code_vertex(code: int) -> int:
     return (code - 1) // 2
 
 
+# The most descriptors a table may list: (2·cap + 1)^n, or (2·cap)^n when
+# uniform. 512 is the largest that the pinned streams use (uncapped
+# (3,4,1)); a table of 2^16 descriptors takes about 0.2 s and 17 MB to
+# build on a 2-core VM.
+_MAX_DESCRIPTORS = 1 << 16
+
+# The most map entries (maps times descriptors) of a merged level: the
+# leading levels of a used mask are composed into one list while it holds
+# at most this many descriptor indices. At (2,4,1,3) that is every level
+# (35 maps of 36 descriptors); uncapped bounds mostly keep their levels.
+_MERGED = 1 << 11
+
+
 class _Tables:
     """Descriptor tables for n agents and a vertex cap, over every
     descriptor or only the uniform ones (no agent absent).
@@ -96,12 +109,24 @@ class _Tables:
     The descriptors are numbered in sorted order, so a structure compares
     as its index list does. Vertex v of agent a is bit a * cap + v of the
     span and tail masks. renamings(a, k) gives, for each renaming of agent
-    a's vertices 0..k-1, a map of descriptor indices, built on first use.
+    a's vertices 0..k-1, a map of descriptor indices, and levels(used) the
+    maps and agent masks that is_least and finishable read for a used
+    mask; both are built on first use and kept. A table of more than
+    _MAX_DESCRIPTORS descriptors is refused with PreconditionError before
+    any is listed.
     """
 
     def __init__(self, n: int, cap: int, uniform: bool):
         self.n, self.cap = n, cap
         self.low = 1 if uniform else 0
+        count = 1
+        for _ in range(n):  # stops at the first count past the cap
+            count *= 2 * cap + 1 - self.low
+            if count > _MAX_DESCRIPTORS:
+                raise PreconditionError(
+                    f"{n} agents with up to {cap} vertices each give more than the"
+                    f" supported {_MAX_DESCRIPTORS} edge descriptors"
+                )
         self.descs = list(itertools.product(range(self.low, 2 * cap + 1), repeat=n))
         self.span, self.tail = [], []
         for desc in self.descs:
@@ -114,7 +139,7 @@ class _Tables:
             self.span.append(span)
             self.tail.append(tail)
         self.first = [_code_vertex(desc[0]) for desc in self.descs]  # -1 if absent
-        self.maps = {}
+        self.maps, self.by_used, self.by_counts = {}, {}, {}
 
     def segments(self, mask: int) -> list:
         """Agent a's vertex bits of the mask, for each agent a."""
@@ -126,9 +151,11 @@ class _Tables:
         tail masks (pass tail = used where tails do not matter): an edge
         names one vertex per agent, so each agent may lack at most one
         vertex below its highest used one, counting a used vertex outside
-        the tail as lacking."""
-        for seg, in_tail in zip(self.segments(used), self.segments(tail)):
-            lacking = (1 << seg.bit_length()) - 1 & ~in_tail
+        the tail as lacking. Only an agent with two vertices or more can
+        lack two, and levels(used) holds the mask of those vertices of
+        each such agent."""
+        for below in self.levels(used)[1]:
+            lacking = below & ~tail
             if lacking & lacking - 1:
                 return False
         return True
@@ -154,21 +181,50 @@ class _Tables:
             ]
         return maps
 
+    def levels(self, used: int) -> tuple:
+        """(levels, agent masks) of the used mask, built once per mask and
+        shared by the masks with the same vertex count k per agent (its
+        highest used vertex plus one).
+
+        levels lists renamings(a, k) for each agent a with k >= 2, in
+        agent order, with its leading lists composed into one while that
+        list holds at most _MERGED map entries: the merged list holds every
+        product of one map or the identity from each part, but the
+        identity. Agents rename disjoint digits of an index, so their maps
+        commute, and the products of the levels' maps are the renamings
+        is_least tests. The agent masks are each such agent's bits of
+        vertices 0..k-1, which finishable reads."""
+        entry = self.by_used.get(used)
+        if entry is None:
+            counts = tuple(seg.bit_length() for seg in self.segments(used))
+            entry = self.by_counts.get(counts)
+            if entry is None:
+                agents = [a for a, k in enumerate(counts) if k > 1]
+                levels = [self.renamings(a, counts[a]) for a in agents]
+                while len(levels) > 1:
+                    head, maps = levels[:2]
+                    if ((len(head) + 1) * (len(maps) + 1) - 1) * len(self.descs) > _MERGED:
+                        break
+                    levels[:2] = [
+                        head + maps + [tuple(map(m.__getitem__, p)) for p in head for m in maps]
+                    ]
+                below = [((1 << counts[a]) - 1) << a * self.cap for a in agents]
+                entry = self.by_counts[counts] = levels, below
+            self.by_used[used] = entry
+        return entry
+
     def is_least(self, chosen: list, used: int) -> bool:
         """Whether no renaming of each agent's vertices 0..k-1, where k-1
         is its highest vertex in the used mask, maps the structure to a
         lexicographically smaller one.
 
-        An agent's renaming changes only its own digit of each index, so
-        the per-agent maps compose. The images under every level of maps
-        but the last are built, each image kept under the identity too;
-        each of them is then tested as it is and under each map of the last
-        level, two C calls per image, up to the first smaller one."""
-        levels = [
-            self.renamings(a, seg.bit_length())
-            for a, seg in enumerate(self.segments(used))
-            if seg > 1
-        ]
+        The renamings are the products of one map or the identity from
+        each level of levels(used). The images under every level but the
+        last are built, each image kept under the identity too; each of
+        them is then tested as it is and under each map of the last level,
+        two C calls per image, up to the first smaller one. Where every
+        level is merged into one, that is one flat loop over its maps."""
+        levels = self.levels(used)[0]
         if not levels:  # one vertex or none per agent: only the identity
             return True
         images = [chosen]
@@ -206,7 +262,8 @@ def _structures(bounds: SearchBounds, cls: str) -> Iterator[tuple]:
       descriptors, so a prefix that is not least is cut with its subtree
       (orderly generation; McKay, J. Algorithms 26, 1998). The test
       (_Tables.is_least) maps the prefix's descriptor indices through
-      each agent's renaming maps and stops at the first smaller image;
+      the renaming maps of its used mask (_Tables.levels, built once per
+      mask) and stops at the first smaller image;
     - in a uniform class a descriptor whose span is taken already is
       skipped, since equal spans break simplicity;
     - a child is not kept for the last level when no one edge can finish

@@ -284,6 +284,17 @@ def test_search_countermodel_found(capsys):
     assert data["model"]["kind"] == "hypergraph"
 
 
+def test_search_past_the_descriptor_cap_exits_2(capsys):
+    # 8 agents with up to 8 vertices each give 17^8 edge descriptors
+    bounds = ["--bounds", "agents=8,edges=8,vars=1"]
+    code, out, _ = run(capsys, "--json", "search", "countermodel", "H_sut", "p_a_1", *bounds)
+    error = json.loads(out)["error"]
+    assert code == 2 and error["type"] == "PreconditionError"
+    assert "more than the supported 65536 edge descriptors" in error["message"]
+    code, _, err = run(capsys, "search", "soundness", "EDL", *bounds)
+    assert code == 2 and "edge descriptors" in err
+
+
 def test_search_countermodel_rejects_workers_below_one(capsys):
     argv = ["--json", "search", "countermodel", "H_su", "p_a_1", "--bounds"]
     code, out, _ = run(capsys, *argv, "agents=1,edges=2,vars=1", "--workers", "-3")

@@ -554,14 +554,133 @@ def _record_tested(monkeypatch) -> list:
     return tested
 
 
+def _merge_budgets(monkeypatch):
+    """Yield once under each merge budget, on fresh tables: 0 (no level
+    merges, so is_least walks one level per agent), the default, and one
+    so large that every level merges into one flat list."""
+    for budget in (0, search._MERGED, 1 << 40):
+        with monkeypatch.context() as patched:
+            patched.setattr(search, "_MERGED", budget)
+            search._tables.cache_clear()
+            yield budget
+    search._tables.cache_clear()
+
+
+def _check_is_least_on_every_prefix(monkeypatch, bounds, cls):
+    tested = _record_tested(monkeypatch)
+    for _ in _merge_budgets(monkeypatch):
+        tested.clear()
+        list(search._structures(SearchBounds(*bounds), cls))
+        assert any(result for *_, result in tested) and not all(result for *_, result in tested)
+        for t, chosen, used, result in tested:
+            assert result == _naive_is_least(t, chosen, used), (chosen, used)
+    return tested
+
+
 @pytest.mark.parametrize("bounds", [(2, 3, 1), (3, 2, 0)])
 @pytest.mark.parametrize("cls", search.CLASSES)
 def test_is_least_equals_naive_test_on_every_prefix(monkeypatch, bounds, cls):
-    tested = _record_tested(monkeypatch)
-    list(search._structures(SearchBounds(*bounds), cls))
-    assert any(result for *_, result in tested) and not all(result for *_, result in tested)
-    for t, chosen, used, result in tested:
-        assert result == _naive_is_least(t, chosen, used), (chosen, used)
+    _check_is_least_on_every_prefix(monkeypatch, bounds, cls)
+
+
+def _mask(t, counts) -> int:
+    """The used mask of vertices 0..k-1 of each agent, k from counts."""
+    return sum(((1 << k) - 1) << a * t.cap for a, k in enumerate(counts))
+
+
+def test_is_least_equals_naive_test_where_two_of_three_levels_merge(monkeypatch):
+    # at (3,3,0) H_sut, with two vertices for agents 0 and 1 and three for
+    # agent 2, the default budget merges the first two levels (3 maps of 216
+    # descriptors) but not the third (23 maps would exceed it)
+    tested = _check_is_least_on_every_prefix(monkeypatch, (3, 3, 0), "H_sut")
+    t = search._Tables(3, 3, True)
+    assert [len(maps) for maps in t.levels(_mask(t, (2, 2, 3)))[0]] == [3, 5]
+    counts = {tuple(seg.bit_length() for seg in t.segments(used)) for _, _, used, _ in tested}
+    assert (2, 2, 3) in counts
+
+
+def _products(t, counts) -> set:
+    """The maps of every product of per-agent renamings of vertices 0..k-1
+    (k from counts) but the identity, as tuples of descriptor indices; a
+    renaming fixes each vertex from k on."""
+    index = {desc: i for i, desc in enumerate(t.descs)}
+    perms = [
+        [perm + tuple(range(k, t.cap)) for perm in itertools.permutations(range(k))] for k in counts
+    ]
+    return {
+        tuple(index[tuple(_remap_code(c, combo[a]) for a, c in enumerate(desc))] for desc in t.descs)
+        for combo in itertools.product(*perms)
+    } - {tuple(range(len(t.descs)))}
+
+
+def test_levels_are_built_once_per_mask_and_merge_all_products(monkeypatch):
+    t = search._Tables(3, 3, True)
+    built = []
+    segments = t.segments
+    monkeypatch.setattr(t, "segments", lambda mask: built.append(mask) or segments(mask))
+    used = _mask(t, (2, 2, 3))
+    entry = t.levels(used)
+    assert t.levels(used) is entry and built == [used]  # built once per mask
+    assert t.levels(used & ~1) is entry  # agent 0 lacks vertex 0: same counts, same entry
+    assert built == [used, used & ~1]
+    (merged, last), below = entry
+    assert last is t.renamings(2, 3)
+    assert below == [0b11, 0b11 << 3, 0b111 << 6]
+    assert len(merged) == len(set(merged)) == 3
+    assert set(merged) == _products(t, (2, 2, 1))
+    assert t.levels(_mask(t, (1, 1, 1))) == ([], [])
+    monkeypatch.setattr(search, "_MERGED", 1 << 40)
+    t = search._Tables(3, 3, True)
+    (merged,), _ = t.levels(_mask(t, (2, 3, 3)))
+    assert len(merged) == len(set(merged)) == 2 * 6 * 6 - 1
+    assert set(merged) == _products(t, (2, 3, 3))
+    monkeypatch.setattr(search, "_MERGED", 0)
+    t = search._Tables(3, 3, True)
+    levels, _ = t.levels(_mask(t, (2, 3, 3)))
+    assert levels == [t.renamings(0, 2), t.renamings(1, 3), t.renamings(2, 3)]
+
+
+def _segmentwise_finishable(t, used, tail) -> bool:
+    """Each agent lacks at most one of its vertices below its highest
+    used one, a used vertex outside the tail counting as lacking."""
+    for seg, in_tail in zip(t.segments(used), t.segments(tail)):
+        lacking = (1 << seg.bit_length()) - 1 & ~in_tail
+        if lacking & lacking - 1:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("cap", [1, 2, 3])
+def test_finishable_equals_segmentwise_test(n, cap):
+    t = search._Tables(n, cap, True)
+    seen = set()
+    for used in range(1 << n * cap):
+        tail = used
+        while True:  # every tail that is a subset of used, down to 0
+            got = t.finishable(used, tail)
+            assert got == _segmentwise_finishable(t, used, tail), (used, tail)
+            seen.add(got)
+            if not tail:
+                break
+            tail = tail - 1 & used
+    assert seen == ({True} if cap == 1 else {True, False})
+
+
+def test_descriptor_table_past_the_cap_is_refused(monkeypatch):
+    assert len(search._Tables(3, 4, True).descs) == 512  # the largest the pins use
+    with pytest.raises(PreconditionError, match="more than the supported 65536 edge descriptors"):
+        search._Tables(2, 128, False)  # 257^2
+    with pytest.raises(PreconditionError):
+        search._Tables(10**6, 10**6, False)  # the count stops at its first term past the cap
+    monkeypatch.setattr(search, "_MAX_DESCRIPTORS", 36)
+    assert len(search._Tables(2, 3, True).descs) == 36
+    with pytest.raises(PreconditionError, match="more than the supported 36"):
+        search._Tables(2, 3, False)  # 49
+    search._tables.cache_clear()  # an earlier test may have built this table
+    bounds = SearchBounds(2, 3, 1)
+    with pytest.raises(PreconditionError):
+        countermodel("all", parse_formula("p_a_1", bounds.workspace()), bounds)
 
 
 @pytest.mark.parametrize(
