@@ -9,8 +9,10 @@ enumerated formulas as their own program, formula i as op i.
 run() is the one op loop: it gives the mask of every op from the masks
 of the atoms and the memo, blocks and fold of each modality's box
 (Frame.box). evaluate() runs a program on a frame;
-search._instance_masks runs each scheme's compiled pattern on many
-copies of it at once, with the metavariables bound to packed masks.
+search._instance_masks runs one compiled program per metavariable
+signature, every scheme and agent with the same metavariables as one
+hash-consed program, on many copies of the frame at once, with the
+metavariables bound to packed masks.
 
 A frame is the state count, a bitmask per atom (bit i = state i) and,
 per (agent, kind), a list of (span, reach) blocks. A box fails exactly

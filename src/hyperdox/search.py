@@ -21,12 +21,14 @@ validity.
 soundness_suite checks the tuples of each (scheme, agent) pattern's
 metavariable domains, each a list of (mask, indices of the values with
 that mask) pairs (_groups): the formulas for phi and psi, the agent's own
-variables for Loc's p. The tuples run as copies of the frame side by
-side, a window of at most _PACKED states at a time (_windows), so that a
-pattern runs once per frame and window rather than once per tuple. No
-program is emitted for instances. A failing copy decodes to its tuple
-(_unrank), which expands to the instances (pattern, values) it stands
-for, and a Formula is built only for a violating instance.
+variables for Loc's p. Patterns with the same domains are one group
+(_fuse), compiled once per call into one program. The tuples run as
+copies of the frame side by side, a window of at most _PACKED states at
+a time (_windows), so that a group runs once per frame and window rather
+than once per pattern and tuple. No program is emitted for instances. A
+failing copy decodes to its tuple (_unrank), which expands to the
+instances (pattern, values) it stands for, and a Formula is built only
+for a violating instance.
 """
 
 from __future__ import annotations
@@ -42,10 +44,11 @@ from typing import Iterator, Optional
 
 from .convert import FormulaSlots
 from .errors import FragmentError, PreconditionError
-from .formula import Formula, render_formula
+from .formula import Atom, Formula, render_formula
 from .hypergraph import DirectedEdge, HypergraphModel, Vertex
 from .kernel import (
-    ATOM, BELIEF, KNOWLEDGE, Frame, compile_formulas, evaluate, index_bits, replicate, run,
+    AND, ATOM, BELIEF, KNOWLEDGE, NOT, Frame, bits, compile_formulas, evaluate, index_bits,
+    replicate, run,
 )
 from .proofcheck import _META, ADMITTED, SCHEMES, SchemeId, System, instantiate_scheme
 from .workspace import PropVar, Workspace, synthetic_workspace
@@ -102,6 +105,14 @@ _MAX_DESCRIPTORS = 1 << 16
 _MERGED = 1 << 11
 
 
+# The most map entries (maps times descriptors) that renamings(a, k) may
+# list: (k! - 1)·descriptors. The largest table the pins use is uncapped
+# (2,6,1), 719 maps of 144 descriptors. One agent with one vertex per edge
+# reaches k = edges: 645,104 entries at edges=8 (about 0.2 s and 25 MB on a
+# 2-core VM) are admitted, 6,531,822 at edges=9 (1.5 s, 114 MB) refused.
+_MAX_RENAMINGS = 1 << 20
+
+
 class _Tables:
     """Descriptor tables for n agents and a vertex cap, over every
     descriptor or only the uniform ones (no agent absent).
@@ -112,8 +123,8 @@ class _Tables:
     a's vertices 0..k-1, a map of descriptor indices, and levels(used) the
     maps and agent masks that is_least and finishable read for a used
     mask; both are built on first use and kept. A table of more than
-    _MAX_DESCRIPTORS descriptors is refused with PreconditionError before
-    any is listed.
+    _MAX_DESCRIPTORS descriptors, and renamings of more than _MAX_RENAMINGS
+    map entries, are refused with PreconditionError before any is listed.
     """
 
     def __init__(self, n: int, cap: int, uniform: bool):
@@ -169,6 +180,12 @@ class _Tables:
         The maps share one int object per index."""
         maps = self.maps.get((a, k))
         if maps is None:
+            entries = (math.factorial(k) - 1) * len(self.descs)
+            if entries > _MAX_RENAMINGS:
+                raise PreconditionError(
+                    f"renaming {k} vertices of one agent takes {entries} map entries, more"
+                    f" than the supported {_MAX_RENAMINGS}"
+                )
             weight = (2 * self.cap + 1 - self.low) ** (self.n - 1 - a)
             ids = list(range(len(self.descs)))
             verts = [_code_vertex(desc[a]) for desc in self.descs]
@@ -410,6 +427,11 @@ def enumerate_models(cls: str, bounds: SearchBounds, seed: int = 0) -> Iterator[
 _LANES = 4096
 
 
+# index_bits per lane count: the widths of range windows are the 13 powers
+# of two up to _LANES.
+_columns = functools.lru_cache(maxsize=_LANES.bit_length())(index_bits)
+
+
 def _lane_frames(vars_of: list, structure, slots, placements):
     """(offset, frame) for each window of up to _LANES consecutive
     placements of the structure, in order; vars_of is _vars_of(bounds),
@@ -435,27 +457,28 @@ def _lane_frames(vars_of: list, structure, slots, placements):
         width = min(_LANES, len(placements) - offset)
         if frame is None or frame.width != width:
             lanes = (1 << width) - 1
-            span, fill, tail = [0] * n_slots, [0] * n_slots, [0] * n_slots
+            span, tail = [0] * n_slots, [0] * n_slots  # bit e·W of each edge e, or tail edge e
             for e, edge in enumerate(structure):
-                one, row = 1 << e * width, lanes << e * width
+                one = 1 << e * width
                 for a, code in enumerate(edge):
                     if code:
                         j = first[a] + (code - 1 >> 1)  # the slot of vertex _code_vertex(code)
                         span[j] |= one
-                        fill[j] |= row
                         if code & 1:
-                            tail[j] |= row
+                            tail[j] |= one
             frame = Frame(len(structure) * width, width=width)
             for a in range(len(vars_of)):
                 lo, hi = first[a], first[a + 1]
-                if lo < hi:
-                    frame.blocks[a, KNOWLEDGE] = list(zip(span[lo:hi], fill[lo:hi]))
-                    believed = [(s, t) for s, t in zip(span[lo:hi], tail[lo:hi]) if t]
+                if lo < hi:  # times lanes, a bit e·W spreads to all W lanes of edge e
+                    frame.blocks[a, KNOWLEDGE] = [(s, s * lanes) for s in span[lo:hi]]
+                    believed = [(s, t * lanes) for s, t in zip(span[lo:hi], tail[lo:hi]) if t]
                     if believed:
                         frame.blocks[a, BELIEF] = believed
         if type(placements) is range:  # the bits above the window's own are constant on it
-            lane_of = index_bits(width.bit_length() - 1)
-            lane_of += [lanes * (offset >> b & 1) for b in range(len(lane_of), n_slots * n_vars)]
+            low = width.bit_length() - 1  # + copies the kept columns, which stay as they are
+            lane_of = _columns(low) + [
+                lanes * (offset >> b & 1) for b in range(low, n_slots * n_vars)
+            ]
         else:
             window = placements[offset:offset + width]
             lane_of = [
@@ -580,23 +603,54 @@ class SoundnessReport:
 
 
 def _patterns(system: System, ws: Workspace) -> list:
-    """(scheme, agent, steps, modal kinds, names) per scheme the system
-    admits and agent, in instance order (SchemeId, then agent): the steps
-    of the scheme's compiled pattern, the root last, with ATOM i standing
-    for its i-th metavariable in meta-workspace order, whose names are
-    `names` (phi before psi)."""
+    """(scheme, agent, names) per scheme the system admits and agent, in
+    instance order (SchemeId, then agent): names are the scheme's
+    metavariables in meta-workspace order (phi before psi before p), read
+    off one program of the schemes as the set of metavariables below each
+    root, in one pass over its op columns."""
+    schemes = [s for s in SchemeId if s in ADMITTED[system]]
+    prog = compile_formulas([SCHEMES[s] for s in schemes])
+    below: list[int] = []  # per op, bit i set when metavariable i occurs in it
+    for op, a, b in zip(prog.op, prog.a, prog.b):
+        if op == ATOM:
+            below.append(1 << prog.atoms[a].index)
+        else:
+            below.append(below[a] | below[b] if op == AND else below[a if op == NOT else b])
     out = []
-    for scheme in (s for s in SchemeId if s in ADMITTED[system]):
-        pattern = compile_formulas([SCHEMES[scheme]])
-        metas = sorted(pattern.atoms, key=lambda v: v.index)
-        meta = [metas.index(v) for v in pattern.atoms]
+    for scheme, root in zip(schemes, prog.roots):
+        names = tuple(_META.vars[0][i] for i in bits(below[root]))
+        out += [(scheme, agent, names) for agent in range(ws.n_agents)]
+    return out
+
+
+def _fuse(patterns: list) -> list:
+    """(agent, names, steps, modals, members) per metavariable signature
+    of the _patterns entries, in first-occurrence order. A signature is the
+    names, and the agent too when p is among them, since p ranges over the
+    agent's own variables while phi and psi range over the same letters
+    for every agent; so its members have the same domains.
+
+    steps is the one program (compile_formulas) of the members' schemes,
+    each instantiated for its agent on the metavariables' atoms, with ATOM
+    i standing for names[i]; equal subformulas of members, such as B{a}phi
+    of 4_B, 5_B, SPI, SNI and K_IB for one agent, are one op. modals are
+    its boxes' (agent, kind) keys, and members is (pattern index, root
+    slot) per member. agent is None for a signature without p."""
+    by_signature: dict = {}
+    for j, (_, agent, names) in enumerate(patterns):
+        by_signature.setdefault((names, agent if "p" in names else None), []).append(j)
+    phi, psi = (Atom(_META.var_by_name(name)) for name in ("phi", "psi"))
+    p = _META.var_by_name("p")
+    out = []
+    for (names, agent), members in by_signature.items():
+        prog = compile_formulas(
+            instantiate_scheme(patterns[j][0], patterns[j][1], phi, psi, p) for j in members
+        )
+        meta = [names.index(_META.var_name(v)) for v in prog.atoms]
         steps = [
-            (op, meta[a] if op == ATOM else a, b)
-            for op, a, b in zip(pattern.op, pattern.a, pattern.b)
+            (op, meta[a] if op == ATOM else a, b) for op, a, b in zip(prog.op, prog.a, prog.b)
         ]
-        kinds = [kind for _, kind in pattern.modals]
-        names = tuple(_META.var_name(v) for v in metas)
-        out += [(scheme, agent, steps, kinds, names) for agent in range(ws.n_agents)]
+        out.append((agent, names, steps, prog.modals, list(zip(members, prog.roots))))
     return out
 
 
@@ -653,26 +707,28 @@ def _windows(sizes: list, limit: int):
             yield prefix + d * block[i], min(step, sizes[i - 1] - d) * block[i]
 
 
-def _instance_masks(patterns, frame: Frame, letters: list, own: list):
-    """(pattern index, domains, start, count, root) for every pattern of
-    _patterns and every window (_windows) of up to _PACKED // frame.size
-    tuples of the product of its domains, one domain per metavariable: p's
-    is own[agent], the agent's variables grouped by mask, and every other
-    one's is letters, the formulas grouped by mask (see _groups).
+def _instance_masks(groups, frame: Frame, letters: list, own: list):
+    """(pattern index, domains, start, count, root) for every member of
+    every group of _fuse and every window (_windows) of up to
+    _PACKED // frame.size tuples of the product of the group's domains,
+    one domain per metavariable: p's is own[agent], the agent's variables
+    grouped by mask, and every other one's is letters, the formulas
+    grouped by mask (see _groups).
 
     The window's tuples run at once, tuple start + c on copy c of the
     frame (see Frame.box), each metavariable bound to the packed masks of
-    its values on them (_spread), so that each op of the pattern is one
-    int op per window. root is the pattern's root mask on those copies;
-    copy c of it is the mask of tuple _unrank(domains, start + c).
+    its values on them (_spread), so that each op of the group's program
+    is one int op per window, and one run serves all its members. root is
+    the member's root mask on those copies; copy c of it is the mask of
+    tuple _unrank(domains, start + c).
 
     A frame keeps one box per (agent, kind), rebuilt only for a window of
     more copies than it has: a box for M copies serves any count c <= M
     as it is, since run reads its reaches and lanes only inside bad, which
     holds c copies."""
     size = frame.size
-    spread, boxes = {}, {}  # per frame, shared by the patterns; boxes holds (copies, box)
-    for j, (_, agent, steps, kinds, names) in enumerate(patterns):
+    spread, boxes = {}, {}  # per frame, shared by the groups; boxes holds (copies, box)
+    for agent, names, steps, modals, members in groups:
         domains = [own[agent] if name == "p" else letters for name in names]
         sizes = [len(domain) for domain in domains]
         for start, count in _windows(sizes, max(1, _PACKED // size)):
@@ -686,12 +742,13 @@ def _instance_masks(patterns, frame: Frame, letters: list, own: list):
                     keys = [mask for mask, _ in domain[first:first + count // held]]
                     spread[key] = _spread(keys, held, count, size)
                 masks.append(spread[key])
-            for kind in kinds:
-                kept = boxes.get((agent, kind))
+            for key in modals:
+                kept = boxes.get(key)
                 if kept is None or kept[0] < count:
-                    boxes[agent, kind] = count, frame.box((agent, kind), count)
-            box_of = [boxes[agent, kind][1] for kind in kinds]
-            yield j, domains, start, count, run(steps, masks, box_of, (1 << count * size) - 1)[-1]
+                    boxes[key] = count, frame.box(key, count)
+            vals = run(steps, masks, [boxes[key][1] for key in modals], (1 << count * size) - 1)
+            for j, root in members:
+                yield j, domains, start, count, vals[root]
 
 
 def instance_formula(pattern: tuple, values: tuple, formulas: FormulaSlots) -> Formula:
@@ -699,7 +756,7 @@ def instance_formula(pattern: tuple, values: tuple, formulas: FormulaSlots) -> F
     binding each metavariable by name to its value: p's is the index of
     one of the agent's variables, and every other one's is an index of the
     formulas, whose Formula is decoded from its op."""
-    scheme, agent, *_, names = pattern
+    scheme, agent, names = pattern
     binding = {
         name: PropVar(agent, v) if name == "p" else formulas[v] for name, v in zip(names, values)
     }
@@ -726,9 +783,13 @@ def soundness_suite(
     and Venema, Modal Logic, 2001, 1.3). So on each frame of _lanes, one
     model per lane, each pattern checks every tuple of its domains'
     masks, the tuples of a window side by side in one run (see
-    _instance_masks). A failing copy's tuple stands for every instance
-    (pattern, values) in the product of its index lists. instances_checked
-    is the sum over patterns of the product of their domain sizes.
+    _instance_masks). Patterns with the same metavariables, and the same
+    agent where p is one of them, have the same domains and share that
+    run: _fuse compiles each such group once per call, from SCHEMES as it
+    is then, and each pattern reads its own root. A failing copy's tuple
+    stands for every instance (pattern, values) in the product of its
+    index lists. instances_checked is the sum over patterns of the
+    product of their domain sizes.
     """
     if SYSTEM_CLASS[system] != cls:
         raise PreconditionError(
@@ -741,6 +802,7 @@ def soundness_suite(
     )
     n, masks_of = len(formulas), formulas.program
     patterns, vars_of = _patterns(system, ws), _vars_of(bounds)
+    groups = _fuse(patterns)
     checked = sum(
         math.prod(bounds.vars_per_agent if name == "p" else n for name in names)
         for *_, names in patterns
@@ -750,7 +812,7 @@ def soundness_suite(
         letters = _groups(evaluate(masks_of, frame))
         own = [_groups(frame.atoms.get(p, 0) for p in agent_vars) for agent_vars in vars_of]
         size, full, failures = frame.size, frame.full, []
-        for j, domains, offset, count, root in _instance_masks(patterns, frame, letters, own):
+        for j, domains, offset, count, root in _instance_masks(groups, frame, letters, own):
             bad = root ^ (1 << count * size) - 1
             while bad:  # the failing copies, lowest first
                 c = ((bad & -bad).bit_length() - 1) // size

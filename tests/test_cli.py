@@ -295,6 +295,23 @@ def test_search_past_the_descriptor_cap_exits_2(capsys):
     assert code == 2 and "edge descriptors" in err
 
 
+def test_search_past_the_renamings_cap_exits_2(capsys, monkeypatch):
+    # one agent with one vertex per edge renames up to edges vertices:
+    # 3! - 1 maps of 6 descriptors pass a cap of 100 map entries, 4! - 1
+    # maps of 8 do not, and are refused before any is listed
+    argv = ["--json", "search", "countermodel", "H_sut", "B{a}p_a_1 -> B{a}B{a}p_a_1", "--bounds"]
+    monkeypatch.setattr(search, "_MAX_RENAMINGS", 100)
+    search._tables.cache_clear()  # an earlier test may have listed these maps
+    code, out, _ = run(capsys, *argv, "agents=1,edges=3,vars=1")
+    assert code == 0 and json.loads(out)["outcome"] == "exhausted"
+    code, out, _ = run(capsys, *argv, "agents=1,edges=4,vars=1")
+    error = json.loads(out)["error"]
+    assert code == 2 and error["type"] == "PreconditionError"
+    assert "takes 184 map entries, more than the supported 100" in error["message"]
+    assert (0, 4) not in search._tables(1, 4, True).maps
+    search._tables.cache_clear()
+
+
 def test_search_countermodel_rejects_workers_below_one(capsys):
     argv = ["--json", "search", "countermodel", "H_su", "p_a_1", "--bounds"]
     code, out, _ = run(capsys, *argv, "agents=1,edges=2,vars=1", "--workers", "-3")

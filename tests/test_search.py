@@ -25,7 +25,9 @@ from hyperdox import hypergraph, search
 from hyperdox.convert import FormulaSlots
 from hyperdox.formula import And, Atom, Not, render_formula
 from hyperdox.hypergraph import frame_h
-from hyperdox.kernel import AND, ATOM, BOX, NOT, compile_formulas, evaluate, fragment_check, run
+from hyperdox.kernel import (
+    AND, ATOM, BOX, NOT, compile_formulas, evaluate, fragment_check, index_bits, run,
+)
 from hyperdox.modelio import hypergraph_to_json
 from hyperdox.proofcheck import ADMITTED, SCHEMES, SchemeId
 from hyperdox.workspace import Workspace
@@ -436,25 +438,88 @@ def test_suite_follows_schemes_and_admitted(monkeypatch):
     assert violations() == 0
 
 
+def _pattern_steps(scheme: SchemeId) -> tuple:
+    """(steps, modal kinds) of the scheme's own compiled pattern, the root
+    last, with ATOM i standing for its i-th metavariable in meta-workspace
+    order: the per-scheme program that a fused group's run must agree with."""
+    pattern = compile_formulas([SCHEMES[scheme]])
+    metas = sorted(pattern.atoms, key=lambda v: v.index)
+    meta = [metas.index(v) for v in pattern.atoms]
+    steps = [
+        (op, meta[a] if op == ATOM else a, b) for op, a, b in zip(pattern.op, pattern.a, pattern.b)
+    ]
+    return steps, [kind for _, kind in pattern.modals]
+
+
 def test_pattern_steps_are_all_read():
     # an implication compiles through ~~phi, which folds on the tree, so
     # the ~phi it skips is never emitted: K_B's pattern has 12 steps, and
     # in every pattern each step but the last, the root, is read by a
-    # later one; there is one entry per scheme and agent, and the atoms
-    # are the metavariables, numbered in ascending order
+    # later one, as is each step of a group's program that is no member's
+    # root; there is one entry per scheme and agent, and the atoms are the
+    # metavariables, numbered in ascending order
     patterns = search._patterns(System.EDL, SearchBounds(2, 1).workspace())
-    assert [(scheme, agent) for scheme, agent, *_ in patterns] == list(
+    assert [(scheme, agent) for scheme, agent, _ in patterns] == list(
         itertools.product(SchemeId, range(2))
     )
-    steps = {scheme: steps for scheme, _, steps, _, _ in patterns}
-    names = {scheme: names for scheme, *_, names in patterns}
+    names = {scheme: names for scheme, _, names in patterns}
+    steps = {scheme: _pattern_steps(scheme)[0] for scheme in names}
     assert len(steps) == len(SchemeId) and len(steps[SchemeId.K_B]) == 12
     assert names[SchemeId.K_B] == ("phi", "psi") and names[SchemeId.LOC] == ("p",)
-    for scheme, pattern in steps.items():
+    programs = [(pattern, [len(pattern) - 1], names[scheme]) for scheme, pattern in steps.items()]
+    programs += [
+        (group, [root for _, root in members], group_names)
+        for _, group_names, group, _, members in search._fuse(patterns)
+    ]
+    for pattern, roots, metas in programs:
         read = {a for op, a, _ in pattern if op in (NOT, AND)}
         read |= {b for op, _, b in pattern if op in (AND, BOX)}
-        assert read == set(range(len(pattern) - 1))
-        assert {a for op, a, _ in pattern if op == ATOM} == set(range(len(names[scheme])))
+        assert read | set(roots) == set(range(len(pattern)))
+        assert {a for op, a, _ in pattern if op == ATOM} == set(range(len(metas)))
+
+
+def test_patterns_fuse_by_metavariable_signature(monkeypatch):
+    # every (scheme, agent) entry lies in exactly one group, whose members
+    # have its names, and its agent when p is among them; at 2 agents each
+    # system gives (phi, psi), (phi) and a (p) group per agent. Equal
+    # subformulas are one op, so EDL's (phi) group has fewer box ops than
+    # its members' own patterns together. A stand-in SPI with phi, psi and
+    # p gets a group per agent, whose boxes are that agent's alone
+    ws = SearchBounds(2, 1).workspace()
+
+    def groups(system):
+        patterns = search._patterns(system, ws)
+        fused = search._fuse(patterns)
+        members = sorted(j for *_, members in fused for j, _ in members)
+        assert members == list(range(len(patterns)))
+        for agent, names, _, modals, members in fused:
+            for j, _ in members:
+                assert patterns[j][2] == names and agent in (None, patterns[j][1])
+            if agent is not None:
+                assert {owner for owner, _ in modals} == {agent}
+        return patterns, fused
+
+    signatures = [(("phi", "psi"), None), (("phi",), None), (("p",), 0), (("p",), 1)]
+    for system in System:
+        _, fused = groups(system)
+        assert [(names, agent) for agent, names, *_ in fused] == signatures
+    def boxes(steps):
+        return sum(op == BOX for op, _, _ in steps)
+
+    patterns, fused = groups(System.EDL)
+    (steps, members), = [(steps, m) for _, names, steps, _, m in fused if names == ("phi",)]
+    assert boxes(steps) < sum(boxes(_pattern_steps(patterns[j][0])[0]) for j, _ in members)
+    assert (sum(len(steps) for _, _, steps, _, _ in fused), sum(boxes(g[2]) for g in fused)) == (
+        126,
+        34,
+    )
+    meta = Workspace(("a",), (("phi", "psi", "p"),))
+    monkeypatch.setitem(SCHEMES, SchemeId.SPI, parse_formula("B{a}(phi -> p) -> K{a}psi", meta))
+    _, fused = groups(System.EDL)
+    assert [(names, agent) for agent, names, *_ in fused] == signatures[:2] + [
+        (("phi", "psi", "p"), 0),
+        (("phi", "psi", "p"), 1),
+    ] + signatures[2:]
 
 
 @pytest.mark.parametrize("depth, size, instances", [(1, 0, 2), (0, 1, 18)])
@@ -813,6 +878,8 @@ def test_lane_k_is_the_kth_placement(monkeypatch, bounds, lanes):
                 first = [dict(single.failures(mask)).get(0) for mask in evaluate(prog, single)]
                 assert first == [fail.get(k) for fail in fails]
         assert next(models, None) is None
+    # the windows' columns are read from a kept table, which they leave as it is
+    assert all(search._columns(b) == index_bits(b) for b in range(search._LANES.bit_length()))
 
 
 # (system, class, models_visited, instances_checked) of the three suites at
@@ -871,11 +938,11 @@ def test_forced_violations_hold_across_tuple_windows(monkeypatch, packed):
 )
 def test_emitted_instances_match_naive_instances(system, depth, size):
     # the suite's instances against Formula trees built by
-    # instantiate_scheme: each copy of each packed run _instance_masks
-    # yields, expanded over its tuple's index lists and sorted by
-    # (pattern, values), gives the naive instances in order, each rebuilt
-    # with its ~~ shapes intact and with its mask on every frame the suite
-    # reads
+    # instantiate_scheme: each copy of each member's root that the grouped
+    # runs of _instance_masks yield, expanded over its tuple's index lists
+    # and sorted by (pattern, values), gives the naive instances in order,
+    # each rebuilt with its ~~ shapes intact and with its mask on every
+    # frame the suite reads
     bounds = SearchBounds(2, 2, 1)
     ws = bounds.workspace()
     formulas = FormulaSlots(ws.all_vars(), range(ws.n_agents), depth, size)
@@ -890,7 +957,7 @@ def test_emitted_instances_match_naive_instances(system, depth, size):
         ours = sorted(
             (j, values, root >> c * frame.size & frame.full)
             for j, domains, start, count, root in search._instance_masks(
-                patterns, frame, letters, own
+                search._fuse(patterns), frame, letters, own
             )
             for c in range(count)
             for values in itertools.product(*(i for _, i in search._unrank(domains, start + c)))
@@ -910,10 +977,11 @@ def test_emitted_instances_match_naive_instances(system, depth, size):
     ids=["lane_frames", "width_1", "split_windows", "sampled_one_tuple_windows"],
 )
 def test_packed_runs_match_per_tuple_runs_and_the_oracle(monkeypatch, bounds, lanes, packed):
-    # each copy of a packed run of a pattern must be the root mask of a run
-    # of the pattern on that copy's tuple alone, and, on a seeded sample of
-    # copies, the oracle's truth of an instance the tuple stands for on each
-    # lane's model and edge; a pattern's windows must cover its tuples once,
+    # each copy of a member's root in its group's packed run must be the
+    # root mask of a run of the member's own pattern (_pattern_steps) on
+    # that copy's tuple alone, and, on a seeded sample of copies, the
+    # oracle's truth of an instance the tuple stands for on each lane's
+    # model and edge; a pattern's windows must cover its tuples once,
     # in order. Falsifiable stand-ins for four schemes, one of them with
     # all three metavariables, keep the roots from being full everywhere.
     # A contradiction among the formulas gives a letter whose mask is 0,
@@ -939,6 +1007,8 @@ def test_packed_runs_match_per_tuple_runs_and_the_oracle(monkeypatch, bounds, la
     formulas = [slots[i] for i in range(len(slots))] + [And(p, Not(p))]
     prog = compile_formulas(formulas)
     patterns = search._patterns(System.EDL, ws)
+    groups = search._fuse(patterns)
+    reference = [_pattern_steps(scheme) for scheme, _, _ in patterns]
     vars_of = search._vars_of(bounds)
     models = enumerate_models("all", bounds)
     widest = split = sampled = 0
@@ -950,9 +1020,9 @@ def test_packed_runs_match_per_tuple_runs_and_the_oracle(monkeypatch, bounds, la
         own = [search._groups(frame.atoms.get(v, 0) for v in vs) for vs in vars_of]
         for domain in (letters, letters[:1]):
             ends = {}
-            runs = search._instance_masks(patterns, frame, domain, own)
+            runs = search._instance_masks(groups, frame, domain, own)
             for j, domains, start, count, root in runs:
-                _, agent, steps, kinds, names = patterns[j]
+                (_, agent, _), (steps, kinds) = patterns[j], reference[j]
                 assert start == ends.get(j, 0) and count > 0
                 ends[j] = start + count
                 widest, split = max(widest, count), split or start > 0
@@ -973,7 +1043,7 @@ def test_packed_runs_match_per_tuple_runs_and_the_oracle(monkeypatch, bounds, la
                             ]
             assert ends == {
                 j: math.prod(len(own[agent]) if name == "p" else len(domain) for name in names)
-                for j, (_, agent, _, _, names) in enumerate(patterns)
+                for j, (_, agent, names) in enumerate(patterns)
             }
             if len(domain) == 1 and bounds.vars_per_agent == 1:
                 assert set(ends.values()) == {1}
